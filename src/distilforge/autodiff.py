@@ -13,7 +13,7 @@ general broadcasting. Row-vector bias addition gets its own operation.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,9 +26,7 @@ __all__ = [
     "sub",
     "mul",
     "div",
-    "elementwise",
     "matmul",
-    "reduce",
     "reduce_sum",
     "reduce_mean",
     "relu",
@@ -41,7 +39,6 @@ __all__ = [
     "log_softmax_with_temperature",
     "pairwise_l2",
     "backward",
-    "grad_check",
 ]
 
 # Divisors smaller than this are reported as errors instead of clamped.
@@ -60,7 +57,7 @@ class Tensor:
     scalar back to this tensor).
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "op", "parents", "_rule")
+    __slots__ = ("data", "requires_grad", "grad", "parents", "_rule")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -69,7 +66,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self.op = None
         self.parents: tuple = ()
         self._rule = None
 
@@ -173,7 +169,6 @@ def _record(data, op: str, parents: Sequence[Tensor], rule: Callable) -> Tensor:
     out.data = data
     out.requires_grad = any(p.requires_grad for p in parents)
     out.grad = None
-    out.op = op
     out.parents = tuple(parents)
     out._rule = rule
     return out
@@ -273,18 +268,6 @@ def div(a: Tensor, b) -> Tensor:
     raise ValueError(f"div: shape mismatch {ad.shape} vs {bd.shape}")
 
 
-_ELEMENTWISE = {"add": add, "sub": sub, "mul": mul, "div": div}
-
-
-def elementwise(op_kind: str, a: Tensor, b) -> Tensor:
-    """Dispatch on the four arithmetic kinds; shapes must match or b is scalar."""
-    try:
-        fn = _ELEMENTWISE[op_kind]
-    except KeyError:
-        raise ValueError(f"unknown elementwise kind '{op_kind}'") from None
-    return fn(a, b)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     _require_tensor("matmul", a)
     _require_tensor("matmul", b)
@@ -329,15 +312,6 @@ def reduce_mean(x: Tensor, axis=None) -> Tensor:
     else:
         rule = lambda g: (np.broadcast_to(np.expand_dims(g * scale, ax), shape),)
     return _record(x.data.sum(axis=ax) * scale, "mean", (x,), rule)
-
-
-def reduce(kind: str, x: Tensor, axis=None) -> Tensor:
-    """Dispatch on the reduction kind: 'sum' or 'mean'."""
-    if kind == "sum":
-        return reduce_sum(x, axis)
-    if kind == "mean":
-        return reduce_mean(x, axis)
-    raise ValueError(f"unknown reduce kind '{kind}'")
 
 
 def relu(x: Tensor) -> Tensor:
@@ -478,30 +452,3 @@ def backward(loss: Tensor) -> None:
     loss.grad = np.ones_like(loss.data)
     tape.backprop()
 
-
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
-    """Worst relative disagreement between tape and central-difference grads.
-
-    ``f`` must be a pure scalar-valued function of its tensor argument. The
-    relative error for each coordinate is |analytic - numeric| divided by
-    max(1, |numeric|).
-    """
-    probe = Tensor(x.data.copy(), requires_grad=True)
-    out = f(probe)
-    if not isinstance(out, Tensor) or out.data.size != 1:
-        raise ValueError("grad_check requires a scalar-valued function")
-    if out._rule is not None:
-        backward(out)
-    analytic = probe.grad if probe.grad is not None else np.zeros_like(probe.data)
-    analytic = np.asarray(analytic).reshape(-1)
-    worst = 0.0
-    for i in range(x.data.size):
-        xp = x.data.copy()
-        xp.reshape(-1)[i] += h
-        xm = x.data.copy()
-        xm.reshape(-1)[i] -= h
-        numeric = (f(Tensor(xp)).item() - f(Tensor(xm)).item()) / (2.0 * h)
-        err = abs(analytic[i] - numeric) / max(1.0, abs(numeric))
-        if err > worst:
-            worst = err
-    return worst

@@ -172,7 +172,8 @@ def _dataset_int(spec: dict, key: str, minimum: int) -> int:
 def build_datasets(spec: dict) -> tuple[Dataset, Dataset]:
     """Materialize (train, test) from a dataset spec and normalize them.
 
-    Normalization statistics come from the training split only.
+    Both splits must have the same feature width. Normalization statistics
+    come from the training split only.
     """
     kind = spec.get("kind")
     if kind == "blobs":
@@ -220,6 +221,10 @@ def build_datasets(spec: dict) -> tuple[Dataset, Dataset]:
         train.num_classes = test.num_classes = shared
     else:
         raise ConfigError(f"dataset.kind: must be one of {', '.join(_DATASET_KINDS)}")
+    if train.input_dim != test.input_dim:
+        raise ConfigError(
+            f"dataset: train has {train.input_dim} features, test has {test.input_dim}"
+        )
     (train, test), _ = mean_std_normalize(train, [test])
     return train, test
 

@@ -31,6 +31,7 @@ from .autodiff import (
     reduce_mean,
     reduce_sum,
     reshape,
+    softmax_with_temperature,
     sqrt,
     sub,
 )
@@ -163,18 +164,6 @@ class TupleSets:
         return cls(n, pair_u, pair_v, sample[:, 0], sample[:, 1], sample[:, 2], capped=True)
 
 
-def _softmax_np(z: np.ndarray, t: float) -> np.ndarray:
-    u = z / t
-    e = np.exp(u - u.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _log_softmax_np(z: np.ndarray, t: float) -> np.ndarray:
-    u = z / t
-    shifted = u - u.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 def cross_entropy(logits: Tensor, one_hot: Tensor) -> Tensor:
     """Batch-mean cross-entropy between logits and one-hot label rows."""
     if logits.data.ndim != 2:
@@ -192,8 +181,9 @@ def cross_entropy(logits: Tensor, one_hot: Tensor) -> Tensor:
 
 
 def _kl_softened(student_logits: Tensor, teacher_data: np.ndarray, t: float) -> Tensor:
-    q = Tensor(_softmax_np(teacher_data, t))
-    log_q = Tensor(_log_softmax_np(teacher_data, t))
+    teacher = Tensor(teacher_data)
+    q = softmax_with_temperature(teacher, t)
+    log_q = log_softmax_with_temperature(teacher, t)
     log_p = log_softmax_with_temperature(student_logits, t)
     per_row = reduce_sum(mul(q, sub(log_q, log_p)), axis=1)
     return reduce_mean(per_row)
@@ -402,7 +392,6 @@ class TotalLoss:
     self_distill: float = 0.0
     pi_collapses: int = 0
     triples_skipped: int = 0
-    angle_term_skipped: bool = False
 
 
 def total_loss(
@@ -437,7 +426,6 @@ def total_loss(
         result.angle = md.relation.angle.item()
         result.pi_collapses = md.relation.pi_collapses
         result.triples_skipped = md.relation.triples_skipped
-        result.angle_term_skipped = md.relation.angle_term_skipped
     if weights.gamma > 0:
         if snapshot_logits is None:
             raise ValueError("snapshot logits are required when gamma > 0")

@@ -17,10 +17,6 @@ import numpy as np
 
 from .autodiff import Tensor, add_bias, matmul, relu
 
-MODE_TRAINING = "training"
-MODE_FROZEN = "frozen"
-
-
 @dataclass(frozen=True)
 class NetworkConfig:
     """Architecture and initialization seed for one peer."""
@@ -85,14 +81,12 @@ class ForwardOutput:
 
 
 class PeerNetwork:
-    """One peer: named parameter tensors plus a training/frozen mode flag."""
+    """One peer and its named parameter tensors; a frozen snapshot's parameters
+    do not require grad."""
 
-    def __init__(self, config: NetworkConfig, parameters: dict, mode: str = MODE_TRAINING):
-        if mode not in (MODE_TRAINING, MODE_FROZEN):
-            raise ValueError(f"mode must be '{MODE_TRAINING}' or '{MODE_FROZEN}'")
+    def __init__(self, config: NetworkConfig, parameters: dict):
         self.config = config
         self.parameters = parameters
-        self.mode = mode
 
     def forward(self, features: Tensor) -> ForwardOutput:
         """Run the network; the input batch is never mutated."""
@@ -116,7 +110,7 @@ class PeerNetwork:
             name: Tensor(p.data.copy(), requires_grad=False)
             for name, p in self.parameters.items()
         }
-        return PeerNetwork(self.config, params, mode=MODE_FROZEN)
+        return PeerNetwork(self.config, params)
 
     def zero_grads(self) -> None:
         for p in self.parameters.values():
@@ -142,7 +136,7 @@ def init_network(config: NetworkConfig) -> PeerNetwork:
             rng.uniform(-limit, limit, size=(fan_in, fan_out)), requires_grad=True
         )
         params[f"b{i}"] = Tensor(np.zeros(fan_out), requires_grad=True)
-    return PeerNetwork(config, params, mode=MODE_TRAINING)
+    return PeerNetwork(config, params)
 
 
 def save_checkpoint(net: PeerNetwork, path) -> None:
@@ -165,4 +159,4 @@ def load_checkpoint(path) -> PeerNetwork:
     for name, entry in doc["parameters"].items():
         arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
         params[name] = Tensor(arr, requires_grad=True)
-    return PeerNetwork(config, params, mode=MODE_TRAINING)
+    return PeerNetwork(config, params)

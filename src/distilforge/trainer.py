@@ -15,7 +15,7 @@ bit-identical parameter and metric trajectories on the same platform.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,7 +27,6 @@ from .losses import (
     LossWeights,
     TotalLoss,
     TupleSets,
-    cross_entropy,
     total_loss,
 )
 from .models import PeerNetwork
@@ -276,6 +275,90 @@ def _require_pair(nets) -> None:
         raise ValueError("training expects exactly two peer networks")
 
 
+def _train_epochs(
+    nets: Sequence[PeerNetwork],
+    snapshots: Optional[Sequence[PeerNetwork]],
+    train_ds: Dataset,
+    test_ds: Dataset,
+    config: TrainConfig,
+    stage: int,
+    weights: LossWeights,
+    include_relation: bool,
+    lrs: Sequence[float],
+    epoch_offset: int,
+) -> list[MetricsRecord]:
+    """One epoch per entry of `lrs`, training both peers on `weights`' objective.
+
+    Per batch, each peer forms its loss and back-propagates in turn. In
+    sequential order it steps at once, so the second peer's loss sees the
+    first peer's updated outputs; in simultaneous order both step after both
+    backward passes, so both losses see pre-step outputs. A peer's forward
+    output is reused until that peer steps. Shuffling uses epoch numbers
+    from `epoch_offset` on, so the batch stream never repeats across stages.
+    """
+    need_tuples = weights.beta > 0 and include_relation
+    sequential = config.update_order == "sequential"
+    states = [OptimizerState.for_network(net) for net in nets]
+    records: list[MetricsRecord] = []
+    for epoch, lr in enumerate(lrs):
+        shuffle_epoch = epoch_offset + epoch
+        stats = [_EpochStats(), _EpochStats()]
+        try:
+            batches = batch_iterator(train_ds, config.batch_size, config.seed, shuffle_epoch)
+            for batch_index, batch in enumerate(batches):
+                b = len(batch)
+                tuples = None
+                if need_tuples:
+                    rng = None
+                    if b > TRIPLE_CAP_BATCH:
+                        rng = np.random.default_rng([config.seed, shuffle_epoch, batch_index])
+                    tuples = TupleSets.build(b, rng=rng)
+                    if b < 3:
+                        logger.debug(
+                            "stage %d epoch %d batch %d: %d samples, angle term skipped",
+                            stage, epoch, batch_index, b,
+                        )
+                outputs = [None, None]
+
+                def forward(j: int):
+                    if outputs[j] is None:
+                        outputs[j] = nets[j].forward(batch.features)
+                    return outputs[j]
+
+                for k in (0, 1):
+                    result = total_loss(
+                        forward(k),
+                        forward(1 - k) if weights.beta > 0 else None,
+                        snapshots[k].forward(batch.features).logits if weights.gamma > 0 else None,
+                        batch.one_hot_labels,
+                        weights,
+                        tuples,
+                        include_relation,
+                    )
+                    nets[k].zero_grads()
+                    backward(result.total)
+                    stats[k].add(b, result)
+                    if sequential or k == 1:
+                        for j in (k,) if sequential else (0, 1):
+                            sgd_step(nets[j].parameters, states[j], lr, config.momentum,
+                                     config.weight_decay)
+                            outputs[j] = None
+        except AutodiffError as exc:
+            raise TrainingDivergence(f"stage {stage} epoch {epoch}: {exc}") from exc
+        for k in (0, 1):
+            records.append(
+                stats[k].record(
+                    epoch=epoch,
+                    stage=stage,
+                    net=k + 1,
+                    lr=lr,
+                    train_top1=evaluate_top1(nets[k], train_ds),
+                    test_top1=evaluate_top1(nets[k], test_ds),
+                )
+            )
+    return records
+
+
 def pretrain_stage1(
     nets: Sequence[PeerNetwork],
     train_ds: Dataset,
@@ -288,50 +371,14 @@ def pretrain_stage1(
     initialization. Returns (frozen snapshots, per-epoch metric records).
     """
     _require_pair(nets)
-    states = [OptimizerState.for_network(net) for net in nets]
-    records: list[MetricsRecord] = []
-    for epoch in range(config.stage1_epochs):
-        ce_sums = [0.0, 0.0]
-        seen = 0
-        try:
-            for batch in batch_iterator(train_ds, config.batch_size, config.seed, epoch):
-                b = len(batch)
-                for k in (0, 1):
-                    out = nets[k].forward(batch.features)
-                    loss = cross_entropy(out.logits, batch.one_hot_labels)
-                    nets[k].zero_grads()
-                    backward(loss)
-                    sgd_step(
-                        nets[k].parameters,
-                        states[k],
-                        config.lr,
-                        config.momentum,
-                        config.weight_decay,
-                    )
-                    ce_sums[k] += loss.item() * b
-                seen += b
-        except AutodiffError as exc:
-            raise TrainingDivergence(f"stage 1 epoch {epoch}: {exc}") from exc
-        for k in (0, 1):
-            mean_ce = ce_sums[k] / seen
-            records.append(
-                MetricsRecord(
-                    epoch=epoch,
-                    stage=1,
-                    net=k + 1,
-                    lr=config.lr,
-                    loss_total=mean_ce,
-                    loss_ce=mean_ce,
-                    loss_kl_mutual=0.0,
-                    loss_dd=0.0,
-                    loss_ad=0.0,
-                    loss_sd=0.0,
-                    train_top1=evaluate_top1(nets[k], train_ds),
-                    test_top1=evaluate_top1(nets[k], test_ds),
-                    pi_collapses=0,
-                    triples_skipped=0,
-                )
-            )
+    records = _train_epochs(
+        nets, None, train_ds, test_ds, config,
+        stage=1,
+        weights=LossWeights(alpha=1.0, beta=0.0, gamma=0.0),
+        include_relation=False,
+        lrs=[config.lr] * config.stage1_epochs,
+        epoch_offset=0,
+    )
     if records:
         first = [r.loss_ce for r in records[:2]]
         final = [r.loss_ce for r in records[-2:]]
@@ -345,24 +392,6 @@ def pretrain_stage1(
     return snapshots, records
 
 
-def _peer_objective(
-    nets: Sequence[PeerNetwork],
-    snapshots: Optional[Sequence[PeerNetwork]],
-    k: int,
-    batch,
-    weights: LossWeights,
-    tuples: Optional[TupleSets],
-    include_relation: bool,
-) -> TotalLoss:
-    outputs = nets[k].forward(batch.features)
-    peer_outputs = nets[1 - k].forward(batch.features) if weights.beta > 0 else None
-    snap_logits = snapshots[k].forward(batch.features).logits if weights.gamma > 0 else None
-    return total_loss(
-        outputs, peer_outputs, snap_logits, batch.one_hot_labels, weights, tuples,
-        include_relation,
-    )
-
-
 def train_stage2(
     nets: Sequence[PeerNetwork],
     snapshots: Optional[Sequence[PeerNetwork]],
@@ -370,83 +399,23 @@ def train_stage2(
     test_ds: Dataset,
     config: TrainConfig,
 ) -> list[MetricsRecord]:
-    """Joint training under the configured variant's objective.
+    """Joint training under the configured variant's objective and update order.
 
-    With the default sequential order the first peer steps before the second
-    peer's loss is formed, so the second peer sees updated outputs within the
-    same batch; the simultaneous order forms both losses from pre-step
-    outputs and then applies both updates. Batch shuffling continues the
-    stage-1 epoch numbering so the stream never repeats across stages.
+    The learning rate follows `lr_at`; batch shuffling continues the stage-1
+    epoch numbering.
     """
     _require_pair(nets)
     weights, include_relation = variant_weights(config.weights, config.variant)
     if weights.gamma > 0 and (snapshots is None or len(snapshots) != 2):
         raise ValueError("snapshots of both peers are required when the self term is active")
-    need_tuples = weights.beta > 0 and include_relation
-    states = [OptimizerState.for_network(net) for net in nets]
-    records: list[MetricsRecord] = []
-    for epoch in range(config.stage2_epochs):
-        lr = lr_at(epoch, config)
-        shuffle_epoch = config.stage1_epochs + epoch
-        stats = [_EpochStats(), _EpochStats()]
-        try:
-            batches = batch_iterator(train_ds, config.batch_size, config.seed, shuffle_epoch)
-            for batch_index, batch in enumerate(batches):
-                b = len(batch)
-                tuples = None
-                if need_tuples and b >= 2:
-                    rng = None
-                    if b > TRIPLE_CAP_BATCH:
-                        rng = np.random.default_rng([config.seed, shuffle_epoch, batch_index])
-                    tuples = TupleSets.build(b, rng=rng)
-                if config.update_order == "sequential":
-                    for k in (0, 1):
-                        result = _peer_objective(
-                            nets, snapshots, k, batch, weights, tuples, include_relation
-                        )
-                        nets[k].zero_grads()
-                        backward(result.total)
-                        sgd_step(
-                            nets[k].parameters, states[k], lr, config.momentum,
-                            config.weight_decay,
-                        )
-                        stats[k].add(b, result)
-                else:
-                    results = [
-                        _peer_objective(
-                            nets, snapshots, k, batch, weights, tuples, include_relation
-                        )
-                        for k in (0, 1)
-                    ]
-                    for k in (0, 1):
-                        nets[k].zero_grads()
-                    for k in (0, 1):
-                        backward(results[k].total)
-                    for k in (0, 1):
-                        sgd_step(
-                            nets[k].parameters, states[k], lr, config.momentum,
-                            config.weight_decay,
-                        )
-                        stats[k].add(b, results[k])
-                if b < 3 and need_tuples:
-                    logger.debug(
-                        "stage 2 epoch %d batch %d: %d samples, angle term skipped",
-                        epoch, batch_index, b,
-                    )
-        except AutodiffError as exc:
-            raise TrainingDivergence(f"stage 2 epoch {epoch}: {exc}") from exc
-        for k in (0, 1):
-            records.append(
-                stats[k].record(
-                    epoch=epoch,
-                    stage=2,
-                    net=k + 1,
-                    lr=lr,
-                    train_top1=evaluate_top1(nets[k], train_ds),
-                    test_top1=evaluate_top1(nets[k], test_ds),
-                )
-            )
-    return records
+    return _train_epochs(
+        nets, snapshots, train_ds, test_ds, config,
+        stage=2,
+        weights=weights,
+        include_relation=include_relation,
+        lrs=[lr_at(epoch, config) for epoch in range(config.stage2_epochs)],
+        epoch_offset=config.stage1_epochs,
+    )
 
 
 @dataclass

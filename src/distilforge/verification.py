@@ -26,7 +26,6 @@ from .autodiff import (
     backward,
     div,
     gather,
-    grad_check,
     huber_penalty,
     log_softmax_with_temperature,
     matmul,
@@ -59,6 +58,7 @@ __all__ = [
     "CHECKS",
     "run_checks",
     "max_param_grad_error",
+    "grad_check",
     "grad_scenario",
     "loss_builders",
     "oracle_cross_entropy",
@@ -218,6 +218,12 @@ def max_param_grad_error(
     return worst
 
 
+def grad_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
+    """max_param_grad_error of the scalar function ``f`` at a copy of ``x``."""
+    probe = Tensor(x.data.copy(), requires_grad=True)
+    return max_param_grad_error(lambda: f(probe), [probe])
+
+
 @dataclass
 class GradScenario:
     """Shared fixture for the per-loss gradient checks."""
@@ -295,7 +301,7 @@ def loss_builders(scn: GradScenario) -> dict[str, Callable[[], Tensor]]:
 # ---------------------------------------------------------------------------
 
 
-def check_elementwise_gradients() -> None:
+def check_arithmetic_gradients() -> None:
     rng = np.random.default_rng(9)
     a = Tensor(rng.uniform(-1.0, 1.0, (3, 4)))
     b = Tensor(rng.uniform(0.5, 1.5, (3, 4)))
@@ -311,7 +317,7 @@ def check_elementwise_gradients() -> None:
     for name, fn in pairs:
         target = b if name == "div_rhs" else a
         err = grad_check(fn, target)
-        _ensure(err < GRAD_TOL, f"elementwise '{name}' gradient error {err:.3e}")
+        _ensure(err < GRAD_TOL, f"arithmetic '{name}' gradient error {err:.3e}")
 
 
 def check_matmul_reduce_gradients() -> None:
@@ -512,7 +518,7 @@ def check_determinism_replay() -> None:
 
 
 CHECKS: list[tuple[str, Callable[[], None]]] = [
-    ("elementwise_gradients", check_elementwise_gradients),
+    ("arithmetic_gradients", check_arithmetic_gradients),
     ("matmul_reduce_gradients", check_matmul_reduce_gradients),
     ("softmax_properties", check_softmax_properties),
     ("pairwise_l2_properties", check_pairwise_l2_properties),

@@ -316,6 +316,38 @@ class TestCli:
         assert "--overwrite" in capsys.readouterr().err
         assert cli.main(["run", str(path), "--out", str(out), "--overwrite"]) == 0
 
+    @pytest.mark.parametrize("kind", ["csv", "idx"])
+    def test_feature_width_mismatch_exits_1(self, tmp_path, capsys, kind):
+        if kind == "csv":
+            train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+            train.write_text("f0,f1,y\n0.0,1.0,0\n1.0,0.0,1\n2.0,2.0,2\n")
+            test.write_text("f0,y\n0.5,1\n")
+            dataset = {"kind": "csv", "train": str(train), "test": str(test)}
+            widths = (2, 1)
+        else:
+            from test_data import write_idx
+
+            rng = np.random.default_rng(0)
+            ipath, lpath = write_idx(
+                tmp_path, rng.integers(0, 256, (6, 1, 2), dtype=np.uint8),
+                np.array([0, 1, 2, 0, 1, 2], dtype=np.uint8),
+            )
+            tipath, tlpath = write_idx(
+                tmp_path, rng.integers(0, 256, (2, 3, 3), dtype=np.uint8),
+                np.array([0, 1], dtype=np.uint8), prefix="t_",
+            )
+            dataset = {
+                "kind": "idx",
+                "train_images": str(ipath), "train_labels": str(lpath),
+                "test_images": str(tipath), "test_labels": str(tlpath),
+            }
+            widths = (2, 9)
+        path = write_config(tmp_path, dataset=dataset)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config: dataset: train has {widths[0]} features, test has {widths[1]}"
+        ]
+
     def test_divergence_exits_2(self, tmp_path, capsys):
         doc = base_config_dict()
         doc["train"]["lr"] = 1e25

@@ -8,8 +8,6 @@ import pytest
 
 from distilforge.autodiff import Tensor, backward, reduce_mean
 from distilforge.models import (
-    MODE_FROZEN,
-    MODE_TRAINING,
     NetworkConfig,
     PeerNetwork,
     init_network,
@@ -127,7 +125,6 @@ class TestInit:
 
     def test_all_parameters_trainable(self):
         net = init_network(NetworkConfig(2, (4,), 2, init_seed=0))
-        assert net.mode == MODE_TRAINING
         assert all(p.requires_grad for p in net.parameters.values())
 
 
@@ -135,8 +132,7 @@ class TestSnapshot:
     def test_frozen_and_independent(self):
         net = init_network(NetworkConfig(2, (4,), 2, init_seed=5))
         snap = net.snapshot()
-        assert snap.mode == MODE_FROZEN
-        assert all(not p.requires_grad for p in snap.parameters.values())
+        assert all(p.requires_grad is False for p in snap.parameters.values())
         before = snap.parameters["w0"].data.copy()
         net.parameters["w0"].data += 1.0
         np.testing.assert_array_equal(snap.parameters["w0"].data, before)
@@ -147,10 +143,6 @@ class TestSnapshot:
         out = snap.forward(Tensor(np.zeros((3, 2))))
         assert not out.logits.requires_grad
 
-    def test_mode_validated(self):
-        with pytest.raises(ValueError, match="mode"):
-            PeerNetwork(NetworkConfig(2, (4,), 2, init_seed=0), {}, mode="eval")
-
 
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -160,7 +152,6 @@ class TestCheckpoint:
         save_checkpoint(net, path)
         loaded = load_checkpoint(path)
         assert loaded.config == net.config
-        assert loaded.mode == MODE_TRAINING
         assert set(loaded.parameters) == set(net.parameters)
         for name in net.parameters:
             np.testing.assert_array_equal(

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distilforge.autodiff import Tensor
 from distilforge.data import synth_blobs, mean_std_normalize
@@ -9,6 +10,8 @@ from distilforge.losses import LossWeights
 from distilforge.models import NetworkConfig, PeerNetwork, init_network
 from distilforge.trainer import (
     CSV_HEADER,
+    UPDATE_ORDERS,
+    VARIANTS,
     MetricsRecord,
     OptimizerState,
     TrainConfig,
@@ -411,3 +414,41 @@ class TestTrainPair:
         result = train_pair(fresh_pair(), train, test, config)
         final = [r for r in result.records[-2:]]
         assert all(r.test_top1 >= 0.9 for r in final)
+
+
+def _finite_losses(records):
+    losses = [
+        [r.loss_total, r.loss_ce, r.loss_kl_mutual, r.loss_dd, r.loss_ad, r.loss_sd]
+        for r in records
+    ]
+    return bool(np.isfinite(losses).all())
+
+
+class TestBatchSizes:
+    @pytest.mark.parametrize("order", UPDATE_ORDERS)
+    @pytest.mark.parametrize("variant", ["A", "B", "C"])
+    def test_single_sample_final_batch(self, variant, order):
+        # 21 samples in batches of 10: the last batch holds one sample, which
+        # adds nothing to the relation term but must still train.
+        train, test = tiny_datasets(per_class=7)
+        config = small_config(batch_size=10, variant=variant, update_order=order)
+        result = train_pair(fresh_pair(), train, test, config)
+        assert [r.stage for r in result.records] == [1, 1, 2, 2, 2, 2]
+        assert _finite_losses(result.records)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        per_class=st.integers(1, 8),
+        batch_size=st.integers(1, 20),
+        variant=st.sampled_from(VARIANTS),
+        order=st.sampled_from(UPDATE_ORDERS),
+    )
+    def test_any_dataset_and_batch_size_trains(self, per_class, batch_size, variant, order):
+        train, test = tiny_datasets(per_class=per_class, test_per_class=2)
+        config = small_config(
+            stage1_epochs=1, stage2_epochs=1, batch_size=batch_size, variant=variant,
+            update_order=order,
+        )
+        result = train_pair(fresh_pair(), train, test, config)
+        assert [r.stage for r in result.records] == [1, 1, 2, 2]
+        assert _finite_losses(result.records)
