@@ -2,8 +2,8 @@
 
 Three subcommands: `run` trains one experiment from a JSON config, `ablate`
 sweeps the four training variants, and `verify` runs the built-in check
-suite. Exit codes: 0 success, 1 configuration problems, 2 training
-divergence, 3 a failed verify check.
+suite. Exit codes: 0 success, 1 configuration or output problems,
+2 training divergence, 3 a failed verify check.
 """
 
 from __future__ import annotations
@@ -139,6 +139,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (TrainingDivergence, AutodiffError) as exc:
         print(f"error: divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except OSError as exc:
+        # Config and dataset reads raise ConfigError; what is left is output.
+        print(f"error: output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

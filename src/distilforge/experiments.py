@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -86,12 +88,14 @@ def _network_config(raw: dict, key: str) -> NetworkConfig:
     for required in ("input_dim", "hidden_dims", "num_classes", "init_seed"):
         if required not in section:
             raise ConfigError(f"{key}.{required}: required field is missing")
+    for name in ("input_dim", "num_classes", "init_seed"):
+        _int_field(section[name], f"{key}.{name}")
     try:
         return NetworkConfig(
-            input_dim=int(section["input_dim"]),
-            hidden_dims=tuple(section["hidden_dims"]),
-            num_classes=int(section["num_classes"]),
-            init_seed=int(section["init_seed"]),
+            input_dim=section["input_dim"],
+            hidden_dims=tuple(_int_field(d, f"{key}.hidden_dims") for d in section["hidden_dims"]),
+            num_classes=section["num_classes"],
+            init_seed=section["init_seed"],
             activation=section.get("activation", "relu"),
         )
     except (TypeError, ValueError) as exc:
@@ -110,6 +114,9 @@ def _train_config(raw: dict) -> TrainConfig:
     section = _require_object(raw, "train")
     _reject_unknown(section, _TRAIN_FIELDS, "train")
     kwargs = dict(section)
+    for name in ("stage1_epochs", "stage2_epochs", "batch_size", "seed"):
+        if name in kwargs:
+            _int_field(kwargs[name], f"train.{name}")
     if "weights" in kwargs:
         weights = kwargs.pop("weights")
         if not isinstance(weights, dict):
@@ -119,7 +126,7 @@ def _train_config(raw: dict) -> TrainConfig:
         ms = kwargs["lr_milestones"]
         if not isinstance(ms, (list, tuple)):
             raise ConfigError("train.lr_milestones: must be a list of epochs")
-        kwargs["lr_milestones"] = tuple(ms)
+        kwargs["lr_milestones"] = tuple(_int_field(m, "train.lr_milestones") for m in ms)
     try:
         return TrainConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -133,6 +140,8 @@ def load_experiment_config(path) -> ExperimentConfig:
         raw = json.loads(path.read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"config file cannot be read: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -162,10 +171,12 @@ def load_experiment_config(path) -> ExperimentConfig:
     )
 
 
-def _dataset_int(spec: dict, key: str, minimum: int) -> int:
-    value = spec.get(key)
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ConfigError(f"dataset.{key}: must be an integer >= {minimum}")
+def _int_field(value, where: str, minimum: Optional[int] = None) -> int:
+    """`value` if it is a JSON integer (not a bool) of at least `minimum`."""
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if not is_int or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{where}: must be an integer{bound}")
     return value
 
 
@@ -179,13 +190,13 @@ def build_datasets(spec: dict) -> tuple[Dataset, Dataset]:
     if kind == "blobs":
         allowed = {"kind", "num_classes", "per_class", "test_per_class", "dim", "spread", "seed"}
         _reject_unknown(spec, allowed, "dataset")
-        num_classes = _dataset_int(spec, "num_classes", 2)
-        per_class = _dataset_int(spec, "per_class", 1)
-        test_per_class = spec.get("test_per_class", per_class)
-        if not isinstance(test_per_class, int) or test_per_class < 1:
-            raise ConfigError("dataset.test_per_class: must be an integer >= 1")
-        dim = _dataset_int(spec, "dim", 2)
-        seed = _dataset_int(spec, "seed", 0)
+        num_classes = _int_field(spec.get("num_classes"), "dataset.num_classes", 2)
+        per_class = _int_field(spec.get("per_class"), "dataset.per_class", 1)
+        test_per_class = _int_field(
+            spec.get("test_per_class", per_class), "dataset.test_per_class", 1
+        )
+        dim = _int_field(spec.get("dim"), "dataset.dim", 2)
+        seed = _int_field(spec.get("seed"), "dataset.seed", 0)
         spread = spec.get("spread", 0.5)
         try:
             train = synth_blobs(num_classes, per_class, dim, float(spread), seed)
@@ -260,6 +271,13 @@ def _guard_overwrite(out: Path, markers: tuple, overwrite: bool) -> None:
             )
 
 
+def _remove_stale_reps(out: Path, keep: int) -> None:
+    for path in out.iterdir():
+        match = re.fullmatch(r"rep([0-9]+)", path.name)
+        if match and int(match.group(1)) >= keep and path.is_dir():
+            shutil.rmtree(path)
+
+
 def run_experiment(
     config: ExperimentConfig, out_dir=None, overwrite: bool = False
 ) -> dict:
@@ -268,13 +286,16 @@ def run_experiment(
     Repetition r uses training seed (seed + r) and init seeds
     (init_seed + r) for both networks; the dataset itself is fixed across
     repetitions. Returns the summary dict that is also written to
-    summary.json.
+    summary.json. With `overwrite`, `rep<N>` directories left by an earlier
+    run with more repetitions are removed.
     """
     out = _resolve_out_dir(config, out_dir)
     _guard_overwrite(out, ("summary.json", "rep0"), overwrite)
     train_ds, test_ds = build_datasets(config.dataset)
     _check_compatible(config, train_ds)
     out.mkdir(parents=True, exist_ok=True)
+    if overwrite:
+        _remove_stale_reps(out, config.seed_repetitions)
 
     finals: dict[str, list[float]] = {"net1": [], "net2": []}
     for rep in range(config.seed_repetitions):

@@ -98,11 +98,6 @@ class LossWeights:
         if not (np.isfinite(self.temperature) and self.temperature > 0):
             raise ValueError("temperature must be positive")
 
-    def replace(self, **changes) -> "LossWeights":
-        from dataclasses import replace as _dc_replace
-
-        return _dc_replace(self, **changes)
-
 
 @dataclass(frozen=True)
 class TupleSets:
@@ -141,8 +136,6 @@ class TupleSets:
         v = np.tile(np.arange(n, dtype=np.int64), n)
         keep = u != v
         pair_u, pair_v = u[keep], v[keep]
-        if n < 3:
-            return cls(n, pair_u, pair_v, empty, empty, empty)
         if n <= TRIPLE_CAP_BATCH:
             idx = np.arange(n, dtype=np.int64)
             tu, tv, tw = (a.reshape(-1) for a in np.meshgrid(idx, idx, idx, indexing="ij"))
@@ -224,6 +217,22 @@ def huber(a: float, b: float) -> float:
     return d - 0.5
 
 
+def _distances(embeddings: Tensor, tuples: TupleSets) -> Tensor:
+    n = embeddings.data.shape[0]
+    if tuples.n != n:
+        raise ValueError(f"tuple sets built for batch {tuples.n}, embeddings have {n} rows")
+    return pairwise_l2(embeddings)
+
+
+def _normalized_distances(dist: Tensor, tuples: TupleSets) -> tuple[Tensor, bool]:
+    n = tuples.n
+    mean_dist = div(reduce_sum(dist), float(tuples.num_pairs))
+    if mean_dist.item() < MEAN_DISTANCE_EPS:
+        return Tensor(np.zeros(tuples.num_pairs)), True
+    flat = reshape(dist, (n * n,))
+    return div(gather(flat, tuples.pair_u * n + tuples.pair_v), mean_dist), False
+
+
 def distance_potentials(embeddings: Tensor, tuples: TupleSets) -> tuple[Tensor, bool]:
     """Pairwise distances normalized by their batch mean, one per ordered pair.
 
@@ -232,26 +241,15 @@ def distance_potentials(embeddings: Tensor, tuples: TupleSets) -> tuple[Tensor, 
     zeros (zero gradient) and the flag is set. Otherwise the potentials mean
     to exactly 1 up to floating point.
     """
-    n = embeddings.data.shape[0]
-    if tuples.n != n:
-        raise ValueError(f"tuple sets built for batch {tuples.n}, embeddings have {n} rows")
-    dist = pairwise_l2(embeddings)
-    mean_dist = div(reduce_sum(dist), float(tuples.num_pairs))
-    if mean_dist.item() < MEAN_DISTANCE_EPS:
-        return Tensor(np.zeros(tuples.num_pairs)), True
-    flat = reshape(dist, (n * n,))
-    pots = div(gather(flat, tuples.pair_u * n + tuples.pair_v), mean_dist)
-    return pots, False
+    return _normalized_distances(_distances(embeddings, tuples), tuples)
 
 
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    return np.sqrt((a * a).sum(axis=1))
-
-
-def _valid_triple_mask(e: np.ndarray, tuples: TupleSets) -> np.ndarray:
-    du = _row_norms(e[tuples.triple_u] - e[tuples.triple_v])
-    dw = _row_norms(e[tuples.triple_w] - e[tuples.triple_v])
-    return (du >= COINCIDENCE_EPS) & (dw >= COINCIDENCE_EPS)
+def _triple_mask(dist: np.ndarray, tuples: TupleSets) -> np.ndarray:
+    """Triples whose (u, v) and (w, v) legs are both at least COINCIDENCE_EPS long."""
+    tv = tuples.triple_v
+    return (dist[tuples.triple_u, tv] >= COINCIDENCE_EPS) & (
+        dist[tuples.triple_w, tv] >= COINCIDENCE_EPS
+    )
 
 
 def _angle_values(embeddings: Tensor, tu: np.ndarray, tv: np.ndarray, tw: np.ndarray) -> Tensor:
@@ -270,12 +268,9 @@ def angle_potentials(embeddings: Tensor, tuples: TupleSets) -> tuple[Tensor, np.
     skipped. Returns (cosines for the valid triples, boolean validity mask
     over all triples in the tuple set).
     """
-    e = embeddings.data
-    if e.shape[0] < 3:
+    if embeddings.data.shape[0] < 3:
         raise ValueError("angle potentials need at least 3 samples")
-    if tuples.n != e.shape[0]:
-        raise ValueError(f"tuple sets built for batch {tuples.n}, embeddings have {e.shape[0]} rows")
-    valid = _valid_triple_mask(e, tuples)
+    valid = _triple_mask(_distances(embeddings, tuples).data, tuples)
     vals = _angle_values(
         embeddings, tuples.triple_u[valid], tuples.triple_v[valid], tuples.triple_w[valid]
     )
@@ -291,7 +286,6 @@ class RelationLoss:
     angle: Tensor
     pi_collapses: int = 0
     triples_skipped: int = 0
-    angle_term_skipped: bool = False
 
 
 def relation_distill_loss(
@@ -308,34 +302,26 @@ def relation_distill_loss(
         raise ValueError(
             f"embedding shapes differ: {emb_a.data.shape} vs {emb_b.data.shape}"
         )
-    n = emb_a.data.shape[0]
-    if n < 2:
-        zero = Tensor(0.0)
-        return RelationLoss(zero, Tensor(0.0), Tensor(0.0), angle_term_skipped=True)
-    pots_a, degenerate_a = distance_potentials(emb_a, tuples)
-    pots_b, degenerate_b = distance_potentials(emb_b, tuples)
+    if emb_a.data.shape[0] < 2:
+        return RelationLoss(Tensor(0.0), Tensor(0.0), Tensor(0.0))
+    # One distance matrix per side feeds both the potentials and the triple mask.
+    dist_a, dist_b = _distances(emb_a, tuples), _distances(emb_b, tuples)
+    pots_a, degenerate_a = _normalized_distances(dist_a, tuples)
+    pots_b, degenerate_b = _normalized_distances(dist_b, tuples)
     dd = reduce_mean(huber_penalty(sub(pots_a, pots_b)))
     collapses = int(degenerate_a) + int(degenerate_b)
 
     skipped = 0
-    angle_skipped = False
-    if n < 3 or tuples.num_triples == 0:
-        ad = Tensor(0.0)
-        angle_skipped = True
-    else:
-        mask = _valid_triple_mask(emb_a.data, tuples) & _valid_triple_mask(emb_b.data, tuples)
+    ad = Tensor(0.0)
+    if tuples.num_triples:
+        mask = _triple_mask(dist_a.data, tuples) & _triple_mask(dist_b.data, tuples)
         skipped = int(tuples.num_triples - mask.sum())
-        if not mask.any():
-            ad = Tensor(0.0)
-            angle_skipped = True
-        else:
-            tu = tuples.triple_u[mask]
-            tv = tuples.triple_v[mask]
-            tw = tuples.triple_w[mask]
+        if mask.any():
+            tu, tv, tw = tuples.triple_u[mask], tuples.triple_v[mask], tuples.triple_w[mask]
             gap = sub(_angle_values(emb_a, tu, tv, tw), _angle_values(emb_b, tu, tv, tw))
             ad = reduce_mean(huber_penalty(gap))
     total = add(dd, mul(ad, weights.beta1))
-    return RelationLoss(total, dd, ad, collapses, skipped, angle_skipped)
+    return RelationLoss(total, dd, ad, collapses, skipped)
 
 
 @dataclass
@@ -347,33 +333,27 @@ class MutualLoss:
     relation: RelationLoss
 
 
-def _zero_relation() -> RelationLoss:
-    return RelationLoss(Tensor(0.0), Tensor(0.0), Tensor(0.0))
-
-
 def mutual_distill_loss(
     outputs: ForwardOutput,
     peer_outputs: ForwardOutput,
     weights: LossWeights,
     tuples: Optional[TupleSets],
-    include_relation: bool = True,
 ) -> MutualLoss:
     """Peer-facing loss for the network being updated.
 
     The peer's embedding and logits are treated as constants, so backward
-    passes only reach the updated network's parameters.
+    passes only reach the updated network's parameters. The relation term
+    runs if and only if tuple sets are given.
     """
-    if include_relation:
-        if tuples is None:
-            raise ValueError("tuple sets are required when the relation term is active")
+    if tuples is None:
+        rel = RelationLoss(Tensor(0.0), Tensor(0.0), Tensor(0.0))
+    else:
         rel = relation_distill_loss(
             outputs.embedding, peer_outputs.embedding.detach(), weights, tuples
         )
-    else:
-        rel = _zero_relation()
     if weights.beta2 > 0:
         kl = kl_mutual(outputs.logits, peer_outputs.logits)
-        total = add(rel.total, mul(kl, weights.beta2)) if include_relation else mul(kl, weights.beta2)
+        total = mul(kl, weights.beta2) if tuples is None else add(rel.total, mul(kl, weights.beta2))
     else:
         kl = Tensor(0.0)
         total = rel.total
@@ -401,14 +381,13 @@ def total_loss(
     one_hot: Tensor,
     weights: LossWeights,
     tuples: Optional[TupleSets] = None,
-    include_relation: bool = True,
 ) -> TotalLoss:
     """alpha * CE + beta * mutual + gamma * self-distillation.
 
     Terms with a zero coefficient are skipped entirely, not just scaled to
     zero, so degenerate weight settings reduce bit-for-bit to the simpler
-    training schemes they imply. Component fields report raw (unweighted)
-    values.
+    training schemes they imply. The relation term runs if and only if
+    tuple sets are given. Component fields report raw (unweighted) values.
     """
     parts = []
     result = TotalLoss(total=Tensor(0.0))
@@ -419,7 +398,7 @@ def total_loss(
     if weights.beta > 0:
         if peer_outputs is None:
             raise ValueError("peer outputs are required when beta > 0")
-        md = mutual_distill_loss(outputs, peer_outputs, weights, tuples, include_relation)
+        md = mutual_distill_loss(outputs, peer_outputs, weights, tuples)
         parts.append(mul(md.total, weights.beta))
         result.kl_mutual = md.kl.item()
         result.distance = md.relation.distance.item()

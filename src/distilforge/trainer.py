@@ -15,7 +15,7 @@ bit-identical parameter and metric trajectories on the same platform.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -122,9 +122,9 @@ def variant_weights(weights: LossWeights, variant: str) -> tuple[LossWeights, bo
     if variant == "A":
         return weights, True
     if variant == "B":
-        return weights.replace(gamma=0.0), True
+        return replace(weights, gamma=0.0), True
     if variant == "C":
-        return weights.replace(beta2=0.0), True
+        return replace(weights, beta2=0.0), True
     if variant == "D":
         return weights, False
     raise ValueError(f"variant must be one of {','.join(VARIANTS)}")
@@ -333,7 +333,6 @@ def _train_epochs(
                         batch.one_hot_labels,
                         weights,
                         tuples,
-                        include_relation,
                     )
                     nets[k].zero_grads()
                     backward(result.total)

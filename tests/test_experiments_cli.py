@@ -1,10 +1,14 @@
 """Experiment configs, orchestration outputs, and the command line."""
 
+import contextlib
+import io
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from distilforge import cli
 from distilforge import verification
@@ -45,6 +49,28 @@ def base_config_dict(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo_blobs.json"
+
+# Every integer field of the demo config, as a path of keys and list indices.
+DEMO_INT_FIELDS = [
+    ("dataset", "num_classes"), ("dataset", "per_class"), ("dataset", "test_per_class"),
+    ("dataset", "dim"), ("dataset", "seed"), ("seed_repetitions",),
+    ("train", "stage1_epochs"), ("train", "stage2_epochs"), ("train", "batch_size"),
+    ("train", "seed"), ("train", "lr_milestones", 0),
+] + [
+    (net, field) for net in ("network1", "network2")
+    for field in ("input_dim", "num_classes", "init_seed")
+] + [(net, "hidden_dims", i) for net in ("network1", "network2") for i in (0, 1)]
+
+NOT_AN_INTEGER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer()),
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+    st.lists(st.integers(0, 3), max_size=2),
+)
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -308,6 +334,9 @@ class TestCli:
         assert cli.main(["run", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert "seed_repetitions" in capsys.readouterr().err
 
+        assert cli.main(["run", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: config: config file cannot be read")
+
     def test_overwrite_flag(self, tmp_path, capsys):
         path = write_config(tmp_path)
         out = tmp_path / "out"
@@ -315,6 +344,50 @@ class TestCli:
         assert cli.main(["run", str(path), "--out", str(out)]) == 1
         assert "--overwrite" in capsys.readouterr().err
         assert cli.main(["run", str(path), "--out", str(out), "--overwrite"]) == 0
+
+    @settings(
+        max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(field=st.sampled_from(DEMO_INT_FIELDS), value=NOT_AN_INTEGER)
+    def test_non_integer_field_exits_1(self, tmp_path, field, value):
+        doc = json.loads(DEMO_CONFIG.read_text())
+        doc["train"].update(stage1_epochs=1, stage2_epochs=1, lr_milestones=[0])
+        target = doc
+        for key in field[:-1]:
+            target = target[key]
+        target[field[-1]] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        # --overwrite: an example that wrongly trains must not make the next
+        # one fail on the overwrite guard, which is also a config error.
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["run", str(path), "--out", str(tmp_path / "out"), "--overwrite"])
+        assert code == 1
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: config:"), lines
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_output_error_exits_1(self, tmp_path, capsys, command):
+        path = write_config(tmp_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file")
+        assert cli.main([command, str(path), "--out", str(blocker)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: output: "), lines
+
+    def test_overwrite_removes_stale_repetitions(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        two = write_config(tmp_path, name="two.json", seed_repetitions=2)
+        assert cli.main(["run", str(two), "--out", str(out)]) == 0
+        (out / "rep7").mkdir()
+        (out / "rep1x").mkdir()
+        (out / "notes").mkdir()
+        one = write_config(tmp_path, name="one.json", seed_repetitions=1)
+        assert cli.main(["run", str(one), "--out", str(out), "--overwrite"]) == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["notes", "rep0", "rep1x", "summary.json"]
+        assert json.loads((out / "summary.json").read_text())["seed_repetitions"] == 1
 
     @pytest.mark.parametrize("kind", ["csv", "idx"])
     def test_feature_width_mismatch_exits_1(self, tmp_path, capsys, kind):

@@ -1,11 +1,12 @@
 """Loss-term tests built around independent scalar oracles and hand values."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from distilforge.autodiff import Tensor, backward
+from distilforge.autodiff import Tensor, backward, mul
 from distilforge.losses import (
     LossWeights,
     TupleSets,
@@ -25,6 +26,7 @@ from distilforge.verification import (
     oracle_distance_loss,
     oracle_angle_loss,
     oracle_kl,
+    oracle_relation_loss,
 )
 
 # Three collinear points and a right-angle bend, small enough to hand-check.
@@ -66,11 +68,6 @@ class TestLossWeights:
         w = LossWeights()
         assert (w.alpha, w.beta, w.gamma) == (0.4, 0.4, 0.6)
         assert (w.beta1, w.beta2, w.temperature) == (2.0, 2.0, 3.0)
-
-    def test_replace(self):
-        w = LossWeights().replace(gamma=0.0)
-        assert w.gamma == 0.0
-        assert w.alpha == 0.4
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -366,14 +363,13 @@ class TestRelationLoss:
             Tensor(np.zeros((1, 3))), Tensor(np.ones((1, 3))), LossWeights(), TupleSets.build(1)
         )
         assert rel.total.item() == 0.0
-        assert rel.angle_term_skipped
+        assert rel.angle.item() == 0.0
 
     def test_two_sample_batch_skips_angle_only(self):
         rng = np.random.default_rng(32)
         ea = rng.uniform(-1.0, 1.0, (2, 3))
         eb = rng.uniform(-1.0, 1.0, (2, 3))
         rel = relation_distill_loss(Tensor(ea), Tensor(eb), LossWeights(), TupleSets.build(2))
-        assert rel.angle_term_skipped
         assert rel.angle.item() == 0.0
         # With one distance per side the potentials normalize to exactly 1,
         # so a two-sample batch has a well-defined but vanishing distance gap.
@@ -386,6 +382,27 @@ class TestRelationLoss:
         rel = relation_distill_loss(Tensor(ea), Tensor(eb), LossWeights(), TupleSets.build(4))
         assert rel.triples_skipped > 0
         assert np.isfinite(rel.total.item())
+
+    @pytest.mark.parametrize("side", ["a", "b", "both"])
+    def test_coincident_rows_match_oracle(self, side):
+        rng = np.random.default_rng(34)
+        ea, eb = rng.uniform(-1.0, 1.0, (2, 6, 3))
+        if side in ("a", "both"):
+            ea[4] = ea[1]
+        if side in ("b", "both"):
+            eb[5] = eb[0]
+            eb[3] = eb[0]
+        w = LossWeights()
+        rel = relation_distill_loss(Tensor(ea), Tensor(eb), w, TupleSets.build(6))
+        assert abs(rel.total.item() - oracle_relation_loss(ea, eb, w.beta1)) < 1e-10
+        skipped = 0
+        for u, v, x in itertools.permutations(range(6), 3):
+            legs = [math.dist(e[u], e[v]) for e in (ea, eb)] + [
+                math.dist(e[x], e[v]) for e in (ea, eb)
+            ]
+            skipped += min(legs) < 1e-8
+        assert skipped > 0
+        assert rel.triples_skipped == skipped
 
     def test_collapsed_embeddings_counted(self):
         ea = np.ones((3, 2))
@@ -420,14 +437,18 @@ class TestMutualLoss:
     def test_relation_off_leaves_kl_only(self):
         a, b = self._outputs(38), self._outputs(39)
         w = LossWeights()
-        md = mutual_distill_loss(a, b, w, None, include_relation=False)
+        md = mutual_distill_loss(a, b, w, None)
         assert md.relation.total.item() == 0.0
-        assert abs(md.total.item() - w.beta2 * md.kl.item()) < 1e-15
+        assert md.total.data == mul(kl_mutual(a.logits, b.logits), w.beta2).data
 
-    def test_relation_requires_tuples(self):
+    def test_relation_runs_only_with_tuples(self):
         a, b = self._outputs(40), self._outputs(41)
-        with pytest.raises(ValueError, match="tuple sets"):
-            mutual_distill_loss(a, b, LossWeights(), None)
+        backward(mutual_distill_loss(a, b, LossWeights(), None).total)
+        assert a.embedding.grad is None
+        md = mutual_distill_loss(a, b, LossWeights(), TupleSets.build(4))
+        assert md.relation.total.item() > 0.0
+        backward(md.total)
+        assert a.embedding.grad is not None
 
     def test_peer_gets_no_gradient(self):
         a, b = self._outputs(42), self._outputs(43)
@@ -495,8 +516,9 @@ class TestTotalLoss:
         net, peer, snap, x, labels = self._scenario(47)
         w = LossWeights()
         out, pout, sout = net.forward(x), peer.forward(x), snap.forward(x)
-        tl = total_loss(out, pout, sout.logits, labels, w, None, include_relation=False)
+        tl = total_loss(out, pout, sout.logits, labels, w, None)
         assert tl.distance == 0.0 and tl.angle == 0.0
+        assert tl.triples_skipped == 0 and tl.pi_collapses == 0
         assert tl.kl_mutual > 0.0
 
     def test_missing_inputs_rejected(self):
