@@ -17,12 +17,11 @@ import re
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
 from .data import Dataset, load_csv, load_idx, mean_std_normalize, synth_blobs
-from .losses import LossWeights
 from .models import NetworkConfig, init_network, save_checkpoint
 from .trainer import (
     TrainConfig,
@@ -43,14 +42,7 @@ __all__ = [
 
 ABLATION_CSV_HEADER = "variant,net,mean_test_top1,stddev_test_top1"
 
-_TOP_FIELDS = {"dataset", "network1", "network2", "train", "output_dir", "seed_repetitions"}
 _DATASET_KINDS = ("blobs", "idx", "csv")
-_NETWORK_FIELDS = {"input_dim", "hidden_dims", "num_classes", "init_seed", "activation"}
-_TRAIN_FIELDS = {
-    "stage1_epochs", "stage2_epochs", "batch_size", "lr", "lr_milestones", "lr_factor",
-    "momentum", "weight_decay", "seed", "weights", "variant", "update_order",
-}
-_WEIGHT_FIELDS = {"alpha", "beta", "gamma", "beta1", "beta2", "temperature"}
 
 
 class ConfigError(ValueError):
@@ -82,55 +74,44 @@ def _require_object(raw: dict, key: str) -> dict:
     return value
 
 
-def _network_config(raw: dict, key: str) -> NetworkConfig:
-    section = _require_object(raw, key)
-    _reject_unknown(section, _NETWORK_FIELDS, key)
-    for required in ("input_dim", "hidden_dims", "num_classes", "init_seed"):
-        if required not in section:
-            raise ConfigError(f"{key}.{required}: required field is missing")
-    for name in ("input_dim", "num_classes", "init_seed"):
-        _int_field(section[name], f"{key}.{name}")
+def _from_json(cls, section, where: str):
+    """`cls` built from a JSON object whose keys and value types follow `cls`'s fields.
+
+    Fields without a default are required. `int` and `float` fields take JSON
+    numbers (not bools), `str` fields strings, `tuple` fields lists of
+    integers and dataclass fields nested objects; ranges are `cls`'s to check.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: must be a JSON object")
+    fields = dataclasses.fields(cls)
+    _reject_unknown(section, {f.name for f in fields}, where)
+    kinds = get_type_hints(cls)
+    kwargs = {}
+    for f in fields:
+        name, kind = f"{where}.{f.name}", kinds[f.name]
+        if f.name not in section:
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise ConfigError(f"{name}: required field is missing")
+            continue
+        value = section[f.name]
+        if kind is int:
+            value = _int_field(value, name)
+        elif kind is float:
+            value = _float_field(value, name)
+        elif kind is str:
+            if not isinstance(value, str):
+                raise ConfigError(f"{name}: must be a string")
+        elif kind is tuple:
+            if not isinstance(value, list):
+                raise ConfigError(f"{name}: must be a list of integers")
+            value = tuple(_int_field(v, name) for v in value)
+        else:
+            value = _from_json(kind, value, name)
+        kwargs[f.name] = value
     try:
-        return NetworkConfig(
-            input_dim=section["input_dim"],
-            hidden_dims=tuple(_int_field(d, f"{key}.hidden_dims") for d in section["hidden_dims"]),
-            num_classes=section["num_classes"],
-            init_seed=section["init_seed"],
-            activation=section.get("activation", "relu"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-
-
-def _loss_weights(section: dict) -> LossWeights:
-    _reject_unknown(section, _WEIGHT_FIELDS, "train.weights")
-    try:
-        return LossWeights(**{k: float(v) for k, v in section.items()})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"train.weights: {exc}") from exc
-
-
-def _train_config(raw: dict) -> TrainConfig:
-    section = _require_object(raw, "train")
-    _reject_unknown(section, _TRAIN_FIELDS, "train")
-    kwargs = dict(section)
-    for name in ("stage1_epochs", "stage2_epochs", "batch_size", "seed"):
-        if name in kwargs:
-            _int_field(kwargs[name], f"train.{name}")
-    if "weights" in kwargs:
-        weights = kwargs.pop("weights")
-        if not isinstance(weights, dict):
-            raise ConfigError("train.weights: must be a JSON object")
-        kwargs["weights"] = _loss_weights(weights)
-    if "lr_milestones" in kwargs:
-        ms = kwargs["lr_milestones"]
-        if not isinstance(ms, (list, tuple)):
-            raise ConfigError("train.lr_milestones: must be a list of epochs")
-        kwargs["lr_milestones"] = tuple(_int_field(m, "train.lr_milestones") for m in ms)
-    try:
-        return TrainConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"train: {exc}") from exc
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -146,16 +127,12 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _reject_unknown(raw, _TOP_FIELDS, "config")
+    _reject_unknown(raw, {f.name for f in dataclasses.fields(ExperimentConfig)}, "config")
 
     dataset = _require_object(raw, "dataset")
     kind = dataset.get("kind")
     if kind not in _DATASET_KINDS:
         raise ConfigError(f"dataset.kind: must be one of {', '.join(_DATASET_KINDS)}")
-
-    reps = raw.get("seed_repetitions", 1)
-    if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
-        raise ConfigError("seed_repetitions: must be an integer >= 1")
 
     output_dir = raw.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
@@ -163,11 +140,11 @@ def load_experiment_config(path) -> ExperimentConfig:
 
     return ExperimentConfig(
         dataset=dataset,
-        network1=_network_config(raw, "network1"),
-        network2=_network_config(raw, "network2"),
-        train=_train_config(raw),
+        network1=_from_json(NetworkConfig, _require_object(raw, "network1"), "network1"),
+        network2=_from_json(NetworkConfig, _require_object(raw, "network2"), "network2"),
+        train=_from_json(TrainConfig, _require_object(raw, "train"), "train"),
         output_dir=output_dir,
-        seed_repetitions=reps,
+        seed_repetitions=_int_field(raw.get("seed_repetitions", 1), "seed_repetitions", 1),
     )
 
 
@@ -178,6 +155,16 @@ def _int_field(value, where: str, minimum: Optional[int] = None) -> int:
         bound = "" if minimum is None else f" >= {minimum}"
         raise ConfigError(f"{where}: must be an integer{bound}")
     return value
+
+
+def _float_field(value, where: str) -> float:
+    """`value` as a float if it is a JSON number (not a bool) that a float can hold."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{where}: must be a number")
 
 
 def build_datasets(spec: dict) -> tuple[Dataset, Dataset]:
@@ -197,11 +184,11 @@ def build_datasets(spec: dict) -> tuple[Dataset, Dataset]:
         )
         dim = _int_field(spec.get("dim"), "dataset.dim", 2)
         seed = _int_field(spec.get("seed"), "dataset.seed", 0)
-        spread = spec.get("spread", 0.5)
+        spread = _float_field(spec.get("spread", 0.5), "dataset.spread")
         try:
-            train = synth_blobs(num_classes, per_class, dim, float(spread), seed)
-            test = synth_blobs(num_classes, test_per_class, dim, float(spread), seed + 1)
-        except (TypeError, ValueError) as exc:
+            train = synth_blobs(num_classes, per_class, dim, spread, seed)
+            test = synth_blobs(num_classes, test_per_class, dim, spread, seed + 1)
+        except ValueError as exc:
             raise ConfigError(f"dataset: {exc}") from exc
     elif kind == "idx":
         allowed = {"kind", "train_images", "train_labels", "test_images", "test_labels"}
@@ -223,6 +210,8 @@ def build_datasets(spec: dict) -> tuple[Dataset, Dataset]:
             if not isinstance(spec.get(key), str):
                 raise ConfigError(f"dataset.{key}: must be a file path")
         num_classes = spec.get("num_classes")
+        if "num_classes" in spec:
+            _int_field(num_classes, "dataset.num_classes", 2)
         try:
             train = load_csv(spec["train"], num_classes)
             test = load_csv(spec["test"], num_classes)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,25 +51,6 @@ class NetworkConfig:
     @property
     def layer_dims(self) -> tuple:
         return (self.input_dim, *self.hidden_dims, self.num_classes)
-
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_dims": list(self.hidden_dims),
-            "num_classes": self.num_classes,
-            "init_seed": self.init_seed,
-            "activation": self.activation,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NetworkConfig":
-        return cls(
-            input_dim=d["input_dim"],
-            hidden_dims=tuple(d["hidden_dims"]),
-            num_classes=d["num_classes"],
-            init_seed=d["init_seed"],
-            activation=d.get("activation", "relu"),
-        )
 
 
 @dataclass
@@ -142,7 +123,7 @@ def init_network(config: NetworkConfig) -> PeerNetwork:
 def save_checkpoint(net: PeerNetwork, path) -> None:
     """Write config and parameters as JSON with full float round-trip precision."""
     doc = {
-        "config": net.config.to_dict(),
+        "config": asdict(net.config),
         "parameters": {
             name: {"shape": list(p.data.shape), "data": p.data.reshape(-1).tolist()}
             for name, p in net.parameters.items()
@@ -154,7 +135,7 @@ def save_checkpoint(net: PeerNetwork, path) -> None:
 def load_checkpoint(path) -> PeerNetwork:
     """Rebuild a trainable network from a checkpoint written by save_checkpoint."""
     doc = json.loads(Path(path).read_text())
-    config = NetworkConfig.from_dict(doc["config"])
+    config = NetworkConfig(**doc["config"])
     params = {}
     for name, entry in doc["parameters"].items():
         arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])

@@ -15,8 +15,8 @@ bit-identical parameter and metric trajectories on the same platform.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, fields, replace
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -54,11 +54,6 @@ __all__ = [
 
 VARIANTS = ("A", "B", "C", "D")
 UPDATE_ORDERS = ("sequential", "simultaneous")
-
-CSV_HEADER = (
-    "epoch,stage,net,lr,loss_total,loss_ce,loss_kl_mutual,loss_dd,loss_ad,loss_sd,"
-    "train_top1,test_top1,pi_collapses,triples_skipped"
-)
 
 
 class TrainingDivergence(RuntimeError):
@@ -101,6 +96,8 @@ class TrainConfig:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         ms = self.lr_milestones
+        if any(m < 0 for m in ms):
+            raise ValueError("lr_milestones must be >= 0")
         if any(b <= a for a, b in zip(ms, ms[1:])):
             raise ValueError("lr_milestones must be strictly increasing")
         if ms and ms[-1] >= self.stage2_epochs:
@@ -195,27 +192,15 @@ class MetricsRecord:
     triples_skipped: int
 
     def csv_row(self) -> str:
-        def fmt(x: float) -> str:
-            return format(x, ".9g")
-
+        kinds = get_type_hints(MetricsRecord)
         return ",".join(
-            [
-                str(self.epoch),
-                str(self.stage),
-                str(self.net),
-                fmt(self.lr),
-                fmt(self.loss_total),
-                fmt(self.loss_ce),
-                fmt(self.loss_kl_mutual),
-                fmt(self.loss_dd),
-                fmt(self.loss_ad),
-                fmt(self.loss_sd),
-                fmt(self.train_top1),
-                fmt(self.test_top1),
-                str(self.pi_collapses),
-                str(self.triples_skipped),
-            ]
+            format(getattr(self, f.name), ".9g") if kinds[f.name] is float
+            else str(getattr(self, f.name))
+            for f in fields(self)
         )
+
+
+CSV_HEADER = ",".join(f.name for f in fields(MetricsRecord))
 
 
 def metrics_to_csv(records: Sequence[MetricsRecord]) -> str:
@@ -223,48 +208,36 @@ def metrics_to_csv(records: Sequence[MetricsRecord]) -> str:
     return "\n".join([CSV_HEADER] + [r.csv_row() for r in records]) + "\n"
 
 
+# TotalLoss component -> MetricsRecord column of its sample-weighted mean.
+_LOSS_COLUMNS = {
+    "ce": "loss_ce", "kl_mutual": "loss_kl_mutual", "distance": "loss_dd",
+    "angle": "loss_ad", "self_distill": "loss_sd",
+}
+
+
 class _EpochStats:
     """Sample-weighted accumulators for one network over one epoch."""
 
     def __init__(self):
         self.samples = 0
-        self.total = 0.0
-        self.ce = 0.0
-        self.kl_mutual = 0.0
-        self.dd = 0.0
-        self.ad = 0.0
-        self.sd = 0.0
+        self.sums = dict.fromkeys(["loss_total", *_LOSS_COLUMNS.values()], 0.0)
         self.pi_collapses = 0
         self.triples_skipped = 0
 
     def add(self, batch_size: int, result: TotalLoss) -> None:
         self.samples += batch_size
-        self.total += result.total.item() * batch_size
-        self.ce += result.ce * batch_size
-        self.kl_mutual += result.kl_mutual * batch_size
-        self.dd += result.distance * batch_size
-        self.ad += result.angle * batch_size
-        self.sd += result.self_distill * batch_size
+        self.sums["loss_total"] += result.total.item() * batch_size
+        for component, column in _LOSS_COLUMNS.items():
+            self.sums[column] += getattr(result, component) * batch_size
         self.pi_collapses += result.pi_collapses
         self.triples_skipped += result.triples_skipped
 
-    def record(
-        self, epoch: int, stage: int, net: int, lr: float, train_top1: float, test_top1: float
-    ) -> MetricsRecord:
+    def record(self, **columns) -> MetricsRecord:
+        """The epoch's record; `columns` supplies the ones not accumulated here."""
         n = max(self.samples, 1)
         return MetricsRecord(
-            epoch=epoch,
-            stage=stage,
-            net=net,
-            lr=lr,
-            loss_total=self.total / n,
-            loss_ce=self.ce / n,
-            loss_kl_mutual=self.kl_mutual / n,
-            loss_dd=self.dd / n,
-            loss_ad=self.ad / n,
-            loss_sd=self.sd / n,
-            train_top1=train_top1,
-            test_top1=test_top1,
+            **columns,
+            **{column: total / n for column, total in self.sums.items()},
             pi_collapses=self.pi_collapses,
             triples_skipped=self.triples_skipped,
         )

@@ -64,6 +64,37 @@ DEMO_INT_FIELDS = [
     for field in ("input_dim", "num_classes", "init_seed")
 ] + [(net, "hidden_dims", i) for net in ("network1", "network2") for i in (0, 1)]
 
+# Every float field of the demo config.
+DEMO_FLOAT_FIELDS = [("dataset", "spread")] + [
+    ("train", field) for field in ("lr", "lr_factor", "momentum", "weight_decay")
+] + [
+    ("train", "weights", field)
+    for field in ("alpha", "beta", "gamma", "beta1", "beta2", "temperature")
+]
+
+# Every string field of the demo config plus those its defaults leave out;
+# run_demo_with sets update_order and activation in the document.
+DEMO_STRING_FIELDS = [("train", "variant"), ("train", "update_order")] + [
+    (net, "activation") for net in ("network1", "network2")
+]
+
+JSON_CONTAINERS = st.one_of(
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
+)
+
+NOT_A_NUMBER = st.one_of(
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+    JSON_CONTAINERS,
+    st.integers(min_value=2**1024, max_value=10**400),  # too large for a float
+)
+
+NOT_A_STRING = st.one_of(
+    st.booleans(), st.integers(), st.floats(allow_nan=False), st.none(), JSON_CONTAINERS
+)
+
 NOT_AN_INTEGER = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer()),
     st.booleans(),
@@ -77,6 +108,43 @@ def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(base_config_dict(**overrides)))
     return path
+
+
+def run_demo_with(tmp_path, field, value):
+    """Exit code and stderr lines of `run` on the 1+1-epoch demo config with `field` set."""
+    doc = json.loads(DEMO_CONFIG.read_text())
+    doc["train"].update(
+        stage1_epochs=1, stage2_epochs=1, lr_milestones=[0], update_order="sequential"
+    )
+    for net in ("network1", "network2"):
+        doc[net]["activation"] = "relu"
+    target = doc
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    # --overwrite: an example that wrongly trains must not make the next
+    # one fail on the overwrite guard, which is also a config error.
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["run", str(path), "--out", str(tmp_path / "out"), "--overwrite"])
+    return code, err.getvalue().splitlines()
+
+
+def test_typed_field_lists_cover_demo_config():
+    def leaves(node, path=()):
+        if isinstance(node, dict):
+            items = node.items()
+        elif isinstance(node, list):
+            items = enumerate(node)
+        else:
+            return [path]
+        return [leaf for key, child in items for leaf in leaves(child, path + (key,))]
+
+    typed = set(DEMO_INT_FIELDS + DEMO_FLOAT_FIELDS + DEMO_STRING_FIELDS)
+    untyped = set(leaves(json.loads(DEMO_CONFIG.read_text()))) - typed
+    assert untyped == {("dataset", "kind"), ("output_dir",)}
 
 
 class TestLoadConfig:
@@ -97,6 +165,15 @@ class TestLoadConfig:
         assert config.train.weights.alpha == 0.5
         assert config.train.weights.gamma == 0.0
         assert config.train.weights.beta == 0.4
+
+    def test_integer_valued_numbers_become_floats(self, tmp_path):
+        doc = base_config_dict()
+        doc["train"].update(lr=1, weights={"alpha": 1})
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        config = load_experiment_config(path)
+        assert type(config.train.lr) is float and config.train.lr == 1.0
+        assert type(config.train.weights.alpha) is float and config.train.weights.alpha == 1.0
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -121,6 +198,27 @@ class TestLoadConfig:
             (lambda d: d["train"].update(lr=0.0), "train: lr must be positive"),
             (lambda d: d["train"].update(weights={"alpha": -1.0}), "train.weights:"),
             (lambda d: d["train"].update(lr_milestones=5), "lr_milestones"),
+            (lambda d: d["train"].update(lr_milestones=[-5]), "lr_milestones must be >= 0"),
+            (lambda d: d["train"].update(lr=True), "train.lr: must be a number"),
+            (lambda d: d["train"].update(lr=10**400), "train.lr: must be a number"),
+            (lambda d: d["train"].update(momentum="0.9"), "train.momentum: must be a number"),
+            (
+                lambda d: d["train"].update(weights={"alpha": True}),
+                "train.weights.alpha: must be a number",
+            ),
+            (lambda d: d["train"].update(weights=[1.0]), "train.weights: must be a JSON object"),
+            (lambda d: d["train"].update(variant=1), "train.variant: must be a string"),
+            (lambda d: d["network1"].update(hidden_dims=8), "network1.hidden_dims: must be a list"),
+            *[
+                pytest.param(
+                    lambda d, v=v: d.update(
+                        dataset={"kind": "csv", "train": "a.csv", "test": "b.csv", "num_classes": v}
+                    ),
+                    "dataset.num_classes: must be an integer >= 2",
+                    id=f"csv-num_classes-{v!r}",
+                )
+                for v in ("3", 2.5, 1, True, None)
+            ],
             (lambda d: d.update(seed_repetitions=0), "seed_repetitions"),
             (lambda d: d.update(output_dir=7), "output_dir"),
             (lambda d: d["dataset"].update(kind="parquet"), "dataset.kind"),
@@ -133,7 +231,7 @@ class TestLoadConfig:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match=message):
-            load_experiment_config(path)
+            build_datasets(load_experiment_config(path).dataset)
 
 
 class TestBuildDatasets:
@@ -350,21 +448,22 @@ class TestCli:
     )
     @given(field=st.sampled_from(DEMO_INT_FIELDS), value=NOT_AN_INTEGER)
     def test_non_integer_field_exits_1(self, tmp_path, field, value):
-        doc = json.loads(DEMO_CONFIG.read_text())
-        doc["train"].update(stage1_epochs=1, stage2_epochs=1, lr_milestones=[0])
-        target = doc
-        for key in field[:-1]:
-            target = target[key]
-        target[field[-1]] = value
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(doc))
-        err = io.StringIO()
-        # --overwrite: an example that wrongly trains must not make the next
-        # one fail on the overwrite guard, which is also a config error.
-        with contextlib.redirect_stderr(err):
-            code = cli.main(["run", str(path), "--out", str(tmp_path / "out"), "--overwrite"])
+        code, lines = run_demo_with(tmp_path, field, value)
         assert code == 1
-        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: config:"), lines
+
+    @settings(
+        max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        case=st.one_of(
+            st.tuples(st.sampled_from(DEMO_FLOAT_FIELDS), NOT_A_NUMBER),
+            st.tuples(st.sampled_from(DEMO_STRING_FIELDS), NOT_A_STRING),
+        )
+    )
+    def test_mistyped_field_exits_1(self, tmp_path, case):
+        code, lines = run_demo_with(tmp_path, *case)
+        assert code == 1
         assert len(lines) == 1 and lines[0].startswith("error: config:"), lines
 
     @pytest.mark.parametrize("command", ["run", "ablate"])

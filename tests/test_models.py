@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -37,7 +38,10 @@ class TestNetworkConfig:
         assert c.hidden_dims == (16, 8)
         assert c.embedding_dim == 8
         assert c.layer_dims == (4, 16, 8, 3)
-        assert NetworkConfig.from_dict(c.to_dict()) == c
+        # Checkpoints store the config as asdict() JSON and rebuild it by keyword.
+        doc = json.loads(json.dumps(asdict(c)))
+        assert doc["hidden_dims"] == [16, 8]
+        assert NetworkConfig(**doc) == c
 
     @pytest.mark.parametrize(
         "kwargs, message",

@@ -100,6 +100,7 @@ class TestTrainConfig:
             (dict(lr_milestones=(10, 60)), "below stage2_epochs"),
             (dict(variant="E"), "variant"),
             (dict(update_order="alternating"), "update_order"),
+            (dict(lr_milestones=(-5,)), "lr_milestones must be >= 0"),
         ],
     )
     def test_validation(self, overrides, message):
