@@ -192,15 +192,16 @@ class MetricsRecord:
     triples_skipped: int
 
     def csv_row(self) -> str:
-        kinds = get_type_hints(MetricsRecord)
         return ",".join(
-            format(getattr(self, f.name), ".9g") if kinds[f.name] is float
-            else str(getattr(self, f.name))
-            for f in fields(self)
+            format(getattr(self, name), ".9g") if name in _FLOAT_COLUMNS
+            else str(getattr(self, name))
+            for name in _COLUMNS
         )
 
 
-CSV_HEADER = ",".join(f.name for f in fields(MetricsRecord))
+_COLUMNS = [f.name for f in fields(MetricsRecord)]
+_FLOAT_COLUMNS = {name for name, kind in get_type_hints(MetricsRecord).items() if kind is float}
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 def metrics_to_csv(records: Sequence[MetricsRecord]) -> str:
@@ -232,11 +233,13 @@ class _EpochStats:
         self.pi_collapses += result.pi_collapses
         self.triples_skipped += result.triples_skipped
 
-    def record(self, **columns) -> MetricsRecord:
-        """The epoch's record; `columns` supplies the ones not accumulated here."""
+    def record(
+        self, epoch: int, stage: int, net: int, lr: float, train_top1: float, test_top1: float
+    ) -> MetricsRecord:
         n = max(self.samples, 1)
         return MetricsRecord(
-            **columns,
+            epoch=epoch, stage=stage, net=net, lr=lr,
+            train_top1=train_top1, test_top1=test_top1,
             **{column: total / n for column, total in self.sums.items()},
             pi_collapses=self.pi_collapses,
             triples_skipped=self.triples_skipped,
