@@ -331,11 +331,14 @@ def gather(x: Tensor, indices) -> Tensor:
     xd = x.data
 
     def rule(g):
-        gx = np.zeros_like(xd)
-        np.add.at(gx, idx, g)
-        return (gx,)
+        # One bincount over flat (row, column) positions adds repeated rows in
+        # index order, as np.add.at does, at a fraction of its cost.
+        width = xd.size // n if n else 0
+        flat = (idx[:, None] * width + np.arange(width)).reshape(-1)
+        gx = np.bincount(flat, weights=g.reshape(-1), minlength=xd.size)
+        return (gx.reshape(xd.shape),)
 
-    return _record(xd[idx], "gather", (x,), rule)
+    return _record(np.take(xd, idx, axis=0), "gather", (x,), rule)
 
 
 def huber_penalty(x: Tensor) -> Tensor:

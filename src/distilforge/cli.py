@@ -15,6 +15,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .autodiff import AutodiffError
 from .experiments import ConfigError, load_experiment_config, run_ablation, run_experiment
 from .trainer import TrainingDivergence
@@ -128,11 +130,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "ablate":
-            return _cmd_ablate(args)
-        return _cmd_verify()
+        # Every op result is checked for finiteness and a failure gets its own
+        # error line, so numpy's floating-point warnings would only repeat it.
+        with np.errstate(all="ignore"):
+            if args.command == "run":
+                return _cmd_run(args)
+            if args.command == "ablate":
+                return _cmd_ablate(args)
+            return _cmd_verify()
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -90,6 +90,13 @@ class Batch:
         return int(self.indices.size)
 
 
+def _feature_tensor(features: np.ndarray, what: str) -> Tensor:
+    """Wrap a feature matrix; non-finite values are bad input, not divergence."""
+    if not np.isfinite(features).all():
+        raise ValueError(f"{what}: features hold non-finite values")
+    return Tensor(features)
+
+
 def _read_exact(f, count: int, path, what: str) -> bytes:
     data = f.read(count)
     if len(data) != count:
@@ -168,7 +175,8 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
     labels_arr = np.asarray(labels, dtype=np.int64)
     if num_classes is None:
         num_classes = max(2, int(labels_arr.max()) + 1)
-    return Dataset(Tensor(np.asarray(feats)), labels_arr, num_classes, name=path.stem)
+    return Dataset(_feature_tensor(np.asarray(feats), str(path)), labels_arr, num_classes,
+                   name=path.stem)
 
 
 def synth_blobs(num_classes: int, per_class: int, dim: int, spread: float, seed: int) -> Dataset:
@@ -200,8 +208,8 @@ def synth_blobs(num_classes: int, per_class: int, dim: int, spread: float, seed:
         labels.extend([c] * per_class)
     features = np.concatenate(blocks, axis=0)
     return Dataset(
-        Tensor(features), np.asarray(labels, dtype=np.int64), num_classes,
-        name=f"blobs{num_classes}",
+        _feature_tensor(features, f"blobs with spread {spread:g}"),
+        np.asarray(labels, dtype=np.int64), num_classes, name=f"blobs{num_classes}",
     )
 
 
@@ -220,7 +228,7 @@ def mean_std_normalize(
 
     def apply(ds: Dataset) -> Dataset:
         return Dataset(
-            Tensor((ds.features.data - mean) / std),
+            _feature_tensor((ds.features.data - mean) / std, f"normalized {ds.name or 'dataset'}"),
             ds.labels.copy(),
             ds.num_classes,
             name=ds.name,

@@ -170,8 +170,9 @@ def _float_field(value, where: str) -> float:
 def build_datasets(spec: dict) -> tuple[Dataset, Dataset]:
     """Materialize (train, test) from a dataset spec and normalize them.
 
-    Both splits must have the same feature width. Normalization statistics
-    come from the training split only.
+    Both splits must have the same feature width and only finite features,
+    before and after normalization. Normalization statistics come from the
+    training split only.
     """
     kind = spec.get("kind")
     if kind == "blobs":
@@ -225,7 +226,10 @@ def build_datasets(spec: dict) -> tuple[Dataset, Dataset]:
         raise ConfigError(
             f"dataset: train has {train.input_dim} features, test has {test.input_dim}"
         )
-    (train, test), _ = mean_std_normalize(train, [test])
+    try:
+        (train, test), _ = mean_std_normalize(train, [test])
+    except ValueError as exc:
+        raise ConfigError(f"dataset: {exc}") from exc
     return train, test
 
 

@@ -252,13 +252,20 @@ def _triple_mask(dist: np.ndarray, tuples: TupleSets) -> np.ndarray:
     )
 
 
-def _angle_values(embeddings: Tensor, tu: np.ndarray, tv: np.ndarray, tw: np.ndarray) -> Tensor:
-    head = sub(gather(embeddings, tu), gather(embeddings, tv))
-    tail = sub(gather(embeddings, tw), gather(embeddings, tv))
-    norm_head = sqrt(reduce_sum(mul(head, head), axis=1))
-    norm_tail = sqrt(reduce_sum(mul(tail, tail), axis=1))
-    dots = reduce_sum(mul(head, tail), axis=1)
-    return div(div(dots, norm_head), norm_tail)
+def _angle_values(embeddings: Tensor, tuples: TupleSets, mask: np.ndarray) -> Tensor:
+    """Cosine at the middle index of each masked triple, from per-pair legs.
+
+    Each ordered pair's leg e[u] - e[v] and its length are computed once; a
+    triple (u, v, w) reads its head leg (u, v) and tail leg (w, v) from them.
+    Pair (u, v) sits at row u*(n-1) + v - (v > u) of `TupleSets.pair_u`.
+    """
+    legs = sub(gather(embeddings, tuples.pair_u), gather(embeddings, tuples.pair_v))
+    lengths = sqrt(reduce_sum(mul(legs, legs), axis=1))
+    tu, tv, tw = tuples.triple_u[mask], tuples.triple_v[mask], tuples.triple_w[mask]
+    head = tu * (tuples.n - 1) + tv - (tv > tu)
+    tail = tw * (tuples.n - 1) + tv - (tv > tw)
+    dots = reduce_sum(mul(gather(legs, head), gather(legs, tail)), axis=1)
+    return div(div(dots, gather(lengths, head)), gather(lengths, tail))
 
 
 def angle_potentials(embeddings: Tensor, tuples: TupleSets) -> tuple[Tensor, np.ndarray]:
@@ -271,10 +278,7 @@ def angle_potentials(embeddings: Tensor, tuples: TupleSets) -> tuple[Tensor, np.
     if embeddings.data.shape[0] < 3:
         raise ValueError("angle potentials need at least 3 samples")
     valid = _triple_mask(_distances(embeddings, tuples).data, tuples)
-    vals = _angle_values(
-        embeddings, tuples.triple_u[valid], tuples.triple_v[valid], tuples.triple_w[valid]
-    )
-    return vals, valid
+    return _angle_values(embeddings, tuples, valid), valid
 
 
 @dataclass
@@ -317,8 +321,7 @@ def relation_distill_loss(
         mask = _triple_mask(dist_a.data, tuples) & _triple_mask(dist_b.data, tuples)
         skipped = int(tuples.num_triples - mask.sum())
         if mask.any():
-            tu, tv, tw = tuples.triple_u[mask], tuples.triple_v[mask], tuples.triple_w[mask]
-            gap = sub(_angle_values(emb_a, tu, tv, tw), _angle_values(emb_b, tu, tv, tw))
+            gap = sub(_angle_values(emb_a, tuples, mask), _angle_values(emb_b, tuples, mask))
             ad = reduce_mean(huber_penalty(gap))
     total = add(dd, mul(ad, weights.beta1))
     return RelationLoss(total, dd, ad, collapses, skipped)

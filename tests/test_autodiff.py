@@ -266,6 +266,19 @@ class TestStructuralOps:
         # Repeated indices must accumulate.
         np.testing.assert_array_equal(x.grad, [1.0, 0.0, 2.0])
 
+    @pytest.mark.parametrize("shape", [(5,), (5, 3)])
+    @pytest.mark.parametrize("indices", [[4, 0, 4, 2, 4, 0], []], ids=["repeats", "empty"])
+    def test_gather_backward_matches_add_at(self, shape, indices):
+        rng = np.random.default_rng(len(shape) + len(indices))
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        idx = np.array(indices, dtype=np.int64)
+        out = gather(x, idx)
+        weights = rng.standard_normal(out.data.shape)
+        backward(reduce_sum(mul(out, Tensor(weights))))
+        reference = np.zeros(shape)
+        np.add.at(reference, idx, weights)
+        assert np.array_equal(x.grad, reference)
+
     def test_gather_validation(self):
         x = Tensor([1.0, 2.0])
         with pytest.raises(ValueError, match="out of range"):

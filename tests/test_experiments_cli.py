@@ -3,7 +3,6 @@
 import contextlib
 import io
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +254,17 @@ class TestBuildDatasets:
         assert len(train) == 3 and len(test) == 1
         # Class count is shared across splits.
         assert train.num_classes == test.num_classes == 3
+
+    def test_features_that_overflow_when_normalized_rejected(self, tmp_path):
+        train_path = tmp_path / "train.csv"
+        test_path = tmp_path / "test.csv"
+        train_path.write_text("f0,y\n1.7e308,0\n1.7e308,1\n-1.7e308,0\n")
+        test_path.write_text("f0,y\n0.0,1\n")
+        spec = {"kind": "csv", "train": str(train_path), "test": str(test_path)}
+        with np.errstate(all="ignore"), pytest.raises(
+            ConfigError, match="dataset: normalized train: features hold non-finite values"
+        ):
+            build_datasets(spec)
 
     @pytest.mark.parametrize("value", ["3", 2.5, 1, True, None])
     def test_csv_num_classes_must_be_integer_at_least_2(self, value):
@@ -524,17 +534,37 @@ class TestCli:
             f"error: config: dataset: train has {widths[0]} features, test has {widths[1]}"
         ]
 
+    @pytest.mark.parametrize("case", ["spread", "csv_nan"])
+    def test_non_finite_features_exit_1(self, tmp_path, capsys, case):
+        if case == "spread":
+            dataset = dict(base_config_dict()["dataset"], spread=1e308)
+            reason = "blobs with spread 1e+308"
+        else:
+            train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+            train.write_text("f0,f1,y\n0.0,1.0,0\nnan,0.0,1\n2.0,2.0,2\n")
+            test.write_text("f0,f1,y\n0.5,0.5,1\n")
+            dataset = {"kind": "csv", "train": str(train), "test": str(test)}
+            reason = str(train)
+        path = write_config(tmp_path, dataset=dataset)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config: dataset: {reason}: features hold non-finite values"
+        ]
+        assert not out.exists()
+
+    # A numpy floating-point warning fails the test instead of being collected.
+    @pytest.mark.filterwarnings("error")
     def test_divergence_exits_2(self, tmp_path, capsys):
         doc = base_config_dict()
         doc["train"]["lr"] = 1e25
         doc["train"]["stage2_epochs"] = 3
         path = tmp_path / "c.json"
         path.write_text(json.dumps(doc))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+        code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "error: divergence:" in capsys.readouterr().err
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: divergence:")
 
     def test_ablate_command(self, tmp_path, capsys):
         path = write_config(tmp_path)

@@ -22,6 +22,7 @@ from distilforge.losses import (
 )
 from distilforge.models import ForwardOutput, NetworkConfig, init_network
 from distilforge.verification import (
+    max_param_grad_error,
     oracle_cross_entropy,
     oracle_distance_loss,
     oracle_angle_loss,
@@ -303,6 +304,23 @@ class TestAnglePotentials:
         with pytest.raises(ValueError, match="at least 3"):
             angle_potentials(Tensor(np.zeros((2, 2))), TupleSets.build(2))
 
+    @pytest.mark.parametrize("n", [3, 16, 17, 32])
+    @pytest.mark.parametrize("coincident", [False, True], ids=["distinct", "coincident"])
+    def test_equal_to_per_triple_formula(self, n, coincident):
+        rng = np.random.default_rng(n)
+        e = rng.standard_normal((n, 5))
+        if coincident:
+            e[n - 1] = e[0]
+        tuples = TupleSets.build(n, rng)
+        assert tuples.capped == (n > 16)
+        vals, valid = angle_potentials(Tensor(e), tuples)
+        assert valid.all() != coincident
+        tu, tv, tw = tuples.triple_u[valid], tuples.triple_v[valid], tuples.triple_w[valid]
+        head, tail = e[tu] - e[tv], e[tw] - e[tv]
+        norm_head = np.sqrt((head * head).sum(axis=1))
+        norm_tail = np.sqrt((tail * tail).sum(axis=1))
+        assert np.array_equal(vals.data, (head * tail).sum(axis=1) / norm_head / norm_tail)
+
 
 class TestRelationLoss:
     def test_frozen_hand_geometries(self):
@@ -403,6 +421,17 @@ class TestRelationLoss:
             skipped += min(legs) < 1e-8
         assert skipped > 0
         assert rel.triples_skipped == skipped
+
+    def test_gradient_matches_finite_differences_on_capped_batch(self):
+        rng = np.random.default_rng(35)
+        ea = Tensor(rng.uniform(-1.0, 1.0, (17, 3)), requires_grad=True)
+        eb = Tensor(rng.uniform(-1.0, 1.0, (17, 3)))
+        tuples = TupleSets.build(17, rng)
+        assert tuples.capped
+        err = max_param_grad_error(
+            lambda: relation_distill_loss(ea, eb, LossWeights(), tuples).total, [ea]
+        )
+        assert err < 1e-4
 
     def test_collapsed_embeddings_counted(self):
         ea = np.ones((3, 2))
