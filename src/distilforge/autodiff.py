@@ -331,8 +331,8 @@ def gather(x: Tensor, indices) -> Tensor:
     xd = x.data
 
     def rule(g):
-        # One bincount over flat (row, column) positions adds repeated rows in
-        # index order, as np.add.at does, at a fraction of its cost.
+        # One bincount over flat (row, column) positions: repeated rows add up
+        # in index order, the same order on every run.
         width = xd.size // n if n else 0
         flat = (idx[:, None] * width + np.arange(width)).reshape(-1)
         gx = np.bincount(flat, weights=g.reshape(-1), minlength=xd.size)

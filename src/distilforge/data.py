@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import AutodiffError, Tensor
 
 __all__ = [
     "IDX_IMAGES_MAGIC",
@@ -92,9 +92,11 @@ class Batch:
 
 def _feature_tensor(features: np.ndarray, what: str) -> Tensor:
     """Wrap a feature matrix; non-finite values are bad input, not divergence."""
-    if not np.isfinite(features).all():
-        raise ValueError(f"{what}: features hold non-finite values")
-    return Tensor(features)
+    try:
+        return Tensor(features)
+    except AutodiffError:
+        # The tensor's own np.isfinite check: no second pass over the data.
+        raise ValueError(f"{what}: features hold non-finite values") from None
 
 
 def _read_exact(f, count: int, path, what: str) -> bytes:
