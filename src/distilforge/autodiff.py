@@ -83,9 +83,9 @@ class Tensor:
         return Tensor(self.data.copy())
 
     def _accumulate(self, g) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        # Never add in place: a rule may hand one array to several parents
+        # or return a read-only broadcast view.
+        self.grad = g if self.grad is None else self.grad + g
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""

@@ -222,6 +222,8 @@ def mean_std_normalize(
 
     Returns ([normalized train, normalized others...], stats). Standard
     deviations are population (not sample) values, floored at STD_FLOOR.
+    Raises ValueError if a normalized feature, a mean or a standard deviation
+    is not finite.
     """
     x = train.features.data
     mean = x.mean(axis=0)
@@ -236,7 +238,15 @@ def mean_std_normalize(
             name=ds.name,
         )
 
-    return [apply(train)] + [apply(ds) for ds in others], stats
+    normalized = [apply(train)] + [apply(ds) for ds in others]
+    # An infinite standard deviation alone passes the feature check above:
+    # it maps every value of its feature to 0.
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+        raise ValueError(
+            f"normalizing {train.name or 'dataset'}: a feature's mean or standard deviation "
+            "is not finite"
+        )
+    return normalized, stats
 
 
 def batch_iterator(

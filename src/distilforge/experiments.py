@@ -12,9 +12,13 @@ experiment under all four objective variants.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
+import os
 import re
+import secrets
 import shutil
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, get_type_hints
@@ -43,6 +47,11 @@ __all__ = [
 ABLATION_CSV_HEADER = "variant,net,mean_test_top1,stddev_test_top1"
 
 _DATASET_KINDS = ("blobs", "idx", "csv")
+
+# Names that `run_experiment` and `run_ablation` write at the top of their
+# output directory; an earlier run's entries with these names are replaced.
+_RUN_OUTPUTS = re.compile(r"summary\.json|rep[0-9]+")
+_ABLATION_OUTPUTS = re.compile(r"ablation\.csv|ablation_report\.json|variant_[ABCD]")
 
 
 class ConfigError(ValueError):
@@ -254,21 +263,47 @@ def _resolve_out_dir(config: ExperimentConfig, out_dir) -> Path:
     return Path(target)
 
 
-def _guard_overwrite(out: Path, markers: tuple, overwrite: bool) -> None:
-    if overwrite:
+def _guard_overwrite(out: Path, outputs: re.Pattern, overwrite: bool) -> None:
+    if not out.exists():
         return
-    for marker in markers:
-        if (out / marker).exists():
-            raise ConfigError(
-                f"output_dir: '{out}' already holds run outputs (pass --overwrite to replace)"
-            )
+    if not out.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out))
+    if not overwrite and any(outputs.fullmatch(entry.name) for entry in out.iterdir()):
+        raise ConfigError(
+            f"output_dir: '{out}' already holds run outputs (pass --overwrite to replace)"
+        )
 
 
-def _remove_stale_reps(out: Path, keep: int) -> None:
-    for path in out.iterdir():
-        match = re.fullmatch(r"rep([0-9]+)", path.name)
-        if match and int(match.group(1)) >= keep and path.is_dir():
-            shutil.rmtree(path)
+@contextmanager
+def _staged_output(out: Path, outputs: re.Pattern):
+    """Yield an empty sibling directory of `out` to write the outputs into.
+
+    When the body succeeds, the staging directory is renamed to `out`. If
+    `out` already exists, its entries named like `outputs` are replaced by the
+    staged ones instead, and `out` itself and its other entries stay. If the
+    body raises, the staging directory is removed and `out` is left as it was.
+    """
+    out.parent.mkdir(parents=True, exist_ok=True)
+    # mkdir, not tempfile.mkdtemp: the outputs keep the permissions the umask
+    # gives, where mkdtemp would make them private.
+    stage = out.parent / f".{out.name}.{secrets.token_hex(6)}"
+    stage.mkdir()
+    try:
+        yield stage
+        if out.exists():
+            # No output name starts with a dot.
+            replaced = stage / ".replaced"
+            replaced.mkdir()
+            for entry in list(out.iterdir()):
+                if outputs.fullmatch(entry.name):
+                    os.replace(entry, replaced / entry.name)
+            for entry in list(stage.iterdir()):
+                if entry != replaced:
+                    os.replace(entry, out / entry.name)
+        else:
+            os.replace(stage, out)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def run_experiment(
@@ -279,21 +314,25 @@ def run_experiment(
     Repetition r uses training seed (seed + r) and init seeds
     (init_seed + r) for both networks; the dataset itself is fixed across
     repetitions. Returns the summary dict that is also written to
-    summary.json. With `overwrite`, `rep<N>` directories left by an earlier
-    run with more repetitions are removed.
+    summary.json. The outputs are staged and reach `out` only when every
+    repetition succeeded; with `overwrite`, an earlier run's `summary.json`
+    and `rep<N>` directories are all replaced.
     """
     out = _resolve_out_dir(config, out_dir)
-    _guard_overwrite(out, ("summary.json", "rep0"), overwrite)
+    _guard_overwrite(out, _RUN_OUTPUTS, overwrite)
     train_ds, test_ds = build_datasets(config.dataset)
     _check_compatible(config, train_ds)
-    out.mkdir(parents=True, exist_ok=True)
-    if overwrite:
-        _remove_stale_reps(out, config.seed_repetitions)
+    with _staged_output(out, _RUN_OUTPUTS) as stage:
+        return _run_repetitions(config, train_ds, test_ds, stage)
 
+
+def _run_repetitions(
+    config: ExperimentConfig, train_ds: Dataset, test_ds: Dataset, out: Path
+) -> dict:
     finals: dict[str, list[float]] = {"net1": [], "net2": []}
     for rep in range(config.seed_repetitions):
         rep_dir = out / f"rep{rep}"
-        rep_dir.mkdir(parents=True, exist_ok=True)
+        rep_dir.mkdir()
         train_config = dataclasses.replace(config.train, seed=config.train.seed + rep)
         nets = [
             init_network(dataclasses.replace(config.network1, init_seed=config.network1.init_seed + rep)),
@@ -321,12 +360,17 @@ def run_ablation(config: ExperimentConfig, out_dir=None, overwrite: bool = False
 
     Writes one sub-directory per variant, an ablation.csv comparison table
     (one row per variant and net) and an ablation_report.json that flags
-    whether removing the self term (variant B) cost the most accuracy.
+    whether removing the self term (variant B) cost the most accuracy. Like
+    `run_experiment`'s, the outputs reach `out` only when every variant
+    succeeded.
     """
     out = _resolve_out_dir(config, out_dir)
-    _guard_overwrite(out, ("ablation.csv", "variant_A"), overwrite)
-    out.mkdir(parents=True, exist_ok=True)
+    _guard_overwrite(out, _ABLATION_OUTPUTS, overwrite)
+    with _staged_output(out, _ABLATION_OUTPUTS) as stage:
+        return _run_variants(config, stage)
 
+
+def _run_variants(config: ExperimentConfig, out: Path) -> dict:
     summaries: dict[str, dict] = {}
     rows = [ABLATION_CSV_HEADER]
     for variant in ("A", "B", "C", "D"):
@@ -335,7 +379,7 @@ def run_ablation(config: ExperimentConfig, out_dir=None, overwrite: bool = False
             train=dataclasses.replace(config.train, variant=variant),
             output_dir=None,
         )
-        summary = run_experiment(vconfig, out / f"variant_{variant}", overwrite=overwrite)
+        summary = run_experiment(vconfig, out / f"variant_{variant}")
         summaries[variant] = summary
         for net in ("net1", "net2"):
             rows.append(

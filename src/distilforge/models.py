@@ -8,6 +8,7 @@ frozen copies serve as fixed self-teachers.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -121,11 +122,18 @@ def init_network(config: NetworkConfig) -> PeerNetwork:
 
 
 def save_checkpoint(net: PeerNetwork, path) -> None:
-    """Write config and parameters as JSON with full float round-trip precision."""
+    """Write config and parameters as JSON.
+
+    Each parameter is stored as its shape plus the base64 of its little-endian
+    float64 bytes in row-major order, so every value round-trips bit-exactly.
+    """
     doc = {
         "config": asdict(net.config),
         "parameters": {
-            name: {"shape": list(p.data.shape), "data": p.data.reshape(-1).tolist()}
+            name: {
+                "shape": list(p.data.shape),
+                "data": base64.b64encode(p.data.astype("<f8").tobytes()).decode("ascii"),
+            }
             for name, p in net.parameters.items()
         },
     }
@@ -133,11 +141,26 @@ def save_checkpoint(net: PeerNetwork, path) -> None:
 
 
 def load_checkpoint(path) -> PeerNetwork:
-    """Rebuild a trainable network from a checkpoint written by save_checkpoint."""
+    """Rebuild a trainable network from a checkpoint written by save_checkpoint.
+
+    Raises ValueError naming the parameter whose data is not base64 of
+    8 bytes per element of its shape.
+    """
     doc = json.loads(Path(path).read_text())
     config = NetworkConfig(**doc["config"])
     params = {}
     for name, entry in doc["parameters"].items():
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        shape = tuple(entry["shape"])
+        try:
+            raw = base64.b64decode(entry["data"], validate=True)
+        except (TypeError, ValueError):
+            raise ValueError(f"checkpoint parameter '{name}': data is not base64 text") from None
+        needed = 8 * math.prod(shape)
+        if len(raw) != needed:
+            raise ValueError(
+                f"checkpoint parameter '{name}': {len(raw)} data bytes, "
+                f"shape {list(shape)} needs {needed}"
+            )
+        arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
         params[name] = Tensor(arr, requires_grad=True)
     return PeerNetwork(config, params)

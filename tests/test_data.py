@@ -185,6 +185,16 @@ class TestNormalize:
         assert np.isfinite(norm.features.data).all()
         np.testing.assert_array_equal(norm.features.data[:, 0], [0.0, 0.0])
 
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_statistics_rejected(self, scale):
+        # Finite features whose squares overflow: the std would be inf and
+        # every normalized feature 0.
+        features = np.array([[scale, 1.0], [-scale, 2.0], [0.5 * scale, 3.0]])
+        train = Dataset(Tensor(features), np.array([0, 1, 0]), 2, name="wide")
+        with pytest.raises(ValueError, match="normalizing wide: .* not finite"):
+            mean_std_normalize(train)
+
     def test_labels_and_metadata_survive(self):
         ds = synth_blobs(2, 3, 2, 0.5, seed=5)
         (norm,), _ = mean_std_normalize(ds)

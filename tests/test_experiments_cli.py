@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,17 @@ NOT_A_STRING = st.one_of(
     st.booleans(), st.integers(), st.floats(allow_nan=False), st.none(), JSON_CONTAINERS
 )
 
+# The learning rate, the blob spread and the loss weights, set together to
+# values up to 1e308 by the numeric-extremes property.
+EXTREME_FIELDS = [("train", "lr"), ("dataset", "spread")] + [
+    ("train", "weights", field) for field in ("alpha", "beta", "gamma", "beta1", "beta2")
+]
+
+EXTREME_NUMBERS = st.one_of(
+    st.floats(min_value=-1e308, max_value=1e308),
+    st.integers(-8, 308).map(lambda e: 10.0 ** e),
+)
+
 NOT_AN_INTEGER = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer()),
     st.booleans(),
@@ -109,18 +121,23 @@ def write_config(tmp_path, name="config.json", **overrides):
     return path
 
 
-def run_demo_with(tmp_path, field, value):
-    """Exit code and stderr lines of `run` on the 1+1-epoch demo config with `field` set."""
+def run_demo_with(tmp_path, changes):
+    """Exit code and stderr lines of `run` on the 1+1-epoch demo config.
+
+    `changes` maps each field to set to its value; the run writes to
+    `tmp_path / "out"`.
+    """
     doc = json.loads(DEMO_CONFIG.read_text())
     doc["train"].update(
         stage1_epochs=1, stage2_epochs=1, lr_milestones=[0], update_order="sequential"
     )
     for net in ("network1", "network2"):
         doc[net]["activation"] = "relu"
-    target = doc
-    for key in field[:-1]:
-        target = target[key]
-    target[field[-1]] = value
+    for field, value in changes.items():
+        target = doc
+        for key in field[:-1]:
+            target = target[key]
+        target[field[-1]] = value
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))
     err = io.StringIO()
@@ -357,6 +374,14 @@ class TestRunExperiment:
             run_experiment(config, out_dir=out)
         run_experiment(config, out_dir=out, overwrite=True)
 
+    def test_output_directory_gets_default_permissions(self, tmp_path):
+        config = load_experiment_config(write_config(tmp_path))
+        reference = tmp_path / "reference"
+        reference.mkdir()
+        out = tmp_path / "out"
+        run_experiment(config, out_dir=out)
+        assert out.stat().st_mode == reference.stat().st_mode
+
     def test_output_dir_required(self, tmp_path):
         config = load_experiment_config(write_config(tmp_path))
         with pytest.raises(ConfigError, match="output_dir: missing"):
@@ -462,7 +487,7 @@ class TestCli:
     )
     @given(field=st.sampled_from(DEMO_INT_FIELDS), value=NOT_AN_INTEGER)
     def test_non_integer_field_exits_1(self, tmp_path, field, value):
-        code, lines = run_demo_with(tmp_path, field, value)
+        code, lines = run_demo_with(tmp_path, {field: value})
         assert code == 1
         assert len(lines) == 1 and lines[0].startswith("error: config:"), lines
 
@@ -476,9 +501,25 @@ class TestCli:
         )
     )
     def test_mistyped_field_exits_1(self, tmp_path, case):
-        code, lines = run_demo_with(tmp_path, *case)
+        code, lines = run_demo_with(tmp_path, dict([case]))
         assert code == 1
         assert len(lines) == 1 and lines[0].startswith("error: config:"), lines
+
+    @settings(
+        max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(changes=st.dictionaries(st.sampled_from(EXTREME_FIELDS), EXTREME_NUMBERS, min_size=1))
+    def test_numeric_extremes_exit_cleanly(self, tmp_path, changes):
+        out = tmp_path / "out"
+        code, lines = run_demo_with(tmp_path, changes)
+        assert code in (0, 1, 2)
+        assert len(lines) <= 1, lines
+        # Only a finished run leaves an output directory, and no run leaves
+        # its staging directory.
+        left = sorted(p.name for p in tmp_path.iterdir())
+        assert left == (["c.json", "out"] if code == 0 else ["c.json"]), (code, lines, left)
+        if code == 0:
+            shutil.rmtree(out)
 
     @pytest.mark.parametrize("command", ["run", "ablate"])
     def test_output_error_exits_1(self, tmp_path, capsys, command):
@@ -534,23 +575,28 @@ class TestCli:
             f"error: config: dataset: train has {widths[0]} features, test has {widths[1]}"
         ]
 
-    @pytest.mark.parametrize("case", ["spread", "csv_nan"])
+    @pytest.mark.parametrize("case", ["spread", "spread_1e160", "spread_1e200", "csv_nan"])
     def test_non_finite_features_exit_1(self, tmp_path, capsys, case):
         if case == "spread":
             dataset = dict(base_config_dict()["dataset"], spread=1e308)
-            reason = "blobs with spread 1e+308"
+            reason = "blobs with spread 1e+308: features hold non-finite values"
+        elif case.startswith("spread_"):
+            # Finite features, but their standard deviation overflows.
+            dataset = dict(base_config_dict()["dataset"], spread=float(case[7:]))
+            reason = (
+                f"normalizing blobs{dataset['num_classes']}: a feature's mean or standard "
+                "deviation is not finite"
+            )
         else:
             train, test = tmp_path / "train.csv", tmp_path / "test.csv"
             train.write_text("f0,f1,y\n0.0,1.0,0\nnan,0.0,1\n2.0,2.0,2\n")
             test.write_text("f0,f1,y\n0.5,0.5,1\n")
             dataset = {"kind": "csv", "train": str(train), "test": str(test)}
-            reason = str(train)
+            reason = f"{train}: features hold non-finite values"
         path = write_config(tmp_path, dataset=dataset)
         out = tmp_path / "out"
         assert cli.main(["run", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: config: dataset: {reason}: features hold non-finite values"
-        ]
+        assert capsys.readouterr().err.splitlines() == [f"error: config: dataset: {reason}"]
         assert not out.exists()
 
     # A numpy floating-point warning fails the test instead of being collected.
@@ -565,6 +611,38 @@ class TestCli:
         assert code == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: divergence:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_failed_overwrite_keeps_previous_outputs(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert cli.main([command, str(write_config(tmp_path)), "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("kept")
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        doc = base_config_dict()
+        doc["train"]["lr"] = 1e25
+        diverging = tmp_path / "diverging.json"
+        diverging.write_text(json.dumps(doc))
+        assert cli.main([command, str(diverging), "--out", str(out), "--overwrite"]) == 2
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "diverging.json", "out"
+        ]
+
+    def test_existing_directory_without_outputs_keeps_its_entries(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "out"
+        (out / "data").mkdir(parents=True)
+        (out / "data" / "notes.txt").write_text("kept")
+        inode = out.stat().st_ino
+        # The working directory as output: it must stay in place.
+        monkeypatch.chdir(out)
+        assert cli.main(["run", str(write_config(tmp_path)), "--out", "."]) == 0
+        assert out.stat().st_ino == inode
+        assert sorted(p.name for p in out.iterdir()) == ["data", "rep0", "summary.json"]
+        assert (out / "data" / "notes.txt").read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
 
     def test_ablate_command(self, tmp_path, capsys):
         path = write_config(tmp_path)

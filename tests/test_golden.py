@@ -2,12 +2,15 @@
 
 Each run starts from the shipped `configs/demo_blobs.json` with a few train
 fields overridden, and is pinned by its `metrics.csv` and the sha256 of its
-four checkpoints under `tests/golden/`. When this machine's fingerprint
-(python, numpy, BLAS name and version, machine) matches the one recorded
-with the pins, the outputs must be byte-identical. Otherwise float
-arithmetic may legitimately differ in the last bits: loss columns must then
-agree within a relative 1e-9 (never tighter than the ninth significant digit
-that `metrics.csv` prints), and every other column exactly.
+four checkpoints under `tests/golden/`. Each checkpoint is also pinned in a
+form that depends only on its config and parameter values: the sha256 of
+the earlier text encoding, one round-trip decimal per value
+(`list_form_digest`), which did not change when the file format did. When
+this machine's fingerprint (python, numpy, BLAS name and version, machine)
+matches the one recorded with the pins, the outputs must be byte-identical.
+Otherwise float arithmetic may legitimately differ in the last bits: loss
+columns must then agree within a relative 1e-9 (never tighter than the ninth
+significant digit that `metrics.csv` prints), and every other column exactly.
 
 A change that reorders float arithmetic on purpose rewrites the pins with
 
@@ -23,12 +26,14 @@ import hashlib
 import json
 import math
 import platform
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from distilforge.experiments import load_experiment_config, run_experiment
+from distilforge.models import load_checkpoint
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -60,8 +65,29 @@ def fingerprint() -> dict:
     }
 
 
-def run_pinned(name: str, work: Path) -> tuple[bytes, dict]:
-    """Train run `name` under `work`; return its metrics.csv bytes and checkpoint digests."""
+def list_form_digest(path: Path) -> str:
+    """sha256 of the checkpoint at `path` re-encoded as lists of decimals.
+
+    This is the checkpoint layout written before parameters were stored as
+    base64 bytes, so it matches the old pins exactly when no value changed.
+    """
+    net = load_checkpoint(path)
+    doc = {
+        "config": asdict(net.config),
+        "parameters": {
+            name: {"shape": list(p.data.shape), "data": p.data.reshape(-1).tolist()}
+            for name, p in net.parameters.items()
+        },
+    }
+    return hashlib.sha256((json.dumps(doc, indent=1) + "\n").encode()).hexdigest()
+
+
+def run_pinned(name: str, work: Path) -> tuple[bytes, dict, dict]:
+    """Train run `name` under `work`.
+
+    Returns its metrics.csv bytes, the sha256 of each checkpoint file and
+    each checkpoint's `list_form_digest`.
+    """
     doc = json.loads(DEMO_CONFIG.read_text())
     doc["train"].update(RUNS[name])
     path = work / f"{name}.json"
@@ -70,7 +96,21 @@ def run_pinned(name: str, work: Path) -> tuple[bytes, dict]:
     run_experiment(load_experiment_config(path), out_dir=out)
     rep = out / "rep0"
     digests = {c: hashlib.sha256((rep / c).read_bytes()).hexdigest() for c in CHECKPOINTS}
-    return (rep / "metrics.csv").read_bytes(), digests
+    list_form = {c: list_form_digest(rep / c) for c in CHECKPOINTS}
+    return (rep / "metrics.csv").read_bytes(), digests, list_form
+
+
+@pytest.fixture(scope="module")
+def pinned_run(tmp_path_factory):
+    """`run_pinned` for a run name, trained once per test module."""
+    results = {}
+
+    def get(name: str) -> tuple[bytes, dict, dict]:
+        if name not in results:
+            results[name] = run_pinned(name, tmp_path_factory.mktemp(name))
+        return results[name]
+
+    return get
 
 
 def _rows(csv: bytes) -> list[dict]:
@@ -110,9 +150,9 @@ def assert_close_trajectory(got: bytes, pinned: bytes) -> None:
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_golden_trajectory(name, tmp_path):
+def test_golden_trajectory(name, pinned_run):
     pins = json.loads(PINS.read_text())
-    csv, digests = run_pinned(name, tmp_path)
+    csv, digests, _ = pinned_run(name)
     pinned_csv = (GOLDEN / name / "metrics.csv").read_bytes()
     if pins["fingerprint"] == fingerprint():
         assert csv == pinned_csv, (
@@ -121,6 +161,17 @@ def test_golden_trajectory(name, tmp_path):
         assert digests == pins["runs"][name]["checkpoints"], f"{name}: checkpoints drifted"
     else:
         assert_close_trajectory(csv, pinned_csv)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_checkpoint_values_match_list_form_pins(name, pinned_run):
+    pins = json.loads(PINS.read_text())
+    if pins["fingerprint"] != fingerprint():
+        pytest.skip("parameter values are pinned for the recorded fingerprint only")
+    _, _, list_form = pinned_run(name)
+    assert list_form == pins["runs"][name]["list_form_checkpoints"], (
+        f"{name}: checkpoint parameter values drifted"
+    )
 
 
 def test_tolerance_path_on_other_platforms():
@@ -147,19 +198,25 @@ def regenerate(work: Path) -> None:
     old = json.loads(PINS.read_text()) if PINS.exists() else {"runs": {}}
     pins = {"fingerprint": fingerprint(), "runs": {}}
     for name in sorted(RUNS):
-        csv, digests = run_pinned(name, work)
+        csv, digests, list_form = run_pinned(name, work)
         target = GOLDEN / name / "metrics.csv"
         if target.exists():
-            changed = [c for c in CHECKPOINTS
-                       if old["runs"].get(name, {}).get("checkpoints", {}).get(c) != digests[c]]
+            before = old["runs"].get(name, {})
+
+            def changed(key: str, now: dict) -> int:
+                return sum(before.get(key, {}).get(c) != now[c] for c in CHECKPOINTS)
+
             print(f"{name}: max loss drift {max_loss_drift(csv, target.read_bytes()):.3e}, "
                   f"metrics.csv {'unchanged' if csv == target.read_bytes() else 'changed'}, "
-                  f"{len(changed)} of {len(CHECKPOINTS)} checkpoints changed")
+                  f"{changed('checkpoints', digests)} of {len(CHECKPOINTS)} checkpoint files "
+                  f"and {changed('list_form_checkpoints', list_form)} parameter sets changed")
         else:
             print(f"{name}: new pin")
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_bytes(csv)
-        pins["runs"][name] = {"train_overrides": RUNS[name], "checkpoints": digests}
+        pins["runs"][name] = {
+            "train_overrides": RUNS[name], "checkpoints": digests, "list_form_checkpoints": list_form,
+        }
     PINS.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
 
 

@@ -1,7 +1,9 @@
 """Network construction, forward pass, snapshots, and checkpoints."""
 
+import base64
 import json
 import math
+import struct
 from dataclasses import asdict
 
 import numpy as np
@@ -169,7 +171,57 @@ class TestCheckpoint:
         save_checkpoint(net, path)
         doc = json.loads(path.read_text())
         assert set(doc) == {"config", "parameters"}
-        assert doc["parameters"]["w0"]["shape"] == [2, 4]
-        assert len(doc["parameters"]["w0"]["data"]) == 8
-        # Row-major flattening: element [0][1] is the second list entry.
-        assert doc["parameters"]["w0"]["data"][1] == net.parameters["w0"].data[0, 1]
+        assert doc["config"] == json.loads(json.dumps(asdict(net.config)))
+        entry = doc["parameters"]["w0"]
+        assert set(entry) == {"shape", "data"}
+        assert entry["shape"] == [2, 4]
+        raw = base64.b64decode(entry["data"], validate=True)
+        assert len(raw) == 8 * 2 * 4
+        # Little-endian float64, row-major: element [0][1] is the second value.
+        assert struct.unpack("<d", raw[8:16])[0] == net.parameters["w0"].data[0, 1]
+        assert raw == net.parameters["w0"].data.astype("<f8").tobytes(order="C")
+
+    def test_extreme_values_round_trip_bit_exact(self, tmp_path):
+        extremes = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+        values = np.concatenate([extremes, np.random.default_rng(3).normal(size=18)])
+        net = hand_network()
+        net.parameters["w0"] = Tensor(values.reshape(3, 8), requires_grad=True)
+        net.parameters["b0"] = Tensor(values[::-1].reshape(24)[:2].copy(), requires_grad=True)
+        # A transposed (non-contiguous) parameter is stored row-major as well.
+        net.parameters["w1"] = Tensor(np.arange(4.0).reshape(2, 2).T, requires_grad=True)
+        path = tmp_path / "net.json"
+        save_checkpoint(net, path)
+        loaded = load_checkpoint(path)
+        for name, p in net.parameters.items():
+            got = loaded.parameters[name].data
+            assert got.dtype == np.float64 and got.shape == p.data.shape
+            assert np.array_equal(got, p.data), name
+            assert np.array_equal(np.signbit(got), np.signbit(p.data)), name
+
+    def test_loaded_arrays_are_owned_and_writable(self, tmp_path):
+        path = tmp_path / "net.json"
+        save_checkpoint(hand_network(), path)
+        loaded = load_checkpoint(path)
+        for p in loaded.parameters.values():
+            assert p.data.flags.writeable and p.data.flags.owndata
+            p.data += 1.0
+        w0 = loaded.parameters["w0"].data
+        np.testing.assert_array_equal(w0, np.eye(2) + 1.0)
+
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            (base64.b64encode(b"\0" * 24).decode(), "24 data bytes, shape \\[2, 2\\] needs 32"),
+            ("not*base64!", "not base64"),
+            ([1.0, 0.0, 0.0, 1.0], "not base64"),
+        ],
+        ids=["byte_count", "invalid_base64", "list_form"],
+    )
+    def test_bad_payload_names_parameter(self, tmp_path, data, reason):
+        path = tmp_path / "net.json"
+        save_checkpoint(hand_network(), path)
+        doc = json.loads(path.read_text())
+        doc["parameters"]["w1"]["data"] = data
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"parameter 'w1': .*{reason}"):
+            load_checkpoint(path)
