@@ -13,6 +13,7 @@ general broadcasting. Row-vector bias addition gets its own operation.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "add_bias",
     "reshape",
     "gather",
+    "triple_cosines",
     "huber_penalty",
     "softmax_with_temperature",
     "log_softmax_with_temperature",
@@ -329,16 +331,88 @@ def gather(x: Tensor, indices) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ValueError(f"gather index out of range for first axis of size {n}")
     xd = x.data
+    return _record(
+        np.take(xd, idx, axis=0), "gather", (x,), lambda g: (_scatter_rows(idx, g, xd.shape),)
+    )
+
+
+def _scatter_rows(idx: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum the rows of g into a zero array of `shape` at first-axis positions idx."""
+    # One bincount over flat (row, column) positions: repeated rows add up
+    # in index order, the same order on every run.
+    width = math.prod(shape[1:])
+    flat = (idx[:, None] * width + np.arange(width)).reshape(-1)
+    return np.bincount(flat, weights=g.reshape(-1), minlength=math.prod(shape)).reshape(shape)
+
+
+def triple_cosines(legs: Tensor, lengths: Tensor, head, tail, groups=None) -> Tensor:
+    """Cosine between leg rows head[i] and tail[i] for every i.
+
+    The value is legs[h] . legs[t] / lengths[h] / lengths[t], where `lengths`
+    holds the row norms of `legs`; both are tape inputs. Without `groups` each
+    cosine gathers its two rows and repeats the gather, mul, reduce_sum and
+    div chain, with the same values and gradients bit for bit. `groups` is an
+    (m, k) array that lists every leg row once and puts the two rows of each
+    cosine in one group. Then all cosines come from one batched (m, k, k) Gram
+    matrix of unit legs, within a few ulp of the chain. That layout costs
+    m*k*k cells however few cosines are read, so it pays only when they fill
+    most of it.
+    """
+    ld, lens = legs.data, lengths.data
+    if ld.ndim != 2 or lens.shape != ld.shape[:1]:
+        raise ValueError(f"triple_cosines: legs {ld.shape} and lengths {lens.shape} do not match")
+    rows = ld.shape[0]
+    head, tail = np.asarray(head, dtype=np.int64), np.asarray(tail, dtype=np.int64)
+    if head.ndim != 1 or head.shape != tail.shape:
+        raise ValueError("triple_cosines: head and tail must be 1-d and of equal size")
+    if head.size and (min(head.min(), tail.min()) < 0 or max(head.max(), tail.max()) >= rows):
+        raise ValueError(f"triple_cosines: leg index out of range for {rows} legs")
+    short = lens < DIV_GUARD
+    if short.any() and (short[head].any() or short[tail].any()):
+        raise AutodiffError(f"triple_cosines: leg length below {DIV_GUARD:g}")
+    if groups is None:
+        lh, lt = lens[head], lens[tail]
+        hl, tl = np.take(ld, head, axis=0), np.take(ld, tail, axis=0)
+        dots = (hl * tl).sum(axis=1)
+        q = dots / lh
+
+        def rule(g):
+            gq = g / lt
+            gd = (gq / lh)[:, None]
+            g_legs = _scatter_rows(head, gd * tl, ld.shape) + _scatter_rows(tail, gd * hl, ld.shape)
+            g_lens = _scatter_rows(head, -gq * dots / (lh * lh), lens.shape) + _scatter_rows(
+                tail, -g * q / (lt * lt), lens.shape
+            )
+            return g_legs, g_lens
+
+        return _record(q / lt, "triple_cosines", (legs, lengths), rule)
+
+    groups = np.asarray(groups, dtype=np.int64)
+    if groups.ndim != 2 or not np.array_equal(np.sort(groups, axis=None), np.arange(rows)):
+        raise ValueError(f"triple_cosines: groups must list each of the {rows} legs once")
+    m, k = groups.shape
+    pos = np.empty(rows, dtype=np.int64)
+    pos[groups.reshape(-1)] = np.arange(rows)
+    hp, tp = pos[head], pos[tail]
+    if (hp // k != tp // k).any():
+        raise ValueError("triple_cosines: a cosine's two legs lie in different groups")
+    cells = hp * k + tp % k
+    nonzero = (lens > 0.0)[:, None]
+    unit = np.divide(ld, lens[:, None], out=np.zeros_like(ld), where=nonzero)
+    grouped = unit[groups]
+    gram = grouped @ grouped.transpose(0, 2, 1)
 
     def rule(g):
-        # One bincount over flat (row, column) positions: repeated rows add up
-        # in index order, the same order on every run.
-        width = xd.size // n if n else 0
-        flat = (idx[:, None] * width + np.arange(width)).reshape(-1)
-        gx = np.bincount(flat, weights=g.reshape(-1), minlength=xd.size)
-        return (gx.reshape(xd.shape),)
+        g_gram = np.bincount(cells, weights=g, minlength=m * k * k).reshape(m, k, k)
+        g_unit = ((g_gram + g_gram.transpose(0, 2, 1)) @ grouped).reshape(rows, -1)[pos]
+        # Through unit = legs / lengths; legs no cosine reads get zero.
+        g_legs = np.divide(g_unit, lens[:, None], out=np.zeros_like(ld), where=nonzero)
+        g_lens = np.divide(
+            -(g_unit * unit).sum(axis=1), lens, out=np.zeros_like(lens), where=nonzero[:, 0]
+        )
+        return g_legs, g_lens
 
-    return _record(np.take(xd, idx, axis=0), "gather", (x,), rule)
+    return _record(gram.reshape(-1)[cells], "triple_cosines", (legs, lengths), rule)
 
 
 def huber_penalty(x: Tensor) -> Tensor:

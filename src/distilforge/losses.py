@@ -34,6 +34,7 @@ from .autodiff import (
     softmax_with_temperature,
     sqrt,
     sub,
+    triple_cosines,
 )
 from .models import ForwardOutput
 
@@ -105,7 +106,9 @@ class TupleSets:
 
     Pairs always cover all n*(n-1) ordered distinct pairs. Triples cover all
     n*(n-1)*(n-2) ordered distinct triples up to batch size 16; larger
-    batches use a seeded uniform subsample of 16*15*14 triples.
+    batches use a seeded uniform subsample of 16*15*14 triples. A full
+    triple set also has `middle_rows`: row v lists the pair rows (u, v),
+    u != v, in increasing u, so that every triple's two legs share a row.
     """
 
     n: int
@@ -115,6 +118,7 @@ class TupleSets:
     triple_v: np.ndarray
     triple_w: np.ndarray
     capped: bool = False
+    middle_rows: Optional[np.ndarray] = None
 
     @property
     def num_pairs(self) -> int:
@@ -140,7 +144,9 @@ class TupleSets:
             idx = np.arange(n, dtype=np.int64)
             tu, tv, tw = (a.reshape(-1) for a in np.meshgrid(idx, idx, idx, indexing="ij"))
             keep = (tu != tv) & (tu != tw) & (tv != tw)
-            return cls(n, pair_u, pair_v, tu[keep], tv[keep], tw[keep])
+            # Entry v*(n-1) + u - (u > v), the row of pair (v, u), holds pair (u, v).
+            middle_rows = (pair_v * (n - 1) + pair_u - (pair_u > pair_v)).reshape(n, n - 1)
+            return cls(n, pair_u, pair_v, tu[keep], tv[keep], tw[keep], middle_rows=middle_rows)
         if rng is None:
             raise ValueError(
                 f"batches larger than {TRIPLE_CAP_BATCH} need an rng to subsample triples"
@@ -258,14 +264,17 @@ def _angle_values(embeddings: Tensor, tuples: TupleSets, mask: np.ndarray) -> Te
     Each ordered pair's leg e[u] - e[v] and its length are computed once; a
     triple (u, v, w) reads its head leg (u, v) and tail leg (w, v) from them.
     Pair (u, v) sits at row u*(n-1) + v - (v > u) of `TupleSets.pair_u`.
+    A full triple set takes each middle index's cosines from one Gram matrix
+    of its n-1 unit legs; a sampled one gathers the two legs per triple,
+    because its at most 16*15*14 triples would fill only a small part of
+    the n*(n-1)*(n-1) Gram cells, whose count grows as n**3.
     """
     legs = sub(gather(embeddings, tuples.pair_u), gather(embeddings, tuples.pair_v))
     lengths = sqrt(reduce_sum(mul(legs, legs), axis=1))
     tu, tv, tw = tuples.triple_u[mask], tuples.triple_v[mask], tuples.triple_w[mask]
     head = tu * (tuples.n - 1) + tv - (tv > tu)
     tail = tw * (tuples.n - 1) + tv - (tv > tw)
-    dots = reduce_sum(mul(gather(legs, head), gather(legs, tail)), axis=1)
-    return div(div(dots, gather(lengths, head)), gather(lengths, tail))
+    return triple_cosines(legs, lengths, head, tail, tuples.middle_rows)
 
 
 def angle_potentials(embeddings: Tensor, tuples: TupleSets) -> tuple[Tensor, np.ndarray]:

@@ -143,14 +143,29 @@ def save_checkpoint(net: PeerNetwork, path) -> None:
 def load_checkpoint(path) -> PeerNetwork:
     """Rebuild a trainable network from a checkpoint written by save_checkpoint.
 
-    Raises ValueError naming the parameter whose data is not base64 of
-    8 bytes per element of its shape.
+    Raises ValueError naming the parameter that the config does not have, or
+    lacks, or whose shape differs from the config's, or whose data is not
+    base64 of 8 bytes per element of its shape.
     """
     doc = json.loads(Path(path).read_text())
     config = NetworkConfig(**doc["config"])
+    dims = config.layer_dims
+    expected = {}
+    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        expected.update({f"w{i}": [fan_in, fan_out], f"b{i}": [fan_out]})
+    stored = doc["parameters"]
+    for name in stored:
+        if name not in expected:
+            raise ValueError(f"checkpoint parameter '{name}': not a parameter of the config")
     params = {}
-    for name, entry in doc["parameters"].items():
-        shape = tuple(entry["shape"])
+    for name, shape in expected.items():
+        if name not in stored:
+            raise ValueError(f"checkpoint parameter '{name}': missing, config needs shape {shape}")
+        entry = stored[name]
+        if entry["shape"] != shape:
+            raise ValueError(
+                f"checkpoint parameter '{name}': shape {entry['shape']}, config needs {shape}"
+            )
         try:
             raw = base64.b64decode(entry["data"], validate=True)
         except (TypeError, ValueError):
@@ -159,7 +174,7 @@ def load_checkpoint(path) -> PeerNetwork:
         if len(raw) != needed:
             raise ValueError(
                 f"checkpoint parameter '{name}': {len(raw)} data bytes, "
-                f"shape {list(shape)} needs {needed}"
+                f"shape {shape} needs {needed}"
             )
         arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
         params[name] = Tensor(arr, requires_grad=True)

@@ -25,6 +25,7 @@ from distilforge.autodiff import (
     softmax_with_temperature,
     sqrt,
     sub,
+    triple_cosines,
 )
 from distilforge.verification import grad_check
 
@@ -285,6 +286,21 @@ class TestStructuralOps:
             gather(x, np.array([2]))
         with pytest.raises(ValueError, match="one-dimensional"):
             gather(x, np.array([[0]]))
+
+    def test_triple_cosines_validation(self):
+        legs, lengths = Tensor(np.eye(4)), Tensor(np.ones(4))
+        with pytest.raises(ValueError, match="do not match"):
+            triple_cosines(legs, Tensor(np.ones(3)), [0], [1])
+        with pytest.raises(ValueError, match="equal size"):
+            triple_cosines(legs, lengths, [0, 1], [1])
+        with pytest.raises(ValueError, match="out of range"):
+            triple_cosines(legs, lengths, [4], [1])
+        with pytest.raises(ValueError, match="each of the 4 legs once"):
+            triple_cosines(legs, lengths, [0], [1], groups=[[0, 1], [1, 3]])
+        with pytest.raises(ValueError, match="different groups"):
+            triple_cosines(legs, lengths, [0], [2], groups=[[0, 1], [2, 3]])
+        with pytest.raises(AutodiffError, match="leg length"):
+            triple_cosines(legs, Tensor([1.0, 0.0, 1.0, 1.0]), [0], [1])
 
     def test_pairwise_l2_values(self):
         e = Tensor([[0.0, 0.0], [3.0, 4.0]])

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from distilforge.autodiff import Tensor, backward, mul
+from distilforge.autodiff import Tensor, backward, div, gather, mul, reduce_sum, triple_cosines
 from distilforge.losses import (
+    COINCIDENCE_EPS,
     LossWeights,
     TupleSets,
     angle_potentials,
@@ -319,7 +320,54 @@ class TestAnglePotentials:
         head, tail = e[tu] - e[tv], e[tw] - e[tv]
         norm_head = np.sqrt((head * head).sum(axis=1))
         norm_tail = np.sqrt((tail * tail).sum(axis=1))
-        assert np.array_equal(vals.data, (head * tail).sum(axis=1) / norm_head / norm_tail)
+        formula = (head * tail).sum(axis=1) / norm_head / norm_tail
+        if tuples.capped:
+            assert np.array_equal(vals.data, formula)
+        else:
+            # Full triple sets read the cosines off a Gram matrix of unit legs.
+            assert np.abs(vals.data - formula).max() <= 4 * np.finfo(float).eps
+
+
+class TestTripleCosines:
+    @pytest.mark.parametrize("n", [3, 16, 17, 32])
+    @pytest.mark.parametrize("coincident", [False, True], ids=["distinct", "coincident"])
+    def test_matches_reference_chain(self, n, coincident):
+        """Values and gradients against the gather, mul, reduce_sum and div chain."""
+        rng = np.random.default_rng(40 + n)
+        e = rng.standard_normal((n, 5))
+        if coincident:
+            e[n - 1] = e[0]
+        tuples = TupleSets.build(n, rng)
+        legs = e[tuples.pair_u] - e[tuples.pair_v]
+        lengths = np.sqrt((legs * legs).sum(axis=1))
+        tu, tv, tw = tuples.triple_u, tuples.triple_v, tuples.triple_w
+        head = tu * (n - 1) + tv - (tv > tu)
+        tail = tw * (n - 1) + tv - (tv > tw)
+        keep = (lengths[head] >= COINCIDENCE_EPS) & (lengths[tail] >= COINCIDENCE_EPS)
+        assert keep.all() != coincident
+        head, tail = head[keep], tail[keep]
+        weights = rng.standard_normal(head.size)
+
+        def run(cosines):
+            lt, st = Tensor(legs, requires_grad=True), Tensor(lengths, requires_grad=True)
+            out = cosines(lt, st)
+            backward(reduce_sum(mul(out, Tensor(weights))))
+            return out.data, lt.grad, st.grad
+
+        got = run(lambda lt, st: triple_cosines(lt, st, head, tail, tuples.middle_rows))
+        reference = run(
+            lambda lt, st: div(
+                div(reduce_sum(mul(gather(lt, head), gather(lt, tail)), axis=1), gather(st, head)),
+                gather(st, tail),
+            )
+        )
+        assert (tuples.middle_rows is None) == tuples.capped
+        for g, r in zip(got, reference):
+            assert g.shape == r.shape
+            if tuples.capped:
+                assert np.array_equal(g, r)
+            else:
+                assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max()
 
 
 class TestRelationLoss:
@@ -422,12 +470,13 @@ class TestRelationLoss:
         assert skipped > 0
         assert rel.triples_skipped == skipped
 
-    def test_gradient_matches_finite_differences_on_capped_batch(self):
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_gradient_matches_finite_differences(self, n):
         rng = np.random.default_rng(35)
-        ea = Tensor(rng.uniform(-1.0, 1.0, (17, 3)), requires_grad=True)
-        eb = Tensor(rng.uniform(-1.0, 1.0, (17, 3)))
-        tuples = TupleSets.build(17, rng)
-        assert tuples.capped
+        ea = Tensor(rng.uniform(-1.0, 1.0, (n, 3)), requires_grad=True)
+        eb = Tensor(rng.uniform(-1.0, 1.0, (n, 3)))
+        tuples = TupleSets.build(n, rng)
+        assert tuples.capped == (n > 16)
         err = max_param_grad_error(
             lambda: relation_distill_loss(ea, eb, LossWeights(), tuples).total, [ea]
         )

@@ -184,11 +184,11 @@ class TestCheckpoint:
     def test_extreme_values_round_trip_bit_exact(self, tmp_path):
         extremes = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
         values = np.concatenate([extremes, np.random.default_rng(3).normal(size=18)])
-        net = hand_network()
+        net = init_network(NetworkConfig(3, (8,), 2, init_seed=0))
         net.parameters["w0"] = Tensor(values.reshape(3, 8), requires_grad=True)
-        net.parameters["b0"] = Tensor(values[::-1].reshape(24)[:2].copy(), requires_grad=True)
+        net.parameters["b0"] = Tensor(values[::-1][:8].copy(), requires_grad=True)
         # A transposed (non-contiguous) parameter is stored row-major as well.
-        net.parameters["w1"] = Tensor(np.arange(4.0).reshape(2, 2).T, requires_grad=True)
+        net.parameters["w1"] = Tensor(np.arange(16.0).reshape(2, 8).T, requires_grad=True)
         path = tmp_path / "net.json"
         save_checkpoint(net, path)
         loaded = load_checkpoint(path)
@@ -209,19 +209,24 @@ class TestCheckpoint:
         np.testing.assert_array_equal(w0, np.eye(2) + 1.0)
 
     @pytest.mark.parametrize(
-        "data, reason",
+        "name, edit, reason",
         [
-            (base64.b64encode(b"\0" * 24).decode(), "24 data bytes, shape \\[2, 2\\] needs 32"),
-            ("not*base64!", "not base64"),
-            ([1.0, 0.0, 0.0, 1.0], "not base64"),
+            ("w1", lambda p: p["w1"].update(data=base64.b64encode(b"\0" * 24).decode()),
+             "24 data bytes, shape \\[2, 2\\] needs 32"),
+            ("w1", lambda p: p["w1"].update(data="not*base64!"), "not base64"),
+            ("w1", lambda p: p["w1"].update(data=[1.0, 0.0, 0.0, 1.0]), "not base64"),
+            ("w1", lambda p: p["w1"].update(shape=[4, 1]),
+             "shape \\[4, 1\\], config needs \\[2, 2\\]"),
+            ("b0", lambda p: p.pop("b0"), "missing, config needs shape \\[2\\]"),
+            ("w2", lambda p: p.update(w2=p["w1"]), "not a parameter of the config"),
         ],
-        ids=["byte_count", "invalid_base64", "list_form"],
+        ids=["byte_count", "invalid_base64", "list_form", "wrong_shape", "missing", "extra"],
     )
-    def test_bad_payload_names_parameter(self, tmp_path, data, reason):
+    def test_bad_payload_names_parameter(self, tmp_path, name, edit, reason):
         path = tmp_path / "net.json"
         save_checkpoint(hand_network(), path)
         doc = json.loads(path.read_text())
-        doc["parameters"]["w1"]["data"] = data
+        edit(doc["parameters"])
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=f"parameter 'w1': .*{reason}"):
+        with pytest.raises(ValueError, match=f"parameter '{name}': .*{reason}"):
             load_checkpoint(path)

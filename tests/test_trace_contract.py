@@ -1,11 +1,12 @@
-"""The traced benchmark run still sees every layer the demo workload expects.
+"""The traced benchmark run still sees every layer the relation workloads expect.
 
 `benchmarks/run.py --trace 1` fails a workload when a layer it lists as
 active records no calls, or an idle one records some. This runs the traced
-child on a tiny demo-like config, so an engine or loss change that stops
+child on tiny demo-like configs, so an engine or loss change that stops
 calling a listed op fails here, in the unit tests, and not only in the
 benchmark. Batch 17 makes the relation term subsample (cap) its triples, as
-the demo's batch 32 does.
+the demo's batch 32 does; the ablation at batch 16 takes every triple, as
+the `ablate_small` workload does.
 """
 
 from __future__ import annotations
@@ -21,20 +22,32 @@ sys.path.insert(0, str(ROOT / "benchmarks"))
 import run  # noqa: E402
 
 
-def test_traced_demo_like_run_keeps_the_layer_contract(tmp_path):
+def traced_run(tmp_path: Path, command: str, train: dict) -> run.Process:
+    """The traced child on the demo config at 18 training samples, 1+1 epochs."""
     config = json.loads((ROOT / "configs" / "demo_blobs.json").read_text())
     config.pop("output_dir")
     config["dataset"].update(per_class=6, test_per_class=3)
-    config["train"].update(stage1_epochs=1, stage2_epochs=1, lr_milestones=[], batch_size=17)
+    config["train"].update(stage1_epochs=1, stage2_epochs=1, lr_milestones=[], **train)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     result_path = tmp_path / "result.json"
     argv = [sys.executable, str(ROOT / "benchmarks" / "child.py"), str(ROOT / "src"),
-            str(result_path), "traced", "--", "run", str(config_path), "--out", str(tmp_path / "out")]
+            str(result_path), "traced", "--", command, str(config_path),
+            "--out", str(tmp_path / "out")]
     done = subprocess.run(argv, capture_output=True, text=True, timeout=120, check=False)
     assert done.returncode == 0, done.stderr
     result = json.loads(result_path.read_text())
-    assert result["trace"]["counters"]["losses.tuple_sets.capped"] > 0
-    traced = run.Process("traced", launch=result["stages"][0][1] - 1.0, end=result["cli_end"] + 1.0,
-                         exit_code=0, stderr="", out=tmp_path / "out", result=result, errors=[])
+    return run.Process("traced", launch=result["stages"][0][1] - 1.0, end=result["cli_end"] + 1.0,
+                       exit_code=0, stderr="", out=tmp_path / "out", result=result, errors=[])
+
+
+def test_traced_demo_like_run_keeps_the_layer_contract(tmp_path):
+    traced = traced_run(tmp_path, "run", {"batch_size": 17})
+    assert traced.result["trace"]["counters"]["losses.tuple_sets.capped"] > 0
     assert run.layer_activity_errors(traced, run.WORKLOADS["demo_run"]) == []
+
+
+def test_traced_full_triple_ablation_keeps_the_layer_contract(tmp_path):
+    traced = traced_run(tmp_path, "ablate", {"batch_size": 16, "update_order": "simultaneous"})
+    assert traced.result["trace"]["counters"]["losses.triples_used"] > 0
+    assert run.layer_activity_errors(traced, run.WORKLOADS["ablate_small"]) == []
