@@ -6,9 +6,10 @@ relational penalties. Everything is double precision with a deterministic
 evaluation order, so repeated runs are bit-identical on the same platform and
 finite-difference gradient checks stay tight.
 
-Shape discipline is strict. Binary operations require equal shapes or a scalar
-right operand (a python number or a single-element tensor); there is no
-general broadcasting. Row-vector bias addition gets its own operation.
+Shape discipline is strict. Binary operations require two tensors of equal
+shape; `mul` and `div` also take a python number as the right operand, and
+`div` a single-element tensor. There is no general broadcasting. Row-vector
+bias addition gets its own operation.
 """
 
 from __future__ import annotations
@@ -70,10 +71,6 @@ class Tensor:
         self.grad = None
         self.parents: tuple = ()
         self._rule = None
-
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -156,41 +153,24 @@ def _is_number(x) -> bool:
 
 def _require_tensor(op: str, x) -> None:
     if not isinstance(x, Tensor):
-        raise TypeError(f"{op}: expected a Tensor or a scalar, got {type(x).__name__}")
+        expected = "a Tensor or a number" if op in ("mul", "div") else "a Tensor"
+        raise TypeError(f"{op}: expected {expected}, got {type(x).__name__}")
 
 
-def add(a: Tensor, b) -> Tensor:
-    if _is_number(b):
-        return _record(a.data + float(b), "add", (a,), lambda g: (g,))
-    _require_tensor("add", b)
-    if b.data.shape == a.data.shape:
-        return _record(a.data + b.data, "add", (a, b), lambda g: (g, g))
-    if b.data.size == 1:
-        bshape = b.data.shape
-        return _record(
-            a.data + b.data.reshape(()),
-            "add",
-            (a, b),
-            lambda g: (g, np.asarray(g.sum()).reshape(bshape)),
-        )
-    raise ValueError(f"add: shape mismatch {a.data.shape} vs {b.data.shape}")
+def _same_shape(op: str, a: Tensor, b) -> None:
+    _require_tensor(op, b)
+    if b.data.shape != a.data.shape:
+        raise ValueError(f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}")
 
 
-def sub(a: Tensor, b) -> Tensor:
-    if _is_number(b):
-        return _record(a.data - float(b), "sub", (a,), lambda g: (g,))
-    _require_tensor("sub", b)
-    if b.data.shape == a.data.shape:
-        return _record(a.data - b.data, "sub", (a, b), lambda g: (g, -g))
-    if b.data.size == 1:
-        bshape = b.data.shape
-        return _record(
-            a.data - b.data.reshape(()),
-            "sub",
-            (a, b),
-            lambda g: (g, np.asarray(-g.sum()).reshape(bshape)),
-        )
-    raise ValueError(f"sub: shape mismatch {a.data.shape} vs {b.data.shape}")
+def add(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape("add", a, b)
+    return _record(a.data + b.data, "add", (a, b), lambda g: (g, g))
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape("sub", a, b)
+    return _record(a.data - b.data, "sub", (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -198,20 +178,9 @@ def mul(a: Tensor, b) -> Tensor:
     if _is_number(b):
         bv = float(b)
         return _record(ad * bv, "mul", (a,), lambda g: (g * bv,))
-    _require_tensor("mul", b)
+    _same_shape("mul", a, b)
     bd = b.data
-    if bd.shape == ad.shape:
-        return _record(ad * bd, "mul", (a, b), lambda g: (g * bd, g * ad))
-    if bd.size == 1:
-        bv = float(bd.reshape(()))
-        bshape = bd.shape
-        return _record(
-            ad * bv,
-            "mul",
-            (a, b),
-            lambda g: (g * bv, np.asarray((g * ad).sum()).reshape(bshape)),
-        )
-    raise ValueError(f"mul: shape mismatch {ad.shape} vs {bd.shape}")
+    return _record(ad * bd, "mul", (a, b), lambda g: (g * bd, g * ad))
 
 
 def div(a: Tensor, b) -> Tensor:

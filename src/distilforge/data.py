@@ -22,7 +22,6 @@ __all__ = [
     "IDX_IMAGES_MAGIC",
     "IDX_LABELS_MAGIC",
     "Dataset",
-    "NormalizationStats",
     "Batch",
     "load_idx",
     "load_csv",
@@ -68,14 +67,6 @@ class Dataset:
     @property
     def input_dim(self) -> int:
         return self.features.data.shape[1]
-
-
-@dataclass(frozen=True)
-class NormalizationStats:
-    """Per-feature mean and (floored) standard deviation of a training split."""
-
-    mean: np.ndarray
-    std: np.ndarray
 
 
 @dataclass
@@ -215,20 +206,17 @@ def synth_blobs(num_classes: int, per_class: int, dim: int, spread: float, seed:
     )
 
 
-def mean_std_normalize(
-    train: Dataset, others: Sequence[Dataset] = ()
-) -> tuple[list[Dataset], NormalizationStats]:
+def mean_std_normalize(train: Dataset, others: Sequence[Dataset] = ()) -> list[Dataset]:
     """Standardize per feature using training statistics only.
 
-    Returns ([normalized train, normalized others...], stats). Standard
-    deviations are population (not sample) values, floored at STD_FLOOR.
-    Raises ValueError if a normalized feature, a mean or a standard deviation
-    is not finite.
+    Returns [normalized train, normalized others...]. Standard deviations
+    are population (not sample) values, floored at STD_FLOOR. Raises
+    ValueError if a normalized feature, a mean or a standard deviation is
+    not finite.
     """
     x = train.features.data
     mean = x.mean(axis=0)
     std = np.maximum(x.std(axis=0), STD_FLOOR)
-    stats = NormalizationStats(mean=mean, std=std)
 
     def apply(ds: Dataset) -> Dataset:
         return Dataset(
@@ -246,7 +234,7 @@ def mean_std_normalize(
             f"normalizing {train.name or 'dataset'}: a feature's mean or standard deviation "
             "is not finite"
         )
-    return normalized, stats
+    return normalized
 
 
 def batch_iterator(

@@ -236,7 +236,7 @@ def build_datasets(spec: dict) -> tuple[Dataset, Dataset]:
             f"dataset: train has {train.input_dim} features, test has {test.input_dim}"
         )
     try:
-        (train, test), _ = mean_std_normalize(train, [test])
+        train, test = mean_std_normalize(train, [test])
     except ValueError as exc:
         raise ConfigError(f"dataset: {exc}") from exc
     return train, test

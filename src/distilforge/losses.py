@@ -14,6 +14,7 @@ gradients only ever flow into the network being updated.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,7 +47,6 @@ __all__ = [
     "LossWeights",
     "TupleSets",
     "RelationLoss",
-    "MutualLoss",
     "TotalLoss",
     "cross_entropy",
     "kl_mutual",
@@ -55,7 +55,6 @@ __all__ = [
     "distance_potentials",
     "angle_potentials",
     "relation_distill_loss",
-    "mutual_distill_loss",
     "total_loss",
 ]
 
@@ -104,19 +103,22 @@ class LossWeights:
 class TupleSets:
     """Ordered index pairs and triples over one batch.
 
-    Pairs always cover all n*(n-1) ordered distinct pairs. Triples cover all
-    n*(n-1)*(n-2) ordered distinct triples up to batch size 16; larger
+    Pairs always cover all n*(n-1) ordered distinct pairs, pair (u, v) at row
+    u*(n-1) + v - (v > u). A triple (u, v, w) is stored as the pair rows of
+    its two legs: `head` holds (u, v) and `tail` holds (w, v). Triples cover
+    all n*(n-1)*(n-2) ordered distinct triples up to batch size 16; larger
     batches use a seeded uniform subsample of 16*15*14 triples. A full
     triple set also has `middle_rows`: row v lists the pair rows (u, v),
     u != v, in increasing u, so that every triple's two legs share a row.
+    Full sets depend only on n: each is built once and shared, with
+    read-only arrays.
     """
 
     n: int
     pair_u: np.ndarray
     pair_v: np.ndarray
-    triple_u: np.ndarray
-    triple_v: np.ndarray
-    triple_w: np.ndarray
+    head: np.ndarray
+    tail: np.ndarray
     capped: bool = False
     middle_rows: Optional[np.ndarray] = None
 
@@ -126,27 +128,16 @@ class TupleSets:
 
     @property
     def num_triples(self) -> int:
-        return int(self.triple_u.size)
+        return int(self.head.size)
 
     @classmethod
     def build(cls, n: int, rng: Optional[np.random.Generator] = None) -> "TupleSets":
+        """Tuple sets for a batch of n; `rng` subsamples the triples of batches over 16."""
         n = int(n)
         if n < 0:
             raise ValueError("batch size must be non-negative")
-        empty = np.zeros(0, dtype=np.int64)
-        if n < 2:
-            return cls(n, empty, empty, empty, empty, empty)
-        u = np.repeat(np.arange(n, dtype=np.int64), n)
-        v = np.tile(np.arange(n, dtype=np.int64), n)
-        keep = u != v
-        pair_u, pair_v = u[keep], v[keep]
         if n <= TRIPLE_CAP_BATCH:
-            idx = np.arange(n, dtype=np.int64)
-            tu, tv, tw = (a.reshape(-1) for a in np.meshgrid(idx, idx, idx, indexing="ij"))
-            keep = (tu != tv) & (tu != tw) & (tv != tw)
-            # Entry v*(n-1) + u - (u > v), the row of pair (v, u), holds pair (u, v).
-            middle_rows = (pair_v * (n - 1) + pair_u - (pair_u > pair_v)).reshape(n, n - 1)
-            return cls(n, pair_u, pair_v, tu[keep], tv[keep], tw[keep], middle_rows=middle_rows)
+            return cls._full(n)
         if rng is None:
             raise ValueError(
                 f"batches larger than {TRIPLE_CAP_BATCH} need an rng to subsample triples"
@@ -160,7 +151,31 @@ class TupleSets:
             chunks.append(draw)
             got += draw.shape[0]
         sample = np.concatenate(chunks)[:TRIPLE_CAP_COUNT].astype(np.int64)
-        return cls(n, pair_u, pair_v, sample[:, 0], sample[:, 1], sample[:, 2], capped=True)
+        return cls._from_triples(n, sample[:, 0], sample[:, 1], sample[:, 2], capped=True)
+
+    @classmethod
+    @functools.lru_cache(maxsize=TRIPLE_CAP_BATCH + 1)
+    def _full(cls, n: int) -> "TupleSets":
+        idx = np.arange(n, dtype=np.int64)
+        tu, tv, tw = (a.reshape(-1) for a in np.meshgrid(idx, idx, idx, indexing="ij"))
+        keep = (tu != tv) & (tu != tw) & (tv != tw)
+        sets = cls._from_triples(n, tu[keep], tv[keep], tw[keep], capped=False)
+        for array in (sets.pair_u, sets.pair_v, sets.head, sets.tail, sets.middle_rows):
+            array.flags.writeable = False
+        return sets
+
+    @classmethod
+    def _from_triples(cls, n: int, tu, tv, tw, capped: bool) -> "TupleSets":
+        def row(u, v):
+            return u * (n - 1) + v - (v > u)
+
+        u = np.repeat(np.arange(n, dtype=np.int64), n)
+        v = np.tile(np.arange(n, dtype=np.int64), n)
+        keep = u != v
+        pair_u, pair_v = u[keep], v[keep]
+        # Entry k of row(pair_v, pair_u) is the row of the reversed pair k.
+        middle_rows = None if capped else row(pair_v, pair_u).reshape(n, max(n - 1, 0))
+        return cls(n, pair_u, pair_v, row(tu, tv), row(tw, tv), capped, middle_rows)
 
 
 def cross_entropy(logits: Tensor, one_hot: Tensor) -> Tensor:
@@ -250,30 +265,17 @@ def distance_potentials(embeddings: Tensor, tuples: TupleSets) -> tuple[Tensor, 
     return _normalized_distances(_distances(embeddings, tuples), tuples)
 
 
-def _triple_mask(dist: np.ndarray, tuples: TupleSets) -> np.ndarray:
-    """Triples whose (u, v) and (w, v) legs are both at least COINCIDENCE_EPS long."""
-    tv = tuples.triple_v
-    return (dist[tuples.triple_u, tv] >= COINCIDENCE_EPS) & (
-        dist[tuples.triple_w, tv] >= COINCIDENCE_EPS
-    )
+def _angle_values(embeddings: Tensor, tuples: TupleSets, head, tail) -> Tensor:
+    """Cosine between the pair-row legs head[i] and tail[i] for every i.
 
-
-def _angle_values(embeddings: Tensor, tuples: TupleSets, mask: np.ndarray) -> Tensor:
-    """Cosine at the middle index of each masked triple, from per-pair legs.
-
-    Each ordered pair's leg e[u] - e[v] and its length are computed once; a
-    triple (u, v, w) reads its head leg (u, v) and tail leg (w, v) from them.
-    Pair (u, v) sits at row u*(n-1) + v - (v > u) of `TupleSets.pair_u`.
-    A full triple set takes each middle index's cosines from one Gram matrix
+    Each ordered pair's leg e[u] - e[v] and its length are computed once. A
+    full triple set takes each middle index's cosines from one Gram matrix
     of its n-1 unit legs; a sampled one gathers the two legs per triple,
     because its at most 16*15*14 triples would fill only a small part of
     the n*(n-1)*(n-1) Gram cells, whose count grows as n**3.
     """
     legs = sub(gather(embeddings, tuples.pair_u), gather(embeddings, tuples.pair_v))
     lengths = sqrt(reduce_sum(mul(legs, legs), axis=1))
-    tu, tv, tw = tuples.triple_u[mask], tuples.triple_v[mask], tuples.triple_w[mask]
-    head = tu * (tuples.n - 1) + tv - (tv > tu)
-    tail = tw * (tuples.n - 1) + tv - (tv > tw)
     return triple_cosines(legs, lengths, head, tail, tuples.middle_rows)
 
 
@@ -286,8 +288,10 @@ def angle_potentials(embeddings: Tensor, tuples: TupleSets) -> tuple[Tensor, np.
     """
     if embeddings.data.shape[0] < 3:
         raise ValueError("angle potentials need at least 3 samples")
-    valid = _triple_mask(_distances(embeddings, tuples).data, tuples)
-    return _angle_values(embeddings, tuples, valid), valid
+    dist = _distances(embeddings, tuples).data
+    long_leg = dist[tuples.pair_u, tuples.pair_v] >= COINCIDENCE_EPS
+    valid = long_leg[tuples.head] & long_leg[tuples.tail]
+    return _angle_values(embeddings, tuples, tuples.head[valid], tuples.tail[valid]), valid
 
 
 @dataclass
@@ -327,49 +331,20 @@ def relation_distill_loss(
     skipped = 0
     ad = Tensor(0.0)
     if tuples.num_triples:
-        mask = _triple_mask(dist_a.data, tuples) & _triple_mask(dist_b.data, tuples)
+        rows_u, rows_v = tuples.pair_u, tuples.pair_v
+        long_leg = (dist_a.data[rows_u, rows_v] >= COINCIDENCE_EPS) & (
+            dist_b.data[rows_u, rows_v] >= COINCIDENCE_EPS
+        )
+        mask = long_leg[tuples.head] & long_leg[tuples.tail]
         skipped = int(tuples.num_triples - mask.sum())
         if mask.any():
-            gap = sub(_angle_values(emb_a, tuples, mask), _angle_values(emb_b, tuples, mask))
+            head, tail = tuples.head[mask], tuples.tail[mask]
+            gap = sub(
+                _angle_values(emb_a, tuples, head, tail), _angle_values(emb_b, tuples, head, tail)
+            )
             ad = reduce_mean(huber_penalty(gap))
     total = add(dd, mul(ad, weights.beta1))
     return RelationLoss(total, dd, ad, collapses, skipped)
-
-
-@dataclass
-class MutualLoss:
-    """Relation penalty plus beta2 times the peer KL, peer side detached."""
-
-    total: Tensor
-    kl: Tensor
-    relation: RelationLoss
-
-
-def mutual_distill_loss(
-    outputs: ForwardOutput,
-    peer_outputs: ForwardOutput,
-    weights: LossWeights,
-    tuples: Optional[TupleSets],
-) -> MutualLoss:
-    """Peer-facing loss for the network being updated.
-
-    The peer's embedding and logits are treated as constants, so backward
-    passes only reach the updated network's parameters. The relation term
-    runs if and only if tuple sets are given.
-    """
-    if tuples is None:
-        rel = RelationLoss(Tensor(0.0), Tensor(0.0), Tensor(0.0))
-    else:
-        rel = relation_distill_loss(
-            outputs.embedding, peer_outputs.embedding.detach(), weights, tuples
-        )
-    if weights.beta2 > 0:
-        kl = kl_mutual(outputs.logits, peer_outputs.logits)
-        total = mul(kl, weights.beta2) if tuples is None else add(rel.total, mul(kl, weights.beta2))
-    else:
-        kl = Tensor(0.0)
-        total = rel.total
-    return MutualLoss(total, kl, rel)
 
 
 @dataclass
@@ -394,12 +369,14 @@ def total_loss(
     weights: LossWeights,
     tuples: Optional[TupleSets] = None,
 ) -> TotalLoss:
-    """alpha * CE + beta * mutual + gamma * self-distillation.
+    """alpha * CE + beta * (relation + beta2 * peer KL) + gamma * self-distillation.
 
-    Terms with a zero coefficient are skipped entirely, not just scaled to
-    zero, so degenerate weight settings reduce bit-for-bit to the simpler
-    training schemes they imply. The relation term runs if and only if
-    tuple sets are given. Component fields report raw (unweighted) values.
+    The peer's embedding and logits are constants, so gradients reach only
+    the network being updated. Terms with a zero coefficient are skipped
+    entirely, not just scaled to zero, so degenerate weight settings reduce
+    bit-for-bit to the simpler training schemes they imply. The relation
+    term runs if and only if tuple sets are given. Component fields report
+    raw (unweighted) values.
     """
     parts = []
     result = TotalLoss(total=Tensor(0.0))
@@ -410,13 +387,22 @@ def total_loss(
     if weights.beta > 0:
         if peer_outputs is None:
             raise ValueError("peer outputs are required when beta > 0")
-        md = mutual_distill_loss(outputs, peer_outputs, weights, tuples)
-        parts.append(mul(md.total, weights.beta))
-        result.kl_mutual = md.kl.item()
-        result.distance = md.relation.distance.item()
-        result.angle = md.relation.angle.item()
-        result.pi_collapses = md.relation.pi_collapses
-        result.triples_skipped = md.relation.triples_skipped
+        mutual = Tensor(0.0)
+        if tuples is not None:
+            rel = relation_distill_loss(
+                outputs.embedding, peer_outputs.embedding.detach(), weights, tuples
+            )
+            mutual = rel.total
+            result.distance = rel.distance.item()
+            result.angle = rel.angle.item()
+            result.pi_collapses = rel.pi_collapses
+            result.triples_skipped = rel.triples_skipped
+        if weights.beta2 > 0:
+            kl = kl_mutual(outputs.logits, peer_outputs.logits)
+            result.kl_mutual = kl.item()
+            scaled = mul(kl, weights.beta2)
+            mutual = scaled if tuples is None else add(mutual, scaled)
+        parts.append(mul(mutual, weights.beta))
     if weights.gamma > 0:
         if snapshot_logits is None:
             raise ValueError("snapshot logits are required when gamma > 0")

@@ -29,6 +29,8 @@ class NetworkConfig:
     activation: str = "relu"
 
     def __post_init__(self):
+        if not isinstance(self.hidden_dims, (list, tuple)):
+            raise ValueError("hidden_dims must be a list of layer widths")
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
         if self.input_dim < 1:
             raise ValueError("input_dim must be positive")
@@ -143,12 +145,22 @@ def save_checkpoint(net: PeerNetwork, path) -> None:
 def load_checkpoint(path) -> PeerNetwork:
     """Rebuild a trainable network from a checkpoint written by save_checkpoint.
 
-    Raises ValueError naming the parameter that the config does not have, or
-    lacks, or whose shape differs from the config's, or whose data is not
-    base64 of 8 bytes per element of its shape.
+    Raises ValueError naming the problem: a document that is not an object
+    holding `config` and `parameters` objects, an invalid config, or a
+    parameter that the config does not have or lacks, that is not an object,
+    whose shape differs from the config's, or whose data is not base64 of 8
+    bytes per element of its shape.
     """
     doc = json.loads(Path(path).read_text())
-    config = NetworkConfig(**doc["config"])
+    if not isinstance(doc, dict):
+        raise ValueError(f"checkpoint root is a {type(doc).__name__}, not an object")
+    for key in ("config", "parameters"):
+        if not isinstance(doc.get(key), dict):
+            raise ValueError(f"checkpoint '{key}' is missing or not an object")
+    try:
+        config = NetworkConfig(**doc["config"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint config: {exc}") from None
     dims = config.layer_dims
     expected = {}
     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
@@ -162,12 +174,14 @@ def load_checkpoint(path) -> PeerNetwork:
         if name not in stored:
             raise ValueError(f"checkpoint parameter '{name}': missing, config needs shape {shape}")
         entry = stored[name]
-        if entry["shape"] != shape:
+        if not isinstance(entry, dict):
+            raise ValueError(f"checkpoint parameter '{name}': not an object")
+        if entry.get("shape") != shape:
             raise ValueError(
-                f"checkpoint parameter '{name}': shape {entry['shape']}, config needs {shape}"
+                f"checkpoint parameter '{name}': shape {entry.get('shape')}, config needs {shape}"
             )
         try:
-            raw = base64.b64decode(entry["data"], validate=True)
+            raw = base64.b64decode(entry.get("data"), validate=True)
         except (TypeError, ValueError):
             raise ValueError(f"checkpoint parameter '{name}': data is not base64 text") from None
         needed = 8 * math.prod(shape)

@@ -22,13 +22,7 @@ import numpy as np
 
 from .autodiff import AutodiffError, Tensor, backward
 from .data import Dataset, batch_iterator
-from .losses import (
-    TRIPLE_CAP_BATCH,
-    LossWeights,
-    TotalLoss,
-    TupleSets,
-    total_loss,
-)
+from .losses import LossWeights, TotalLoss, TupleSets, total_loss
 from .models import PeerNetwork
 
 logger = logging.getLogger(__name__)
@@ -285,9 +279,7 @@ def _train_epochs(
                 b = len(batch)
                 tuples = None
                 if need_tuples:
-                    rng = None
-                    if b > TRIPLE_CAP_BATCH:
-                        rng = np.random.default_rng([config.seed, shuffle_epoch, batch_index])
+                    rng = np.random.default_rng([config.seed, shuffle_epoch, batch_index])
                     tuples = TupleSets.build(b, rng=rng)
                     if b < 3:
                         logger.debug(

@@ -13,7 +13,7 @@ The oracles deliberately share no code with the implementations they check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -45,7 +45,6 @@ from .losses import (
     TupleSets,
     cross_entropy,
     kl_mutual,
-    mutual_distill_loss,
     relation_distill_loss,
     self_distill_kl,
     total_loss,
@@ -286,8 +285,9 @@ def loss_builders(scn: GradScenario) -> dict[str, Callable[[], Tensor]]:
         "relation_loss": lambda: relation_distill_loss(
             scn.net.forward(scn.x).embedding, peer_out().embedding.detach(), w, scn.tuples
         ).total,
-        "mutual_loss": lambda: mutual_distill_loss(
-            scn.net.forward(scn.x), peer_out(), w, scn.tuples
+        "mutual_loss": lambda: total_loss(
+            scn.net.forward(scn.x), peer_out(), None, scn.one_hot,
+            replace(w, alpha=0.0, gamma=0.0), scn.tuples,
         ).total,
         "total_objective": lambda: total_loss(
             scn.net.forward(scn.x), peer_out(), scn.snapshot.forward(scn.x).logits,
@@ -485,7 +485,7 @@ def check_lr_schedule() -> None:
 def check_determinism_replay() -> None:
     train = synth_blobs(3, 12, 2, 0.5, seed=5)
     test = synth_blobs(3, 6, 2, 0.5, seed=6)
-    (train, test), _ = mean_std_normalize(train, [test])
+    train, test = mean_std_normalize(train, [test])
     config = TrainConfig(
         stage1_epochs=1,
         stage2_epochs=2,

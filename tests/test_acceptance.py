@@ -116,7 +116,7 @@ def test_criterion_4_analytic_loss_values():
 def _reduction_fixture():
     train = synth_blobs(3, 8, 2, 0.5, seed=50)
     test = synth_blobs(3, 4, 2, 0.5, seed=51)
-    (train, test), _ = mean_std_normalize(train, [test])
+    train, test = mean_std_normalize(train, [test])
     return train, test
 
 

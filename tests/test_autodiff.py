@@ -36,7 +36,7 @@ class TestTensorBasics:
     def test_data_is_float64(self):
         t = Tensor([[1, 2], [3, 4]])
         assert t.data.dtype == np.float64
-        assert t.shape == (2, 2)
+        assert t.data.shape == (2, 2)
         assert not t.requires_grad
 
     def test_item_requires_scalar(self):
@@ -68,13 +68,21 @@ class TestArithmetic:
         np.testing.assert_array_equal(div(b, a).data, [[5.0, 3.0], [7.0 / 3.0, 2.0]])
 
     def test_scalar_and_size_one_operands(self):
-        a = Tensor([[2.0, 4.0]])
-        np.testing.assert_array_equal(add(a, 1.5).data, [[3.5, 5.5]])
-        s = Tensor(2.0, requires_grad=True)
-        out = reduce_sum(mul(a, s))
-        backward(out)
-        assert s.grad.shape == ()
-        assert s.grad == 6.0
+        a = Tensor([[2.0, 4.0]], requires_grad=True)
+        backward(reduce_sum(mul(a, 1.5)))
+        np.testing.assert_array_equal(a.grad, [[1.5, 1.5]])
+        np.testing.assert_array_equal(div(a, 2.0).data, [[1.0, 2.0]])
+        np.testing.assert_array_equal(div(a, Tensor([4.0])).data, [[0.5, 1.0]])
+        # add and sub take only equal-shape tensors; mul no size-one tensor.
+        for op in (add, sub):
+            with pytest.raises(TypeError, match=f"{op.__name__}: expected a Tensor, got float"):
+                op(a, 1.5)
+        for op in (add, sub, mul):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                op(a, Tensor(2.0))
+        with pytest.raises(TypeError, match="mul: expected a Tensor or a number, got str"):
+            mul(a, "2")
+        assert not hasattr(a, "shape")
 
     def test_size_one_divisor_gradient(self):
         a = Tensor([[2.0, 4.0]], requires_grad=True)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from distilforge.data import (
+    STD_FLOOR,
     Dataset,
     batch_iterator,
     load_csv,
@@ -58,7 +59,7 @@ class TestDataset:
 class TestSynthBlobs:
     def test_shapes_and_labels(self):
         ds = synth_blobs(3, 10, 4, 0.5, seed=0)
-        assert ds.features.shape == (30, 4)
+        assert ds.features.data.shape == (30, 4)
         np.testing.assert_array_equal(ds.labels, np.repeat([0, 1, 2], 10))
         assert ds.num_classes == 3
 
@@ -130,7 +131,7 @@ class TestBlobsSeparationRegression:
     def test_probe_and_network_bounds(self):
         train = synth_blobs(3, 100, 2, 0.5, seed=7)
         test = synth_blobs(3, 100, 2, 0.5, seed=8)
-        (train, test), _ = mean_std_normalize(train, [test])
+        train, test = mean_std_normalize(train, [test])
 
         probe_train, probe_test = self._fit_linear_probe(train, test)
         assert probe_train >= 0.99
@@ -156,7 +157,7 @@ class TestBlobsSeparationRegression:
         # noise overlaps the class gaps; observed 0.9567/0.9133 at spread 1.5.
         train = synth_blobs(3, 100, 2, 1.5, seed=7)
         test = synth_blobs(3, 100, 2, 1.5, seed=8)
-        (train, test), _ = mean_std_normalize(train, [test])
+        train, test = mean_std_normalize(train, [test])
         probe_train, probe_test = self._fit_linear_probe(train, test)
         assert probe_train < 1.0
         assert probe_test < 1.0
@@ -165,25 +166,28 @@ class TestBlobsSeparationRegression:
 class TestNormalize:
     def test_train_becomes_standard(self):
         ds = synth_blobs(3, 40, 3, 1.5, seed=4)
-        (norm,), stats = mean_std_normalize(ds)
+        (norm,) = mean_std_normalize(ds)
+        assert norm.features.data.shape == (120, 3)
         np.testing.assert_allclose(norm.features.data.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(norm.features.data.std(axis=0), 1.0, atol=1e-12)
-        assert stats.mean.shape == (3,)
 
     def test_train_stats_applied_to_others(self):
         train = Dataset(Tensor(np.array([[0.0], [2.0]])), np.array([0, 1]), 2)
         test = Dataset(Tensor(np.array([[4.0]])), np.array([0]), 2)
-        (ntrain, ntest), stats = mean_std_normalize(train, [test])
-        # mean 1, population std 1: the test point maps to (4 - 1) / 1 = 3.
-        assert stats.mean[0] == 1.0 and stats.std[0] == 1.0
+        ntrain, ntest = mean_std_normalize(train, [test])
+        # mean 1, population std 1: the test point maps to (4 - 1) / 1 = 3,
+        # where its own statistics would map it to 0.
         np.testing.assert_array_equal(ntest.features.data, [[3.0]])
         np.testing.assert_array_equal(ntrain.features.data, [[-1.0], [1.0]])
 
     def test_constant_feature_floored_not_divided_by_zero(self):
         train = Dataset(Tensor(np.array([[5.0, 1.0], [5.0, 3.0]])), np.array([0, 1]), 2)
-        (norm,), stats = mean_std_normalize(train)
+        test = Dataset(Tensor(np.array([[5.0 + 4e-9, 2.0]])), np.array([0]), 2)
+        norm, ntest = mean_std_normalize(train, [test])
         assert np.isfinite(norm.features.data).all()
         np.testing.assert_array_equal(norm.features.data[:, 0], [0.0, 0.0])
+        # The std of the constant feature is floored at STD_FLOOR, not 0.
+        np.testing.assert_allclose(ntest.features.data[0, 0], 4e-9 / STD_FLOOR, rtol=1e-6)
 
     @pytest.mark.parametrize("scale", [1e160, 1e200])
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -197,7 +201,7 @@ class TestNormalize:
 
     def test_labels_and_metadata_survive(self):
         ds = synth_blobs(2, 3, 2, 0.5, seed=5)
-        (norm,), _ = mean_std_normalize(ds)
+        (norm,) = mean_std_normalize(ds)
         np.testing.assert_array_equal(norm.labels, ds.labels)
         assert norm.num_classes == ds.num_classes
         assert norm.name == ds.name
@@ -210,7 +214,7 @@ class TestLoadIdx:
         labels = np.array([0, 1, 2, 1, 0], dtype=np.uint8)
         ipath, lpath = write_idx(tmp_path, images, labels)
         ds = load_idx(ipath, lpath)
-        assert ds.features.shape == (5, 6)
+        assert ds.features.data.shape == (5, 6)
         assert ds.num_classes == 3
         np.testing.assert_allclose(
             ds.features.data, images.reshape(5, 6).astype(float) / 255.0

@@ -312,7 +312,7 @@ class TestBuildDatasets:
                 "test_images": str(tipath), "test_labels": str(tlpath),
             }
         )
-        assert train.features.shape == (6, 4)
+        assert train.features.data.shape == (6, 4)
         assert train.num_classes == test.num_classes == 3
 
     def test_load_errors_become_config_errors(self, tmp_path):

@@ -1,5 +1,6 @@
 """Loss-term tests built around independent scalar oracles and hand values."""
 
+import dataclasses
 import itertools
 import math
 
@@ -16,7 +17,6 @@ from distilforge.losses import (
     distance_potentials,
     huber,
     kl_mutual,
-    mutual_distill_loss,
     relation_distill_loss,
     self_distill_kl,
     total_loss,
@@ -57,6 +57,11 @@ E4B = np.array(
 )
 FROZEN_DD_E4 = 0.1408572336432885
 FROZEN_AD_E4 = 0.08453028038141203
+
+
+def decode_triples(tuples):
+    """(u, v, w) of every triple, read back through the pair rows of its two legs."""
+    return tuples.pair_u[tuples.head], tuples.pair_v[tuples.head], tuples.pair_u[tuples.tail]
 
 
 def one_hot(labels, m):
@@ -102,29 +107,47 @@ class TestTupleSets:
 
     def test_triples_are_distinct_indices(self):
         t = TupleSets.build(5)
-        trip = set(zip(t.triple_u.tolist(), t.triple_v.tolist(), t.triple_w.tolist()))
-        assert len(trip) == 60
-        for u, v, w in trip:
-            assert len({u, v, w}) == 3
+        trip = set(zip(*(a.tolist() for a in decode_triples(t))))
+        assert trip == set(itertools.permutations(range(5), 3))
+
+    @pytest.mark.parametrize("n", [5, 16, 17, 32])
+    def test_head_and_tail_legs_share_the_middle_index(self, n):
+        t = TupleSets.build(n, rng=np.random.default_rng(n))
+        assert t.head.shape == t.tail.shape == (t.num_triples,)
+        assert np.array_equal(t.pair_v[t.tail], t.pair_v[t.head])
+        u, v, w = decode_triples(t)
+        assert u.min() >= 0 and max(u.max(), v.max(), w.max()) < n
+        assert ((u != v) & (u != w) & (v != w)).all()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 16])
+    def test_full_sets_are_built_once_and_read_only(self, n):
+        t = TupleSets.build(n)
+        assert TupleSets.build(n, rng=np.random.default_rng(1)) is t
+        for array in (t.pair_u, t.pair_v, t.head, t.tail, t.middle_rows):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    def test_capped_sets_are_built_per_rng(self):
+        a = TupleSets.build(17, rng=np.random.default_rng(0))
+        b = TupleSets.build(17, rng=np.random.default_rng(0))
+        assert a is not b and a.head is not b.head
+        assert a.head.flags.writeable
+        np.testing.assert_array_equal(a.head, b.head)
 
     def test_large_batch_subsamples(self):
         t = TupleSets.build(17, rng=np.random.default_rng(0))
         assert t.capped
         assert t.num_pairs == 17 * 16
         assert t.num_triples == 3360
-        stacked = np.stack([t.triple_u, t.triple_v, t.triple_w], axis=1)
-        assert stacked.min() >= 0 and stacked.max() < 17
-        assert (stacked[:, 0] != stacked[:, 1]).all()
-        assert (stacked[:, 0] != stacked[:, 2]).all()
-        assert (stacked[:, 1] != stacked[:, 2]).all()
 
     def test_subsample_is_seed_deterministic(self):
         a = TupleSets.build(20, rng=np.random.default_rng(5))
         b = TupleSets.build(20, rng=np.random.default_rng(5))
         c = TupleSets.build(20, rng=np.random.default_rng(6))
-        np.testing.assert_array_equal(a.triple_u, b.triple_u)
-        np.testing.assert_array_equal(a.triple_w, b.triple_w)
-        assert not np.array_equal(a.triple_u, c.triple_u)
+        np.testing.assert_array_equal(a.head, b.head)
+        np.testing.assert_array_equal(a.tail, b.tail)
+        assert not np.array_equal(a.head, c.head)
 
     def test_large_batch_requires_rng(self):
         with pytest.raises(ValueError, match="rng"):
@@ -281,7 +304,7 @@ class TestAnglePotentials:
         assert valid.all()
         # Vertex 1 sees a right angle; vertices 0 and 2 see 45 degrees.
         expected = {1: 0.0, 0: math.cos(math.pi / 4), 2: math.cos(math.pi / 4)}
-        for v, got in zip(tuples.triple_v, vals.data):
+        for v, got in zip(decode_triples(tuples)[1], vals.data):
             assert abs(got - expected[int(v)]) < 1e-12
 
     def test_range_bound(self):
@@ -297,7 +320,7 @@ class TestAnglePotentials:
         vals, valid = angle_potentials(Tensor(e), TupleSets.build(4))
         assert not valid.all()
         tuples = TupleSets.build(4)
-        for u, v, ok in zip(tuples.triple_u, tuples.triple_v, valid):
+        for u, v, _, ok in zip(*decode_triples(tuples), valid):
             if {int(u), int(v)} == {0, 1}:
                 assert not ok
 
@@ -316,8 +339,10 @@ class TestAnglePotentials:
         assert tuples.capped == (n > 16)
         vals, valid = angle_potentials(Tensor(e), tuples)
         assert valid.all() != coincident
-        tu, tv, tw = tuples.triple_u[valid], tuples.triple_v[valid], tuples.triple_w[valid]
-        head, tail = e[tu] - e[tv], e[tw] - e[tv]
+        rows_u, rows_v = tuples.pair_u, tuples.pair_v
+        head_rows, tail_rows = tuples.head[valid], tuples.tail[valid]
+        head = e[rows_u[head_rows]] - e[rows_v[head_rows]]
+        tail = e[rows_u[tail_rows]] - e[rows_v[tail_rows]]
         norm_head = np.sqrt((head * head).sum(axis=1))
         norm_tail = np.sqrt((tail * tail).sum(axis=1))
         formula = (head * tail).sum(axis=1) / norm_head / norm_tail
@@ -340,9 +365,7 @@ class TestTripleCosines:
         tuples = TupleSets.build(n, rng)
         legs = e[tuples.pair_u] - e[tuples.pair_v]
         lengths = np.sqrt((legs * legs).sum(axis=1))
-        tu, tv, tw = tuples.triple_u, tuples.triple_v, tuples.triple_w
-        head = tu * (n - 1) + tv - (tv > tu)
-        tail = tw * (n - 1) + tv - (tv > tw)
+        head, tail = tuples.head, tuples.tail
         keep = (lengths[head] >= COINCIDENCE_EPS) & (lengths[tail] >= COINCIDENCE_EPS)
         assert keep.all() != coincident
         head, tail = head[keep], tail[keep]
@@ -491,6 +514,10 @@ class TestRelationLoss:
 
 
 class TestMutualLoss:
+    """total_loss with alpha = gamma = 0 is beta times the mutual term alone."""
+
+    MUTUAL_ONLY = LossWeights(alpha=0.0, gamma=0.0)
+
     def _outputs(self, seed, n=4, m=3, d=5):
         rng = np.random.default_rng(seed)
         return ForwardOutput(
@@ -498,40 +525,46 @@ class TestMutualLoss:
             logits=Tensor(rng.uniform(-1.0, 1.0, (n, m)), requires_grad=True),
         )
 
+    def _mutual(self, a, b, tuples, weights=MUTUAL_ONLY):
+        return total_loss(a, b, None, Tensor(np.eye(4, 3)), weights, tuples)
+
     def test_combines_relation_and_kl(self):
         a, b = self._outputs(34), self._outputs(35)
-        w = LossWeights()
-        md = mutual_distill_loss(a, b, w, TupleSets.build(4))
-        expected = md.relation.total.item() + w.beta2 * md.kl.item()
-        assert abs(md.total.item() - expected) < 1e-12
-        assert md.kl.item() == kl_mutual(a.logits, b.logits).item()
+        w = self.MUTUAL_ONLY
+        tl = self._mutual(a, b, TupleSets.build(4))
+        rel = relation_distill_loss(a.embedding, b.embedding.detach(), w, TupleSets.build(4))
+        assert tl.kl_mutual == kl_mutual(a.logits, b.logits).item()
+        expected = w.beta * (rel.total.item() + w.beta2 * tl.kl_mutual)
+        assert abs(tl.total.item() - expected) < 1e-12
+        assert tl.ce == 0.0 and tl.self_distill == 0.0
 
     def test_zero_beta2_skips_kl(self):
         a, b = self._outputs(36), self._outputs(37)
-        md = mutual_distill_loss(a, b, LossWeights(beta2=0.0), TupleSets.build(4))
-        assert md.kl.item() == 0.0
-        assert md.total.item() == md.relation.total.item()
+        w = dataclasses.replace(self.MUTUAL_ONLY, beta2=0.0)
+        tl = self._mutual(a, b, TupleSets.build(4), w)
+        rel = relation_distill_loss(a.embedding, b.embedding.detach(), w, TupleSets.build(4))
+        assert tl.kl_mutual == 0.0
+        assert tl.total.data == mul(rel.total, w.beta).data
 
     def test_relation_off_leaves_kl_only(self):
         a, b = self._outputs(38), self._outputs(39)
-        w = LossWeights()
-        md = mutual_distill_loss(a, b, w, None)
-        assert md.relation.total.item() == 0.0
-        assert md.total.data == mul(kl_mutual(a.logits, b.logits), w.beta2).data
+        w = self.MUTUAL_ONLY
+        tl = self._mutual(a, b, None)
+        assert tl.distance == 0.0 and tl.angle == 0.0
+        assert tl.total.data == mul(mul(kl_mutual(a.logits, b.logits), w.beta2), w.beta).data
 
     def test_relation_runs_only_with_tuples(self):
         a, b = self._outputs(40), self._outputs(41)
-        backward(mutual_distill_loss(a, b, LossWeights(), None).total)
+        backward(self._mutual(a, b, None).total)
         assert a.embedding.grad is None
-        md = mutual_distill_loss(a, b, LossWeights(), TupleSets.build(4))
-        assert md.relation.total.item() > 0.0
-        backward(md.total)
+        tl = self._mutual(a, b, TupleSets.build(4))
+        assert tl.distance > 0.0
+        backward(tl.total)
         assert a.embedding.grad is not None
 
     def test_peer_gets_no_gradient(self):
         a, b = self._outputs(42), self._outputs(43)
-        md = mutual_distill_loss(a, b, LossWeights(), TupleSets.build(4))
-        backward(md.total)
+        backward(self._mutual(a, b, TupleSets.build(4)).total)
         assert a.embedding.grad is not None
         assert a.logits.grad is not None
         assert b.embedding.grad is None
@@ -554,10 +587,12 @@ class TestTotalLoss:
         tuples = TupleSets.build(5)
         out, pout, sout = net.forward(x), peer.forward(x), snap.forward(x)
         tl = total_loss(out, pout, sout.logits, labels, w, tuples)
-        md = mutual_distill_loss(out, pout, w, tuples)
+        mutual = total_loss(
+            out, pout, None, labels, dataclasses.replace(w, alpha=0.0, gamma=0.0), tuples
+        )
         expected = (
             w.alpha * cross_entropy(out.logits, labels).item()
-            + w.beta * md.total.item()
+            + mutual.total.item()
             + w.gamma * self_distill_kl(out.logits, sout.logits, w.temperature).item()
         )
         assert abs(tl.total.item() - expected) < 1e-12

@@ -83,8 +83,8 @@ class TestForward:
         config = NetworkConfig(3, (7, 5), 4, init_seed=1)
         net = init_network(config)
         out = net.forward(Tensor(np.zeros((2, 3))))
-        assert out.embedding.shape == (2, 5)
-        assert out.logits.shape == (2, 4)
+        assert out.embedding.data.shape == (2, 5)
+        assert out.logits.data.shape == (2, 4)
 
     def test_input_shape_validated(self):
         net = hand_network()
@@ -229,4 +229,25 @@ class TestCheckpoint:
         edit(doc["parameters"])
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"parameter '{name}': .*{reason}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda doc: [doc], "checkpoint root is a list, not an object"),
+            (lambda doc: {"config": doc["config"]}, "'parameters' is missing or not an object"),
+            (lambda doc: dict(doc, config=dict(doc["config"], bogus=1)),
+             "checkpoint config: .*unexpected keyword argument 'bogus'"),
+            (lambda doc: dict(doc, config=dict(doc["config"], hidden_dims=5)),
+             "checkpoint config: hidden_dims must be a list"),
+            (lambda doc: dict(doc, parameters=dict(doc["parameters"], w0=[1.0, 0.0])),
+             "parameter 'w0': not an object"),
+        ],
+        ids=["root_list", "no_parameters", "unknown_config_key", "hidden_dims_int", "entry_list"],
+    )
+    def test_malformed_document_is_a_value_error(self, tmp_path, edit, reason):
+        path = tmp_path / "net.json"
+        save_checkpoint(hand_network(), path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match=reason):
             load_checkpoint(path)

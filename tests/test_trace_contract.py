@@ -6,11 +6,13 @@ child on tiny demo-like configs, so an engine or loss change that stops
 calling a listed op fails here, in the unit tests, and not only in the
 benchmark. Batch 17 makes the relation term subsample (cap) its triples, as
 the demo's batch 32 does; the ablation at batch 16 takes every triple, as
-the `ablate_small` workload does.
+the `ablate_small` workload does. Variant D at batch 17 has no relation term
+and must leave every relation layer idle, as the `wide_idx` workload does.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -51,3 +53,14 @@ def test_traced_full_triple_ablation_keeps_the_layer_contract(tmp_path):
     traced = traced_run(tmp_path, "ablate", {"batch_size": 16, "update_order": "simultaneous"})
     assert traced.result["trace"]["counters"]["losses.triples_used"] > 0
     assert run.layer_activity_errors(traced, run.WORKLOADS["ablate_small"]) == []
+
+
+def test_traced_variant_d_run_keeps_the_relation_layers_idle(tmp_path):
+    traced = traced_run(tmp_path, "run", {"batch_size": 17, "variant": "D"})
+    # The wide_idx contract on blob data: synth_blobs runs and load_idx does not.
+    contract = dataclasses.replace(
+        run.WORKLOADS["wide_idx"],
+        active=run._ALWAYS,
+        idle=run._RELATION + ("losses.tuple_sets.capped",),
+    )
+    assert run.layer_activity_errors(traced, contract) == []

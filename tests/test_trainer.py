@@ -30,7 +30,7 @@ from distilforge.trainer import (
 def tiny_datasets(seed=0, per_class=8, test_per_class=4):
     train = synth_blobs(3, per_class, 2, 0.5, seed=seed)
     test = synth_blobs(3, test_per_class, 2, 0.5, seed=seed + 1)
-    (train, test), _ = mean_std_normalize(train, [test])
+    train, test = mean_std_normalize(train, [test])
     return train, test
 
 
