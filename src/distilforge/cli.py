@@ -40,19 +40,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="train one experiment from a JSON config")
-    run_p.add_argument("config", help="path to the experiment config")
-    run_p.add_argument("--out", help="output directory (overrides the config)")
-    run_p.add_argument(
-        "--overwrite", action="store_true", help="replace existing run outputs"
-    )
-
-    abl_p = sub.add_parser("ablate", help="train every variant and compare them")
-    abl_p.add_argument("config", help="path to the experiment config")
-    abl_p.add_argument("--out", help="output directory (overrides the config)")
-    abl_p.add_argument(
-        "--overwrite", action="store_true", help="replace existing run outputs"
-    )
+    for name, help_text in (
+        ("run", "train one experiment from a JSON config"),
+        ("ablate", "train every variant and compare them"),
+    ):
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("config", help="path to the experiment config")
+        command.add_argument("--out", help="output directory (overrides the config)")
+        command.add_argument(
+            "--overwrite", action="store_true", help="replace existing run outputs"
+        )
 
     sub.add_parser("verify", help="run the built-in property and oracle checks")
     return parser

@@ -156,7 +156,7 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric value") from None
             label = values[-1]
-            if label != int(label):
+            if not (np.isfinite(label) and abs(label) < 2**63 and label == int(label)):
                 raise ValueError(f"{path}:{lineno}: label column must hold integers")
             feats.append(values[:-1])
             labels.append(int(label))

@@ -28,6 +28,7 @@ import numpy as np
 from .data import Dataset, load_csv, load_idx, mean_std_normalize, synth_blobs
 from .models import NetworkConfig, init_network, save_checkpoint
 from .trainer import (
+    VARIANTS,
     TrainConfig,
     evaluate_top1,
     metrics_to_csv,
@@ -127,10 +128,10 @@ def load_experiment_config(path) -> ExperimentConfig:
     """Parse and validate a JSON experiment config file."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file cannot be read: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
@@ -373,7 +374,7 @@ def run_ablation(config: ExperimentConfig, out_dir=None, overwrite: bool = False
 def _run_variants(config: ExperimentConfig, out: Path) -> dict:
     summaries: dict[str, dict] = {}
     rows = [ABLATION_CSV_HEADER]
-    for variant in ("A", "B", "C", "D"):
+    for variant in VARIANTS:
         vconfig = dataclasses.replace(
             config,
             train=dataclasses.replace(config.train, variant=variant),

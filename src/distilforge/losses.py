@@ -119,8 +119,11 @@ class TupleSets:
     pair_v: np.ndarray
     head: np.ndarray
     tail: np.ndarray
-    capped: bool = False
     middle_rows: Optional[np.ndarray] = None
+
+    @property
+    def capped(self) -> bool:
+        return self.middle_rows is None
 
     @property
     def num_pairs(self) -> int:
@@ -175,7 +178,7 @@ class TupleSets:
         pair_u, pair_v = u[keep], v[keep]
         # Entry k of row(pair_v, pair_u) is the row of the reversed pair k.
         middle_rows = None if capped else row(pair_v, pair_u).reshape(n, max(n - 1, 0))
-        return cls(n, pair_u, pair_v, row(tu, tv), row(tw, tv), capped, middle_rows)
+        return cls(n, pair_u, pair_v, row(tu, tv), row(tw, tv), middle_rows)
 
 
 def cross_entropy(logits: Tensor, one_hot: Tensor) -> Tensor:
@@ -194,8 +197,12 @@ def cross_entropy(logits: Tensor, one_hot: Tensor) -> Tensor:
     return mul(reduce_mean(picked), -1.0)
 
 
-def _kl_softened(student_logits: Tensor, teacher_data: np.ndarray, t: float) -> Tensor:
-    teacher = Tensor(teacher_data)
+def _kl_softened(student_logits: Tensor, teacher_logits: Tensor, t: float) -> Tensor:
+    if student_logits.data.shape != teacher_logits.data.shape:
+        raise ValueError(
+            f"logit shapes differ: {student_logits.data.shape} vs {teacher_logits.data.shape}"
+        )
+    teacher = Tensor(teacher_logits.data)
     q = softmax_with_temperature(teacher, t)
     log_q = log_softmax_with_temperature(teacher, t)
     log_p = log_softmax_with_temperature(student_logits, t)
@@ -209,11 +216,7 @@ def kl_mutual(student_logits: Tensor, teacher_logits: Tensor) -> Tensor:
     The first argument is the network being updated: it sits in the log
     denominator. The teacher side is a constant; no gradient reaches it.
     """
-    if student_logits.data.shape != teacher_logits.data.shape:
-        raise ValueError(
-            f"logit shapes differ: {student_logits.data.shape} vs {teacher_logits.data.shape}"
-        )
-    return _kl_softened(student_logits, teacher_logits.data, 1.0)
+    return _kl_softened(student_logits, teacher_logits, 1.0)
 
 
 def self_distill_kl(student_logits: Tensor, teacher_logits: Tensor, t: float) -> Tensor:
@@ -223,11 +226,7 @@ def self_distill_kl(student_logits: Tensor, teacher_logits: Tensor, t: float) ->
     """
     if not (np.isfinite(t) and t > 0):
         raise ValueError("temperature must be positive")
-    if student_logits.data.shape != teacher_logits.data.shape:
-        raise ValueError(
-            f"logit shapes differ: {student_logits.data.shape} vs {teacher_logits.data.shape}"
-        )
-    return _kl_softened(student_logits, teacher_logits.data, float(t))
+    return _kl_softened(student_logits, teacher_logits, float(t))
 
 
 def huber(a: float, b: float) -> float:
@@ -238,20 +237,36 @@ def huber(a: float, b: float) -> float:
     return d - 0.5
 
 
-def _distances(embeddings: Tensor, tuples: TupleSets) -> Tensor:
+def _geometry(embeddings: Tensor, tuples: TupleSets) -> tuple[Tensor, bool, np.ndarray]:
+    """One side's pair geometry, read from a single pairwise_l2 matrix.
+
+    Returns (distance potentials, degenerate, long_leg), where long_leg
+    flags each pair row whose distance is at least COINCIDENCE_EPS.
+    """
     n = embeddings.data.shape[0]
     if tuples.n != n:
         raise ValueError(f"tuple sets built for batch {tuples.n}, embeddings have {n} rows")
-    return pairwise_l2(embeddings)
-
-
-def _normalized_distances(dist: Tensor, tuples: TupleSets) -> tuple[Tensor, bool]:
-    n = tuples.n
+    dist = pairwise_l2(embeddings)
+    long_leg = dist.data[tuples.pair_u, tuples.pair_v] >= COINCIDENCE_EPS
     mean_dist = div(reduce_sum(dist), float(tuples.num_pairs))
     if mean_dist.item() < MEAN_DISTANCE_EPS:
-        return Tensor(np.zeros(tuples.num_pairs)), True
+        return Tensor(np.zeros(tuples.num_pairs)), True, long_leg
     flat = reshape(dist, (n * n,))
-    return div(gather(flat, tuples.pair_u * n + tuples.pair_v), mean_dist), False
+    return div(gather(flat, tuples.pair_u * n + tuples.pair_v), mean_dist), False, long_leg
+
+
+def _cosines(embeddings: Tensor, tuples: TupleSets, valid: np.ndarray) -> Tensor:
+    """Cosine between the pair-row legs head[i] and tail[i] of every valid triple.
+
+    Each ordered pair's leg e[u] - e[v] and its length are computed once. A
+    full triple set takes each middle index's cosines from one Gram matrix
+    of its n-1 unit legs; a sampled one gathers the two legs per triple,
+    because its at most 16*15*14 triples would fill only a small part of
+    the n*(n-1)*(n-1) Gram cells, whose count grows as n**3.
+    """
+    legs = sub(gather(embeddings, tuples.pair_u), gather(embeddings, tuples.pair_v))
+    lengths = sqrt(reduce_sum(mul(legs, legs), axis=1))
+    return triple_cosines(legs, lengths, tuples.head[valid], tuples.tail[valid], tuples.middle_rows)
 
 
 def distance_potentials(embeddings: Tensor, tuples: TupleSets) -> tuple[Tensor, bool]:
@@ -262,21 +277,7 @@ def distance_potentials(embeddings: Tensor, tuples: TupleSets) -> tuple[Tensor, 
     zeros (zero gradient) and the flag is set. Otherwise the potentials mean
     to exactly 1 up to floating point.
     """
-    return _normalized_distances(_distances(embeddings, tuples), tuples)
-
-
-def _angle_values(embeddings: Tensor, tuples: TupleSets, head, tail) -> Tensor:
-    """Cosine between the pair-row legs head[i] and tail[i] for every i.
-
-    Each ordered pair's leg e[u] - e[v] and its length are computed once. A
-    full triple set takes each middle index's cosines from one Gram matrix
-    of its n-1 unit legs; a sampled one gathers the two legs per triple,
-    because its at most 16*15*14 triples would fill only a small part of
-    the n*(n-1)*(n-1) Gram cells, whose count grows as n**3.
-    """
-    legs = sub(gather(embeddings, tuples.pair_u), gather(embeddings, tuples.pair_v))
-    lengths = sqrt(reduce_sum(mul(legs, legs), axis=1))
-    return triple_cosines(legs, lengths, head, tail, tuples.middle_rows)
+    return _geometry(embeddings, tuples)[:2]
 
 
 def angle_potentials(embeddings: Tensor, tuples: TupleSets) -> tuple[Tensor, np.ndarray]:
@@ -288,10 +289,9 @@ def angle_potentials(embeddings: Tensor, tuples: TupleSets) -> tuple[Tensor, np.
     """
     if embeddings.data.shape[0] < 3:
         raise ValueError("angle potentials need at least 3 samples")
-    dist = _distances(embeddings, tuples).data
-    long_leg = dist[tuples.pair_u, tuples.pair_v] >= COINCIDENCE_EPS
+    long_leg = _geometry(embeddings, tuples)[2]
     valid = long_leg[tuples.head] & long_leg[tuples.tail]
-    return _angle_values(embeddings, tuples, tuples.head[valid], tuples.tail[valid]), valid
+    return _cosines(embeddings, tuples, valid), valid
 
 
 @dataclass
@@ -321,28 +321,18 @@ def relation_distill_loss(
         )
     if emb_a.data.shape[0] < 2:
         return RelationLoss(Tensor(0.0), Tensor(0.0), Tensor(0.0))
-    # One distance matrix per side feeds both the potentials and the triple mask.
-    dist_a, dist_b = _distances(emb_a, tuples), _distances(emb_b, tuples)
-    pots_a, degenerate_a = _normalized_distances(dist_a, tuples)
-    pots_b, degenerate_b = _normalized_distances(dist_b, tuples)
+    pots_a, degenerate_a, long_a = _geometry(emb_a, tuples)
+    pots_b, degenerate_b, long_b = _geometry(emb_b, tuples)
     dd = reduce_mean(huber_penalty(sub(pots_a, pots_b)))
     collapses = int(degenerate_a) + int(degenerate_b)
 
-    skipped = 0
     ad = Tensor(0.0)
-    if tuples.num_triples:
-        rows_u, rows_v = tuples.pair_u, tuples.pair_v
-        long_leg = (dist_a.data[rows_u, rows_v] >= COINCIDENCE_EPS) & (
-            dist_b.data[rows_u, rows_v] >= COINCIDENCE_EPS
-        )
-        mask = long_leg[tuples.head] & long_leg[tuples.tail]
-        skipped = int(tuples.num_triples - mask.sum())
-        if mask.any():
-            head, tail = tuples.head[mask], tuples.tail[mask]
-            gap = sub(
-                _angle_values(emb_a, tuples, head, tail), _angle_values(emb_b, tuples, head, tail)
-            )
-            ad = reduce_mean(huber_penalty(gap))
+    long_leg = long_a & long_b
+    valid = long_leg[tuples.head] & long_leg[tuples.tail]
+    skipped = int(tuples.num_triples - valid.sum())
+    if valid.any():
+        gap = sub(_cosines(emb_a, tuples, valid), _cosines(emb_b, tuples, valid))
+        ad = reduce_mean(huber_penalty(gap))
     total = add(dd, mul(ad, weights.beta1))
     return RelationLoss(total, dd, ad, collapses, skipped)
 

@@ -1,5 +1,6 @@
 """Dataset loading, synthesis, normalization, and batching."""
 
+import re
 import struct
 
 import numpy as np
@@ -308,6 +309,14 @@ class TestLoadCsv:
         ragged.write_text("f0,f1,label\n1.0,2.0,0\n1.0,1\n")
         with pytest.raises(ValueError, match="inconsistent"):
             load_csv(ragged)
+
+    @pytest.mark.parametrize("label", ["inf", "-inf", "nan", "1e300", "9223372036854775808"])
+    def test_label_beyond_int64_rejected(self, tmp_path, label):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"f0,label\n1.0,0\n2.0,{label}\n")
+        message = f"{path}:3: label column must hold integers"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_csv(path)
 
 
 class TestBatchIterator:

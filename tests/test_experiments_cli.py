@@ -466,6 +466,13 @@ class TestCli:
         assert cli.main(["run", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: config: config file cannot be read")
 
+        not_utf8 = tmp_path / "not_utf8.json"
+        not_utf8.write_bytes(b'{"train": \xff}')
+        assert cli.main(["run", str(not_utf8)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: config: config file cannot be read: 'utf-8' codec")
+
         csv_classes = tmp_path / "csv_classes.json"
         csv_classes.write_text(json.dumps(base_config_dict(dataset={
             "kind": "csv", "train": "a.csv", "test": "b.csv", "num_classes": "3"
@@ -574,6 +581,20 @@ class TestCli:
         assert capsys.readouterr().err.splitlines() == [
             f"error: config: dataset: train has {widths[0]} features, test has {widths[1]}"
         ]
+
+    @pytest.mark.parametrize("label", ["inf", "nan", "1e300"])
+    def test_csv_label_not_an_int64_exits_1(self, tmp_path, capsys, label):
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        train.write_text(f"f0,f1,y\n0.0,1.0,0\n1.0,0.0,{label}\n2.0,2.0,2\n")
+        test.write_text("f0,f1,y\n0.5,0.5,1\n")
+        dataset = {"kind": "csv", "train": str(train), "test": str(test)}
+        path = write_config(tmp_path, dataset=dataset)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config: dataset: {train}:3: label column must hold integers"
+        ]
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", ["spread", "spread_1e160", "spread_1e200", "csv_nan"])
     def test_non_finite_features_exit_1(self, tmp_path, capsys, case):

@@ -234,7 +234,7 @@ class TestMutualKL:
         assert t.grad is None
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="logit shapes differ"):
             kl_mutual(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
 
 
@@ -264,6 +264,8 @@ class TestSelfDistillKL:
     def test_validation(self):
         with pytest.raises(ValueError, match="temperature"):
             self_distill_kl(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))), 0.0)
+        with pytest.raises(ValueError, match="logit shapes differ"):
+            self_distill_kl(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3))), 2.0)
 
 
 class TestDistancePotentials:
@@ -384,7 +386,7 @@ class TestTripleCosines:
                 gather(st, tail),
             )
         )
-        assert (tuples.middle_rows is None) == tuples.capped
+        assert tuples.capped == (n > 16)
         for g, r in zip(got, reference):
             assert g.shape == r.shape
             if tuples.capped:
@@ -394,6 +396,17 @@ class TestTripleCosines:
 
 
 class TestRelationLoss:
+    @pytest.mark.parametrize("loss", ["angle", "relation"])
+    @pytest.mark.parametrize("built_for", [3, 17])
+    def test_tuple_sets_for_another_batch_rejected(self, loss, built_for):
+        e = Tensor(np.random.default_rng(27).standard_normal((4, 2)))
+        tuples = TupleSets.build(built_for, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match=f"built for batch {built_for}, embeddings have 4"):
+            if loss == "angle":
+                angle_potentials(e, tuples)
+            else:
+                relation_distill_loss(e, e, LossWeights(), tuples)
+
     def test_frozen_hand_geometries(self):
         rel = relation_distill_loss(
             Tensor(COLLINEAR), Tensor(BENT), LossWeights(), TupleSets.build(3)

@@ -6,12 +6,15 @@ child on tiny demo-like configs, so an engine or loss change that stops
 calling a listed op fails here, in the unit tests, and not only in the
 benchmark. Batch 17 makes the relation term subsample (cap) its triples, as
 the demo's batch 32 does; the ablation at batch 16 takes every triple, as
-the `ablate_small` workload does. Variant D at batch 17 has no relation term
+the `ablate_small` workload does; its batches of 16 and 2 build both
+relation sides every call, so each side's distances must come from exactly
+one `pairwise_l2` call. Variant D at batch 17 has no relation term
 and must leave every relation layer idle, as the `wide_idx` workload does.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import subprocess
@@ -51,8 +54,12 @@ def test_traced_demo_like_run_keeps_the_layer_contract(tmp_path):
 
 def test_traced_full_triple_ablation_keeps_the_layer_contract(tmp_path):
     traced = traced_run(tmp_path, "ablate", {"batch_size": 16, "update_order": "simultaneous"})
-    assert traced.result["trace"]["counters"]["losses.triples_used"] > 0
+    trace = traced.result["trace"]
+    assert trace["counters"]["losses.triples_used"] > 0
     assert run.layer_activity_errors(traced, run.WORKLOADS["ablate_small"]) == []
+    calls = collections.Counter(trace["names"][span[0]] for span in trace["spans"])
+    assert calls["losses.relation"] > 0
+    assert calls["autodiff.op.pairwise_l2"] == 2 * calls["losses.relation"], calls
 
 
 def test_traced_variant_d_run_keeps_the_relation_layers_idle(tmp_path):
