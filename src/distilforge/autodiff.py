@@ -245,18 +245,13 @@ def reduce_sum(x: Tensor, axis=None) -> Tensor:
     return _record(x.data.sum(axis=ax), "sum", (x,), rule)
 
 
-def reduce_mean(x: Tensor, axis=None) -> Tensor:
-    ax = _normalized_axis(x, axis)
-    shape = x.data.shape
-    count = x.data.size if ax is None else shape[ax]
-    if count == 0:
+def reduce_mean(x: Tensor) -> Tensor:
+    """Mean over all elements."""
+    if x.data.size == 0:
         raise ValueError("mean over zero elements")
-    scale = 1.0 / count
-    if ax is None:
-        rule = lambda g: (np.broadcast_to(g * scale, shape),)
-    else:
-        rule = lambda g: (np.broadcast_to(np.expand_dims(g * scale, ax), shape),)
-    return _record(x.data.sum(axis=ax) * scale, "mean", (x,), rule)
+    shape, scale = x.data.shape, 1.0 / x.data.size
+    rule = lambda g: (np.broadcast_to(g * scale, shape),)
+    return _record(x.data.sum() * scale, "mean", (x,), rule)
 
 
 def relu(x: Tensor) -> Tensor:

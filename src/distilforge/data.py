@@ -9,6 +9,7 @@ deterministically from (seed, epoch), so runs replay exactly.
 from __future__ import annotations
 
 import csv
+import io
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -109,6 +110,8 @@ def load_idx(images_path, labels_path) -> Dataset:
         magic, count, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, images_path, "header"))
         if magic != IDX_IMAGES_MAGIC:
             raise ValueError(f"{images_path}: bad image magic 0x{magic:08x}")
+        if count == 0:
+            raise ValueError(f"{images_path}: header gives 0 images")
         payload = f.read()
     expected = count * rows * cols
     if len(payload) != expected:
@@ -132,34 +135,39 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"image/label count mismatch: {count} images vs {label_count} labels"
         )
     labels = np.frombuffer(label_payload, dtype=np.uint8).astype(np.int64)
-    num_classes = max(2, int(labels.max()) + 1) if labels.size else 2
+    num_classes = max(2, int(labels.max()) + 1)
     return Dataset(Tensor(features), labels, num_classes, name=images_path.stem)
 
 
 def load_csv(path, num_classes: int | None = None) -> Dataset:
     """Load a CSV with a header row; the last column is the integer label."""
     path = Path(path)
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file, expected a header row") from None
+    feats, labels = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) < 2:
+            raise ValueError(f"{path}:{lineno}: need at least one feature and a label")
         try:
-            next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
-        feats, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise ValueError(f"{path}:{lineno}: need at least one feature and a label")
-            try:
-                values = [float(x) for x in row]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric value") from None
-            label = values[-1]
-            if not (np.isfinite(label) and abs(label) < 2**63 and label == int(label)):
-                raise ValueError(f"{path}:{lineno}: label column must hold integers")
-            feats.append(values[:-1])
-            labels.append(int(label))
+            values = [float(x) for x in row]
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric value") from None
+        label = values[-1]
+        if not (np.isfinite(label) and abs(label) < 2**63 and label == int(label)):
+            raise ValueError(f"{path}:{lineno}: label column must hold integers")
+        if label < 0 or (num_classes is not None and label >= num_classes):
+            raise ValueError(f"{path}:{lineno}: label {int(label)} outside [0, num_classes)")
+        feats.append(values[:-1])
+        labels.append(int(label))
     if not feats:
         raise ValueError(f"{path}: no data rows")
     widths = {len(r) for r in feats}

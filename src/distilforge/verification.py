@@ -1,11 +1,11 @@
 """Self-check suite behind the `verify` command.
 
 Two kinds of checks live here. Property checks assert invariants of the
-engine and the losses (gradient agreement with central finite differences,
-softmax normalization, Huber values, potential normalization, schedule
-conformance, bit-exact replay). Oracle checks compare the vectorized loss
-implementations against independent scalar double-loop reimplementations
-written with plain python floats.
+engine and the losses (per-op gradients under random output weights and loss
+gradients against central finite differences, softmax normalization, Huber
+values, potential normalization, schedule conformance, bit-exact replay).
+Oracle checks compare the vectorized loss implementations against independent
+scalar double-loop reimplementations written with plain python floats.
 
 The oracles deliberately share no code with the implementations they check.
 """
@@ -38,6 +38,7 @@ from .autodiff import (
     softmax_with_temperature,
     sqrt,
     sub,
+    triple_cosines,
 )
 from .data import synth_blobs, mean_std_normalize
 from .losses import (
@@ -58,6 +59,8 @@ __all__ = [
     "run_checks",
     "max_param_grad_error",
     "grad_check",
+    "op_cases",
+    "op_gradient_error",
     "grad_scenario",
     "loss_builders",
     "oracle_cross_entropy",
@@ -120,8 +123,7 @@ def _oracle_huber(a: float, b: float) -> float:
     return 0.5 * d * d if d <= 1.0 else d - 0.5
 
 
-def _oracle_potentials(e: np.ndarray, pairs: Iterable[tuple[int, int]]) -> list[float]:
-    pairs = list(pairs)
+def _oracle_potentials(e: np.ndarray, pairs: Sequence[tuple[int, int]]) -> list[float]:
     dists = [_oracle_distance(e[u], e[v]) for u, v in pairs]
     pi = sum(dists) / len(dists)
     if pi < 1e-8:
@@ -223,6 +225,65 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
     return max_param_grad_error(lambda: f(probe), [probe])
 
 
+def op_cases() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
+    """(name, op of one tensor, input): one case per engine op form and tensor operand.
+
+    `triple_cosines` is fed from embeddings the way `losses._cosines` feeds
+    it, on a full triple set (the Gram layout) and on a capped one.
+    """
+    rng = np.random.default_rng(9)
+
+    def draw(low, high, *shape):
+        return Tensor(rng.uniform(low, high, shape))
+
+    a, b = draw(-1.0, 1.0, 3, 4), draw(0.5, 1.5, 3, 4)
+
+    def operands(name, op, x, y):
+        return [(f"{name}_a", lambda t: op(t, y), x), (f"{name}_b", lambda t: op(x, t), y)]
+
+    def cosines(e, tuples):
+        legs = sub(gather(e, tuples.pair_u), gather(e, tuples.pair_v))
+        lengths = sqrt(reduce_sum(mul(legs, legs), axis=1))
+        return triple_cosines(legs, lengths, tuples.head, tuples.tail, tuples.middle_rows)
+
+    full, capped = TupleSets.build(5), TupleSets.build(17, rng)
+    return [
+        *operands("add", add, a, b),
+        *operands("sub", sub, a, b),
+        *operands("mul", mul, a, b),
+        *operands("div", div, a, b),
+        *operands("div_size_one", div, a, draw(0.5, 1.5, 1)),
+        *operands("matmul", matmul, a, draw(-1.0, 1.0, 4, 2)),
+        *operands("add_bias", add_bias, a, draw(-1.0, 1.0, 4)),
+        ("mul_number", lambda t: mul(t, 0.7), a),
+        ("div_number", lambda t: div(t, -1.3), a),
+        ("reduce_sum", reduce_sum, a),
+        ("reduce_sum_axis1", lambda t: reduce_sum(t, axis=1), a),
+        ("reduce_mean", reduce_mean, a),
+        ("relu", relu, a),
+        ("sqrt", sqrt, b),
+        ("huber_penalty", huber_penalty, draw(-2.0, 2.0, 3, 4)),
+        ("reshape", lambda t: reshape(t, (12,)), a),
+        ("gather", lambda t: gather(t, [0, 2, 2, 1]), a),
+        ("softmax_t1", lambda t: softmax_with_temperature(t, 1.0), a),
+        ("softmax_t3", lambda t: softmax_with_temperature(t, 3.0), a),
+        ("log_softmax_t1", lambda t: log_softmax_with_temperature(t, 1.0), a),
+        ("log_softmax_t3", lambda t: log_softmax_with_temperature(t, 3.0), a),
+        ("pairwise_l2", pairwise_l2, draw(-1.0, 1.0, 5, 3)),
+        ("triple_cosines_full", lambda t: cosines(t, full), draw(-1.0, 1.0, 5, 3)),
+        ("triple_cosines_capped", lambda t: cosines(t, capped), draw(-1.0, 1.0, 17, 3)),
+    ]
+
+
+def op_gradient_error(op: Callable[[Tensor], Tensor], x: Tensor) -> float:
+    """grad_check of sum(op(x) * W), W fixed random weights of op's output shape.
+
+    A plain sum's all-ones upstream gradient hides a backward that swaps two output axes.
+    """
+    weights = Tensor(np.random.default_rng(0).uniform(-1.0, 1.0, op(x).data.shape))
+    return grad_check(lambda t: reduce_sum(mul(op(t), weights)), x)
+
+
 @dataclass
 class GradScenario:
     """Shared fixture for the per-loss gradient checks."""
@@ -270,21 +331,20 @@ def loss_builders(scn: GradScenario) -> dict[str, Callable[[], Tensor]]:
     def peer_out():
         return scn.peer.forward(scn.x)
 
+    def relation():
+        return relation_distill_loss(
+            scn.net.forward(scn.x).embedding, peer_out().embedding.detach(), w, scn.tuples
+        )
+
     return {
         "cross_entropy": lambda: cross_entropy(scn.net.forward(scn.x).logits, scn.one_hot),
         "mutual_kl": lambda: kl_mutual(scn.net.forward(scn.x).logits, peer_out().logits),
         "self_distill_kl": lambda: self_distill_kl(
             scn.net.forward(scn.x).logits, scn.snapshot.forward(scn.x).logits, w.temperature
         ),
-        "distance_loss": lambda: relation_distill_loss(
-            scn.net.forward(scn.x).embedding, peer_out().embedding.detach(), w, scn.tuples
-        ).distance,
-        "angle_loss": lambda: relation_distill_loss(
-            scn.net.forward(scn.x).embedding, peer_out().embedding.detach(), w, scn.tuples
-        ).angle,
-        "relation_loss": lambda: relation_distill_loss(
-            scn.net.forward(scn.x).embedding, peer_out().embedding.detach(), w, scn.tuples
-        ).total,
+        "distance_loss": lambda: relation().distance,
+        "angle_loss": lambda: relation().angle,
+        "relation_loss": lambda: relation().total,
         "mutual_loss": lambda: total_loss(
             scn.net.forward(scn.x), peer_out(), None, scn.one_hot,
             replace(w, alpha=0.0, gamma=0.0), scn.tuples,
@@ -301,80 +361,19 @@ def loss_builders(scn: GradScenario) -> dict[str, Callable[[], Tensor]]:
 # ---------------------------------------------------------------------------
 
 
-def check_arithmetic_gradients() -> None:
-    rng = np.random.default_rng(9)
-    a = Tensor(rng.uniform(-1.0, 1.0, (3, 4)))
-    b = Tensor(rng.uniform(0.5, 1.5, (3, 4)))
-    pairs = [
-        ("add", lambda t: reduce_sum(add(t, b))),
-        ("sub", lambda t: reduce_sum(sub(t, b))),
-        ("mul", lambda t: reduce_sum(mul(t, b))),
-        ("div", lambda t: reduce_sum(div(t, b))),
-        ("div_rhs", lambda t: reduce_sum(div(a, t))),
-        ("mul_scalar", lambda t: reduce_sum(mul(t, 0.7))),
-        ("div_scalar", lambda t: reduce_sum(div(t, -1.3))),
-    ]
-    for name, fn in pairs:
-        target = b if name == "div_rhs" else a
-        err = grad_check(fn, target)
-        _ensure(err < GRAD_TOL, f"arithmetic '{name}' gradient error {err:.3e}")
+def check_op_gradients() -> None:
+    for name, op, x in op_cases():
+        err = op_gradient_error(op, x)
+        _ensure(err < GRAD_TOL, f"op '{name}' gradient error {err:.3e}")
 
 
-def check_matmul_reduce_gradients() -> None:
-    rng = np.random.default_rng(10)
-    a = Tensor(rng.uniform(-1.0, 1.0, (3, 4)))
-    b = Tensor(rng.uniform(-1.0, 1.0, (4, 2)))
-    err = grad_check(lambda t: reduce_sum(matmul(t, b)), a)
-    _ensure(err < GRAD_TOL, f"matmul lhs gradient error {err:.3e}")
-    err = grad_check(lambda t: reduce_sum(matmul(a, t)), b)
-    _ensure(err < GRAD_TOL, f"matmul rhs gradient error {err:.3e}")
-    weights = Tensor(rng.uniform(-1.0, 1.0, (3,)))
-    err = grad_check(lambda t: reduce_sum(mul(reduce_mean(t, axis=1), weights)), a)
-    _ensure(err < GRAD_TOL, f"axis mean gradient error {err:.3e}")
-
-
-def check_softmax_properties() -> None:
+def check_op_values() -> None:
     rng = np.random.default_rng(11)
-    big = Tensor(rng.uniform(-1e3, 1e3, (5, 7)))
-    rows = softmax_with_temperature(big, 1.0).data.sum(axis=1)
+    rows = softmax_with_temperature(Tensor(rng.uniform(-1e3, 1e3, (5, 7))), 1.0).data.sum(axis=1)
     _ensure(np.abs(rows - 1.0).max() < 1e-9, "softmax rows do not sum to 1 at logit scale 1e3")
-    z = Tensor(rng.uniform(-2.0, 2.0, (3, 4)))
-    weights = Tensor(rng.uniform(-1.0, 1.0, (3, 4)))
-    err = grad_check(lambda t: reduce_sum(mul(softmax_with_temperature(t, 2.5), weights)), z)
-    _ensure(err < GRAD_TOL, f"softmax gradient error {err:.3e}")
-    err = grad_check(
-        lambda t: reduce_sum(mul(log_softmax_with_temperature(t, 3.0), weights)), z
-    )
-    _ensure(err < GRAD_TOL, f"log-softmax gradient error {err:.3e}")
-
-
-def check_pairwise_l2_properties() -> None:
-    rng = np.random.default_rng(12)
-    e = Tensor(rng.uniform(-1.0, 1.0, (4, 3)))
-    d = pairwise_l2(e).data
+    d = pairwise_l2(Tensor(rng.uniform(-1.0, 1.0, (4, 3)))).data
     _ensure(np.array_equal(d, d.T), "pairwise_l2 is not symmetric")
     _ensure(np.all(np.diag(d) == 0.0), "pairwise_l2 diagonal is not exactly zero")
-    weights = Tensor(rng.uniform(-1.0, 1.0, (4, 4)))
-    err = grad_check(lambda t: reduce_sum(mul(pairwise_l2(t), weights)), e)
-    _ensure(err < GRAD_TOL, f"pairwise_l2 gradient error {err:.3e}")
-
-
-def check_misc_op_gradients() -> None:
-    rng = np.random.default_rng(13)
-    x = Tensor(rng.uniform(0.2, 2.0, (3, 4)))
-    err = grad_check(lambda t: reduce_sum(sqrt(t)), x)
-    _ensure(err < GRAD_TOL, f"sqrt gradient error {err:.3e}")
-    y = Tensor(rng.uniform(-2.0, 2.0, (3, 4)))
-    err = grad_check(lambda t: reduce_sum(huber_penalty(t)), y)
-    _ensure(err < GRAD_TOL, f"huber penalty gradient error {err:.3e}")
-    err = grad_check(lambda t: reduce_sum(relu(t)), y)
-    _ensure(err < GRAD_TOL, f"relu gradient error {err:.3e}")
-    bias = Tensor(rng.uniform(-1.0, 1.0, (4,)))
-    err = grad_check(lambda t: reduce_sum(add_bias(t, bias)), y)
-    _ensure(err < GRAD_TOL, f"add_bias gradient error {err:.3e}")
-    idx = np.array([0, 2, 2, 1])
-    err = grad_check(lambda t: reduce_sum(gather(reshape(t, (12,)), idx)), y)
-    _ensure(err < GRAD_TOL, f"gather/reshape gradient error {err:.3e}")
 
 
 def check_loss_parameter_gradients() -> None:
@@ -518,11 +517,8 @@ def check_determinism_replay() -> None:
 
 
 CHECKS: list[tuple[str, Callable[[], None]]] = [
-    ("arithmetic_gradients", check_arithmetic_gradients),
-    ("matmul_reduce_gradients", check_matmul_reduce_gradients),
-    ("softmax_properties", check_softmax_properties),
-    ("pairwise_l2_properties", check_pairwise_l2_properties),
-    ("misc_op_gradients", check_misc_op_gradients),
+    ("op_gradients", check_op_gradients),
+    ("op_values", check_op_values),
     ("loss_parameter_gradients", check_loss_parameter_gradients),
     ("tuple_oracle_equivalence", check_tuple_oracle_equivalence),
     ("response_loss_values", check_response_loss_values),

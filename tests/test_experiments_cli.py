@@ -596,6 +596,48 @@ class TestCli:
         ]
         assert not out.exists()
 
+    def test_csv_not_utf8_exits_1(self, tmp_path, capsys):
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        train.write_bytes(b"f0,f1,y\n0.0,1.0,0\n1.0,\xff,1\n2.0,2.0,2\n")
+        test.write_text("f0,f1,y\n0.5,0.5,1\n")
+        dataset = {"kind": "csv", "train": str(train), "test": str(test)}
+        path = write_config(tmp_path, dataset=dataset)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config: dataset: {train}: not UTF-8 text: invalid start byte at byte 22"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label, num_classes", [(-1, None), (3, 3)])
+    def test_csv_label_out_of_range_exits_1(self, tmp_path, capsys, label, num_classes):
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        train.write_text(f"f0,f1,y\n0.0,1.0,0\n1.0,0.0,{label}\n2.0,2.0,2\n")
+        test.write_text("f0,f1,y\n0.5,0.5,1\n")
+        dataset = {"kind": "csv", "train": str(train), "test": str(test)}
+        if num_classes is not None:
+            dataset["num_classes"] = num_classes
+        path = write_config(tmp_path, dataset=dataset)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config: dataset: {train}:3: label {label} outside [0, num_classes)"
+        ]
+
+    def test_idx_without_images_exits_1(self, tmp_path, capsys):
+        from test_data import write_idx
+
+        ipath, lpath = write_idx(tmp_path, np.zeros((0, 2, 2)), np.zeros(0))
+        dataset = {
+            "kind": "idx",
+            "train_images": str(ipath), "train_labels": str(lpath),
+            "test_images": str(ipath), "test_labels": str(lpath),
+        }
+        path = write_config(tmp_path, dataset=dataset)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config: dataset: {ipath}: header gives 0 images"
+        ]
+
     @pytest.mark.parametrize("case", ["spread", "spread_1e160", "spread_1e200", "csv_nan"])
     def test_non_finite_features_exit_1(self, tmp_path, capsys, case):
         if case == "spread":

@@ -1,10 +1,12 @@
 """The check suite itself: oracles on hand cases, checks, and their teeth."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from distilforge import autodiff
 from distilforge import losses as losses_mod
 from distilforge import verification
 from distilforge.autodiff import Tensor, mul, reduce_sum
@@ -13,6 +15,7 @@ from distilforge.verification import (
     VerificationFailure,
     grad_scenario,
     loss_builders,
+    grad_check,
     max_param_grad_error,
     oracle_angle_loss,
     oracle_cross_entropy,
@@ -123,10 +126,45 @@ class TestGradScenario:
             assert build().item() == build().item(), name
 
 
+# op_cases() split by op family (case-name pattern), so a failure names its family too.
+OP_FAMILIES = {
+    "arithmetic_gradients": r"(add|sub|mul|div|div_size_one)_[ab]|(mul|div)_number",
+    "matmul_reduce_gradients": r"matmul_[ab]|reduce_\w+",
+    "softmax_properties": r"(log_)?softmax_t\d",
+    "pairwise_l2_properties": r"pairwise_l2",
+    "misc_op_gradients": r"add_bias_[ab]|relu|sqrt|huber_penalty|reshape|gather|triple_cosines_\w+",
+}
+
+
+def _op_family_check(family):
+    """op_gradients on one family's op_cases(); the *_properties families add op_values."""
+
+    def check():
+        cases = [c for c in verification.op_cases() if re.fullmatch(OP_FAMILIES[family], c[0])]
+        assert cases, family
+        for name, op, x in cases:
+            err = verification.op_gradient_error(op, x)
+            assert err < verification.GRAD_TOL, f"op '{name}' gradient error {err:.3e}"
+        if family.endswith("_properties"):
+            verification.check_op_values()
+
+    return check
+
+
+OP_FAMILY_CHECKS = [(family, _op_family_check(family)) for family in OP_FAMILIES]
+
+
 class TestChecks:
-    @pytest.mark.parametrize("name, fn", CHECKS, ids=[name for name, _ in CHECKS])
+    @pytest.mark.parametrize(
+        "name, fn", CHECKS + OP_FAMILY_CHECKS, ids=[name for name, _ in CHECKS + OP_FAMILY_CHECKS]
+    )
     def test_check_passes(self, name, fn):
         fn()
+
+    def test_op_families_partition_op_cases(self):
+        for name, _, _ in verification.op_cases():
+            families = [f for f, pattern in OP_FAMILIES.items() if re.fullmatch(pattern, name)]
+            assert len(families) == 1, (name, families)
 
     def test_run_checks_reports_all(self):
         results = run_checks()
@@ -139,6 +177,38 @@ class TestChecks:
         monkeypatch.setattr(losses_mod, "huber", lambda a, b: abs(a - b))
         with pytest.raises(VerificationFailure):
             verification.check_huber_values()
+
+    def test_op_gradient_check_detects_transposed_backward(self, monkeypatch):
+        # x @ x.T whose backward drops the transpose of its upstream gradient:
+        # right under any symmetric one, such as the all-ones of a plain sum.
+        def gram(x):
+            xd = x.data
+            return autodiff._record(xd @ xd.T, "gram", (x,), lambda g: ((g + g) @ xd,))
+
+        x = Tensor(np.random.default_rng(3).uniform(-1.0, 1.0, (4, 3)))
+        assert grad_check(lambda t: reduce_sum(gram(t)), x) < 1e-6
+        monkeypatch.setattr(verification, "op_cases", lambda: [("gram", gram, x)])
+        with pytest.raises(VerificationFailure, match="op 'gram' gradient error"):
+            verification.check_op_gradients()
+
+    def test_op_cases_call_every_engine_op(self, monkeypatch):
+        exempt = {"Tensor", "Tape", "backward", "AutodiffError", "DIV_GUARD"}
+        ops = set(autodiff.__all__) - exempt
+        assert ops <= set(vars(verification)), "verification does not import every op"
+        called = set()
+
+        def spy(name, op):
+            def wrapped(*args, **kwargs):
+                called.add(name)
+                return op(*args, **kwargs)
+
+            return wrapped
+
+        for name in ops:
+            monkeypatch.setattr(verification, name, spy(name, getattr(verification, name)))
+        for _, op, x in verification.op_cases():
+            op(x)
+        assert sorted(ops - called) == []
 
     def test_lr_check_detects_mutation(self, monkeypatch):
         monkeypatch.setattr(verification, "lr_at", lambda epoch, config: config.lr)
