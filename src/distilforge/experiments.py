@@ -18,7 +18,7 @@ import os
 import re
 import secrets
 import shutil
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, get_type_hints
@@ -181,8 +181,8 @@ def build_datasets(spec: dict) -> tuple[Dataset, Dataset]:
     """Materialize (train, test) from a dataset spec and normalize them.
 
     Both splits must have the same feature width and only finite features,
-    before and after normalization. Normalization statistics come from the
-    training split only.
+    before and after normalization, and they share the larger of their class
+    counts. Normalization statistics come from the training split only.
     """
     kind = spec.get("kind")
     if kind == "blobs":
@@ -212,8 +212,6 @@ def build_datasets(spec: dict) -> tuple[Dataset, Dataset]:
             test = load_idx(spec["test_images"], spec["test_labels"])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"dataset: {exc}") from exc
-        num_classes = max(train.num_classes, test.num_classes)
-        train.num_classes = test.num_classes = num_classes
     elif kind == "csv":
         allowed = {"kind", "train", "test", "num_classes"}
         _reject_unknown(spec, allowed, "dataset")
@@ -228,10 +226,10 @@ def build_datasets(spec: dict) -> tuple[Dataset, Dataset]:
             test = load_csv(spec["test"], num_classes)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"dataset: {exc}") from exc
-        shared = max(train.num_classes, test.num_classes)
-        train.num_classes = test.num_classes = shared
     else:
         raise ConfigError(f"dataset.kind: must be one of {', '.join(_DATASET_KINDS)}")
+    # A split may lack the highest labels; both take the larger class count.
+    train.num_classes = test.num_classes = max(train.num_classes, test.num_classes)
     if train.input_dim != test.input_dim:
         raise ConfigError(
             f"dataset: train has {train.input_dim} features, test has {test.input_dim}"
@@ -282,29 +280,38 @@ def _staged_output(out: Path, outputs: re.Pattern):
     When the body succeeds, the staging directory is renamed to `out`. If
     `out` already exists, its entries named like `outputs` are replaced by the
     staged ones instead, and `out` itself and its other entries stay. If the
-    body raises, the staging directory is removed and `out` is left as it was.
+    body raises, the staging directory and the parent directories of `out`
+    that this call made are removed, and `out` is left as it was.
     """
-    out.parent.mkdir(parents=True, exist_ok=True)
-    # mkdir, not tempfile.mkdtemp: the outputs keep the permissions the umask
-    # gives, where mkdtemp would make them private.
-    stage = out.parent / f".{out.name}.{secrets.token_hex(6)}"
-    stage.mkdir()
+    # Deepest first, so that each is empty once those below it are gone.
+    made = [d for d in (out.parent, *out.parent.parents) if not d.exists()]
     try:
-        yield stage
-        if out.exists():
-            # No output name starts with a dot.
-            replaced = stage / ".replaced"
-            replaced.mkdir()
-            for entry in list(out.iterdir()):
-                if outputs.fullmatch(entry.name):
-                    os.replace(entry, replaced / entry.name)
-            for entry in list(stage.iterdir()):
-                if entry != replaced:
-                    os.replace(entry, out / entry.name)
-        else:
-            os.replace(stage, out)
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        # mkdir, not tempfile.mkdtemp: the outputs keep the permissions the
+        # umask gives, where mkdtemp would make them private.
+        stage = out.parent / f".{out.name}.{secrets.token_hex(6)}"
+        stage.mkdir()
+        try:
+            yield stage
+            if out.exists():
+                # No output name starts with a dot.
+                replaced = stage / ".replaced"
+                replaced.mkdir()
+                for entry in list(out.iterdir()):
+                    if outputs.fullmatch(entry.name):
+                        os.replace(entry, replaced / entry.name)
+                for entry in list(stage.iterdir()):
+                    if entry != replaced:
+                        os.replace(entry, out / entry.name)
+            else:
+                os.replace(stage, out)
+        finally:
+            shutil.rmtree(stage, ignore_errors=True)
+    except BaseException:
+        for directory in made:
+            with suppress(OSError):
+                directory.rmdir()
+        raise
 
 
 def run_experiment(

@@ -51,7 +51,6 @@ __all__ = [
     "cross_entropy",
     "kl_mutual",
     "self_distill_kl",
-    "huber",
     "distance_potentials",
     "angle_potentials",
     "relation_distill_loss",
@@ -229,14 +228,6 @@ def self_distill_kl(student_logits: Tensor, teacher_logits: Tensor, t: float) ->
     return _kl_softened(student_logits, teacher_logits, float(t))
 
 
-def huber(a: float, b: float) -> float:
-    """Scalar penalty on a - b: quadratic within unit residual, linear beyond."""
-    d = abs(float(a) - float(b))
-    if d <= 1.0:
-        return 0.5 * d * d
-    return d - 0.5
-
-
 def _geometry(embeddings: Tensor, tuples: TupleSets) -> tuple[Tensor, bool, np.ndarray]:
     """One side's pair geometry, read from a single pairwise_l2 matrix.
 
@@ -339,14 +330,14 @@ def relation_distill_loss(
 
 @dataclass
 class TotalLoss:
-    """Weighted objective plus raw component values for metrics."""
+    """Weighted objective plus raw component values, named by their metrics columns."""
 
     total: Tensor
-    ce: float = 0.0
-    kl_mutual: float = 0.0
-    distance: float = 0.0
-    angle: float = 0.0
-    self_distill: float = 0.0
+    loss_ce: float = 0.0
+    loss_kl_mutual: float = 0.0
+    loss_dd: float = 0.0
+    loss_ad: float = 0.0
+    loss_sd: float = 0.0
     pi_collapses: int = 0
     triples_skipped: int = 0
 
@@ -373,7 +364,7 @@ def total_loss(
     if weights.alpha > 0:
         ce = cross_entropy(outputs.logits, one_hot)
         parts.append(mul(ce, weights.alpha))
-        result.ce = ce.item()
+        result.loss_ce = ce.item()
     if weights.beta > 0:
         if peer_outputs is None:
             raise ValueError("peer outputs are required when beta > 0")
@@ -383,13 +374,13 @@ def total_loss(
                 outputs.embedding, peer_outputs.embedding.detach(), weights, tuples
             )
             mutual = rel.total
-            result.distance = rel.distance.item()
-            result.angle = rel.angle.item()
+            result.loss_dd = rel.distance.item()
+            result.loss_ad = rel.angle.item()
             result.pi_collapses = rel.pi_collapses
             result.triples_skipped = rel.triples_skipped
         if weights.beta2 > 0:
             kl = kl_mutual(outputs.logits, peer_outputs.logits)
-            result.kl_mutual = kl.item()
+            result.loss_kl_mutual = kl.item()
             scaled = mul(kl, weights.beta2)
             mutual = scaled if tuples is None else add(mutual, scaled)
         parts.append(mul(mutual, weights.beta))
@@ -398,7 +389,7 @@ def total_loss(
             raise ValueError("snapshot logits are required when gamma > 0")
         sd = self_distill_kl(outputs.logits, snapshot_logits, weights.temperature)
         parts.append(mul(sd, weights.gamma))
-        result.self_distill = sd.item()
+        result.loss_sd = sd.item()
     total = parts[0]
     for part in parts[1:]:
         total = add(total, part)

@@ -48,17 +48,13 @@ class NetworkConfig:
             raise ValueError("activation must be 'relu'")
 
     @property
-    def embedding_dim(self) -> int:
-        return self.hidden_dims[-1]
-
-    @property
     def layer_dims(self) -> tuple:
         return (self.input_dim, *self.hidden_dims, self.num_classes)
 
 
 @dataclass
 class ForwardOutput:
-    """Embedding (batch, embedding_dim) and logits (batch, num_classes)."""
+    """Embedding (batch, hidden_dims[-1]) and logits (batch, num_classes)."""
 
     embedding: Tensor
     logits: Tensor
@@ -99,9 +95,6 @@ class PeerNetwork:
     def zero_grads(self) -> None:
         for p in self.parameters.values():
             p.grad = None
-
-    def num_parameters(self) -> int:
-        return sum(p.data.size for p in self.parameters.values())
 
 
 def init_network(config: NetworkConfig) -> PeerNetwork:

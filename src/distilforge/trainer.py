@@ -33,7 +33,6 @@ __all__ = [
     "UPDATE_ORDERS",
     "TrainingDivergence",
     "TrainConfig",
-    "OptimizerState",
     "MetricsRecord",
     "TrainResult",
     "variant_weights",
@@ -121,25 +120,17 @@ def variant_weights(weights: LossWeights, variant: str) -> tuple[LossWeights, bo
     raise ValueError(f"variant must be one of {','.join(VARIANTS)}")
 
 
-@dataclass
-class OptimizerState:
-    """Momentum velocity buffers, one per parameter."""
-
-    velocities: dict
-
-    @classmethod
-    def for_network(cls, net: PeerNetwork) -> "OptimizerState":
-        return cls({name: np.zeros_like(p.data) for name, p in net.parameters.items()})
-
-
 def sgd_step(
     parameters: dict,
-    state: OptimizerState,
+    velocities: dict,
     lr: float,
     momentum: float,
     weight_decay: float,
 ) -> None:
-    """One SGD update: g' = g + wd*w; v <- momentum*v + g'; w <- w - lr*v."""
+    """One SGD update: g' = g + wd*w; v <- momentum*v + g'; w <- w - lr*v.
+
+    `velocities` maps each parameter name to its momentum buffer, updated in place.
+    """
     for name, p in parameters.items():
         g = p.grad
         if g is None:
@@ -147,7 +138,7 @@ def sgd_step(
         if not np.isfinite(g).all():
             raise TrainingDivergence(f"non-finite gradient for parameter '{name}'")
         g = g + weight_decay * p.data
-        v = state.velocities[name]
+        v = velocities[name]
         v *= momentum
         v += g
         p.data = p.data - lr * v
@@ -203,11 +194,8 @@ def metrics_to_csv(records: Sequence[MetricsRecord]) -> str:
     return "\n".join([CSV_HEADER] + [r.csv_row() for r in records]) + "\n"
 
 
-# TotalLoss component -> MetricsRecord column of its sample-weighted mean.
-_LOSS_COLUMNS = {
-    "ce": "loss_ce", "kl_mutual": "loss_kl_mutual", "distance": "loss_dd",
-    "angle": "loss_ad", "self_distill": "loss_sd",
-}
+# TotalLoss components, each logged as the sample-weighted mean of its column.
+_LOSS_TERMS = [f.name for f in fields(TotalLoss) if f.name.startswith("loss_")]
 
 
 class _EpochStats:
@@ -215,15 +203,15 @@ class _EpochStats:
 
     def __init__(self):
         self.samples = 0
-        self.sums = dict.fromkeys(["loss_total", *_LOSS_COLUMNS.values()], 0.0)
+        self.sums = dict.fromkeys(["loss_total", *_LOSS_TERMS], 0.0)
         self.pi_collapses = 0
         self.triples_skipped = 0
 
     def add(self, batch_size: int, result: TotalLoss) -> None:
         self.samples += batch_size
         self.sums["loss_total"] += result.total.item() * batch_size
-        for component, column in _LOSS_COLUMNS.items():
-            self.sums[column] += getattr(result, component) * batch_size
+        for column in _LOSS_TERMS:
+            self.sums[column] += getattr(result, column) * batch_size
         self.pi_collapses += result.pi_collapses
         self.triples_skipped += result.triples_skipped
 
@@ -268,7 +256,8 @@ def _train_epochs(
     """
     need_tuples = weights.beta > 0 and include_relation
     sequential = config.update_order == "sequential"
-    states = [OptimizerState.for_network(net) for net in nets]
+    velocities = [{name: np.zeros_like(p.data) for name, p in net.parameters.items()}
+                  for net in nets]
     records: list[MetricsRecord] = []
     for epoch, lr in enumerate(lrs):
         shuffle_epoch = epoch_offset + epoch
@@ -307,7 +296,7 @@ def _train_epochs(
                     stats[k].add(b, result)
                     if sequential or k == 1:
                         for j in (k,) if sequential else (0, 1):
-                            sgd_step(nets[j].parameters, states[j], lr, config.momentum,
+                            sgd_step(nets[j].parameters, velocities[j], lr, config.momentum,
                                      config.weight_decay)
                             outputs[j] = None
         except AutodiffError as exc:

@@ -65,6 +65,7 @@ __all__ = [
     "loss_builders",
     "oracle_cross_entropy",
     "oracle_kl",
+    "oracle_huber",
     "oracle_distance_loss",
     "oracle_angle_loss",
     "oracle_relation_loss",
@@ -118,7 +119,8 @@ def _oracle_distance(a: Sequence[float], b: Sequence[float]) -> float:
     return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
 
 
-def _oracle_huber(a: float, b: float) -> float:
+def oracle_huber(a: float, b: float) -> float:
+    """Penalty on a - b: quadratic within unit residual, linear beyond."""
     d = abs(a - b)
     return 0.5 * d * d if d <= 1.0 else d - 0.5
 
@@ -137,7 +139,7 @@ def oracle_distance_loss(emb_a: np.ndarray, emb_b: np.ndarray) -> float:
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     pots_a = _oracle_potentials(emb_a, pairs)
     pots_b = _oracle_potentials(emb_b, pairs)
-    return sum(_oracle_huber(a, b) for a, b in zip(pots_a, pots_b)) / len(pairs)
+    return sum(oracle_huber(a, b) for a, b in zip(pots_a, pots_b)) / len(pairs)
 
 
 def _oracle_cosine(e: np.ndarray, u: int, v: int, w: int) -> float:
@@ -171,7 +173,7 @@ def oracle_angle_loss(emb_a: np.ndarray, emb_b: np.ndarray) -> float:
                 if min(legs) < 1e-8:
                     continue
                 gaps.append(
-                    _oracle_huber(_oracle_cosine(emb_a, u, v, w), _oracle_cosine(emb_b, u, v, w))
+                    oracle_huber(_oracle_cosine(emb_a, u, v, w), _oracle_cosine(emb_b, u, v, w))
                 )
     if not gaps:
         return 0.0
@@ -418,25 +420,27 @@ def check_response_loss_values() -> None:
 
 
 def check_huber_values() -> None:
-    hub = losses_mod.huber
-    _ensure(hub(2.0, 0.0) == 1.5, "huber(2, 0) != 1.5")
-    _ensure(hub(0.5, 0.0) == 0.125, "huber(0.5, 0) != 0.125")
-    _ensure(hub(3.0, 3.0) == 0.0, "huber(x, x) != 0")
+    def penalty(points):
+        """huber_penalty's values at `points` and its backward's slopes there."""
+        x = Tensor(np.asarray(points, dtype=np.float64), requires_grad=True)
+        out = huber_penalty(x)
+        backward(reduce_sum(out))
+        return out.data, x.grad
+
+    values, _ = penalty([2.0, 0.5, 0.0])
+    _ensure(values.tolist() == [1.5, 0.125, 0.0], f"huber_penalty(2, 0.5, 0) = {values.tolist()}")
     eps = 1e-9
-    seam_gap = abs(hub(1.0 + eps, 0.0) - hub(1.0 - eps, 0.0))
-    _ensure(seam_gap < 1e-8, f"huber is discontinuous at the unit seam (gap {seam_gap:.3e})")
-    slope_in = (hub(1.0, 0.0) - hub(1.0 - 1e-6, 0.0)) / 1e-6
-    slope_out = (hub(1.0 + 1e-6, 0.0) - hub(1.0, 0.0)) / 1e-6
-    _ensure(
-        abs(slope_in - slope_out) < 1e-5,
-        "huber derivative is discontinuous at the unit seam",
-    )
+    for seam in (-1.0, 1.0):
+        values, slopes = penalty([seam - eps, seam + eps])
+        gap = abs(values[1] - values[0])
+        _ensure(gap < 1e-8, f"huber_penalty jumps by {gap:.3e} at {seam:g}")
+        gap = abs(slopes[1] - slopes[0])
+        _ensure(gap < 1e-8, f"huber_penalty backward jumps by {gap:.3e} at {seam:g}")
     grid = np.linspace(-3.0, 3.0, 13)
-    tensor_vals = huber_penalty(Tensor(grid)).data
-    scalar_vals = np.array([hub(float(x), 0.0) for x in grid])
+    values, _ = penalty(grid)
     _ensure(
-        np.abs(tensor_vals - scalar_vals).max() == 0.0,
-        "tensor huber penalty disagrees with the scalar huber",
+        values.tolist() == [oracle_huber(float(x), 0.0) for x in grid],
+        "huber_penalty disagrees with the scalar oracle",
     )
 
 

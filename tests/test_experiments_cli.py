@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from distilforge import cli
-from distilforge import verification
+from distilforge import experiments, verification
 from distilforge.experiments import (
     ABLATION_CSV_HEADER,
     ConfigError,
@@ -691,6 +691,42 @@ class TestCli:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "config.json", "diverging.json", "out"
         ]
+
+    @pytest.mark.parametrize("failure", ["config", "divergence"])
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_failure_leaves_out_parents_as_they_were(self, tmp_path, capsys, command, failure):
+        doc = base_config_dict()
+        if failure == "config":
+            missing = str(tmp_path / "missing.csv")
+            doc["dataset"] = {"kind": "csv", "train": missing, "test": missing}
+        else:
+            doc["train"]["lr"] = 1e25
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        (tmp_path / "work").mkdir()
+        (tmp_path / "work" / "notes.txt").write_text("kept")
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / "work" / "new" / "deep" / "out"
+        assert cli.main([command, str(path), "--out", str(out)]) == (
+            1 if failure == "config" else 2
+        )
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "work" / "notes.txt").read_text() == "kept"
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_file_as_out_parent_exits_1_before_training(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(experiments, "train_pair", no_training)
+        (tmp_path / "blocker").write_text("a regular file")
+        out = tmp_path / "blocker" / "deep" / "out"
+        assert cli.main([command, str(write_config(tmp_path)), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: output: "), lines
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json"]
 
     def test_existing_directory_without_outputs_keeps_its_entries(
         self, tmp_path, capsys, monkeypatch

@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from distilforge.autodiff import Tensor, backward, div, gather, mul, reduce_sum, triple_cosines
+from distilforge.autodiff import (
+    Tensor, backward, div, gather, huber_penalty, mul, reduce_sum, triple_cosines,
+)
 from distilforge.losses import (
     COINCIDENCE_EPS,
     LossWeights,
@@ -15,7 +17,6 @@ from distilforge.losses import (
     angle_potentials,
     cross_entropy,
     distance_potentials,
-    huber,
     kl_mutual,
     relation_distill_loss,
     self_distill_kl,
@@ -156,13 +157,12 @@ class TestTupleSets:
 
 class TestHuber:
     def test_exact_values(self):
-        assert huber(2.0, 0.0) == 1.5
-        assert huber(0.5, 0.0) == 0.125
-        assert huber(7.0, 7.0) == 0.0
-        assert huber(1.0, 0.0) == 0.5
+        x = Tensor(np.array([2.0, 0.5, 0.0, 1.0]))
+        assert huber_penalty(x).data.tolist() == [1.5, 0.125, 0.0, 0.5]
 
     def test_symmetry(self):
-        assert huber(0.3, 1.9) == huber(1.9, 0.3)
+        x = np.array([0.3, 1.6, 1.0, 2.5])
+        np.testing.assert_array_equal(huber_penalty(Tensor(-x)).data, huber_penalty(Tensor(x)).data)
 
 
 class TestCrossEntropy:
@@ -546,24 +546,24 @@ class TestMutualLoss:
         w = self.MUTUAL_ONLY
         tl = self._mutual(a, b, TupleSets.build(4))
         rel = relation_distill_loss(a.embedding, b.embedding.detach(), w, TupleSets.build(4))
-        assert tl.kl_mutual == kl_mutual(a.logits, b.logits).item()
-        expected = w.beta * (rel.total.item() + w.beta2 * tl.kl_mutual)
+        assert tl.loss_kl_mutual == kl_mutual(a.logits, b.logits).item()
+        expected = w.beta * (rel.total.item() + w.beta2 * tl.loss_kl_mutual)
         assert abs(tl.total.item() - expected) < 1e-12
-        assert tl.ce == 0.0 and tl.self_distill == 0.0
+        assert tl.loss_ce == 0.0 and tl.loss_sd == 0.0
 
     def test_zero_beta2_skips_kl(self):
         a, b = self._outputs(36), self._outputs(37)
         w = dataclasses.replace(self.MUTUAL_ONLY, beta2=0.0)
         tl = self._mutual(a, b, TupleSets.build(4), w)
         rel = relation_distill_loss(a.embedding, b.embedding.detach(), w, TupleSets.build(4))
-        assert tl.kl_mutual == 0.0
+        assert tl.loss_kl_mutual == 0.0
         assert tl.total.data == mul(rel.total, w.beta).data
 
     def test_relation_off_leaves_kl_only(self):
         a, b = self._outputs(38), self._outputs(39)
         w = self.MUTUAL_ONLY
         tl = self._mutual(a, b, None)
-        assert tl.distance == 0.0 and tl.angle == 0.0
+        assert tl.loss_dd == 0.0 and tl.loss_ad == 0.0
         assert tl.total.data == mul(mul(kl_mutual(a.logits, b.logits), w.beta2), w.beta).data
 
     def test_relation_runs_only_with_tuples(self):
@@ -571,7 +571,7 @@ class TestMutualLoss:
         backward(self._mutual(a, b, None).total)
         assert a.embedding.grad is None
         tl = self._mutual(a, b, TupleSets.build(4))
-        assert tl.distance > 0.0
+        assert tl.loss_dd > 0.0
         backward(tl.total)
         assert a.embedding.grad is not None
 
@@ -616,12 +616,12 @@ class TestTotalLoss:
         tuples = TupleSets.build(5)
         out, pout, sout = net.forward(x), peer.forward(x), snap.forward(x)
         tl = total_loss(out, pout, sout.logits, labels, w, tuples)
-        assert tl.ce == cross_entropy(out.logits, labels).item()
-        assert tl.kl_mutual == kl_mutual(out.logits, pout.logits).item()
+        assert tl.loss_ce == cross_entropy(out.logits, labels).item()
+        assert tl.loss_kl_mutual == kl_mutual(out.logits, pout.logits).item()
         rel = relation_distill_loss(out.embedding, pout.embedding.detach(), w, tuples)
-        assert tl.distance == rel.distance.item()
-        assert tl.angle == rel.angle.item()
-        assert tl.self_distill == self_distill_kl(out.logits, sout.logits, w.temperature).item()
+        assert tl.loss_dd == rel.distance.item()
+        assert tl.loss_ad == rel.angle.item()
+        assert tl.loss_sd == self_distill_kl(out.logits, sout.logits, w.temperature).item()
 
     def test_zero_weight_terms_reduce_bitwise(self):
         net, _, _, x, labels = self._scenario(46)
@@ -643,9 +643,9 @@ class TestTotalLoss:
         w = LossWeights()
         out, pout, sout = net.forward(x), peer.forward(x), snap.forward(x)
         tl = total_loss(out, pout, sout.logits, labels, w, None)
-        assert tl.distance == 0.0 and tl.angle == 0.0
+        assert tl.loss_dd == 0.0 and tl.loss_ad == 0.0
         assert tl.triples_skipped == 0 and tl.pi_collapses == 0
-        assert tl.kl_mutual > 0.0
+        assert tl.loss_kl_mutual > 0.0
 
     def test_missing_inputs_rejected(self):
         net, peer, snap, x, labels = self._scenario(48)

@@ -38,7 +38,6 @@ class TestNetworkConfig:
     def test_valid_roundtrip(self):
         c = NetworkConfig(4, [16, 8], 3, init_seed=7)
         assert c.hidden_dims == (16, 8)
-        assert c.embedding_dim == 8
         assert c.layer_dims == (4, 16, 8, 3)
         # Checkpoints store the config as asdict() JSON and rebuild it by keyword.
         doc = json.loads(json.dumps(asdict(c)))
@@ -127,7 +126,7 @@ class TestInit:
     def test_parameter_count(self):
         # 2*8 + 8 + 8*4 + 4 + 4*3 + 3 = 75
         net = init_network(NetworkConfig(2, (8, 4), 3, init_seed=0))
-        assert net.num_parameters() == 75
+        assert sum(p.data.size for p in net.parameters.values()) == 75
 
     def test_all_parameters_trainable(self):
         net = init_network(NetworkConfig(2, (4,), 2, init_seed=0))

@@ -13,7 +13,6 @@ from distilforge.trainer import (
     UPDATE_ORDERS,
     VARIANTS,
     MetricsRecord,
-    OptimizerState,
     TrainConfig,
     TrainingDivergence,
     evaluate_top1,
@@ -127,41 +126,35 @@ class TestVariantWeights:
 class TestSgdStep:
     def _param(self, value):
         p = Tensor(np.array([value]), requires_grad=True)
-        return {"w": p}, OptimizerState({"w": np.zeros(1)})
+        return {"w": p}, {"w": np.zeros(1)}
 
     def test_momentum_accumulates(self):
-        params, state = self._param(1.0)
+        params, velocities = self._param(1.0)
         params["w"].grad = np.array([1.0])
-        sgd_step(params, state, lr=0.1, momentum=0.9, weight_decay=0.0)
+        sgd_step(params, velocities, lr=0.1, momentum=0.9, weight_decay=0.0)
         np.testing.assert_allclose(params["w"].data, [0.9])
         params["w"].grad = np.array([1.0])
-        sgd_step(params, state, lr=0.1, momentum=0.9, weight_decay=0.0)
+        sgd_step(params, velocities, lr=0.1, momentum=0.9, weight_decay=0.0)
         # velocity 0.9 * 1 + 1 = 1.9, so the step is 0.19.
         np.testing.assert_allclose(params["w"].data, [0.71])
 
     def test_weight_decay_pulls_toward_zero(self):
-        params, state = self._param(1.0)
+        params, velocities = self._param(1.0)
         params["w"].grad = np.array([0.0])
-        sgd_step(params, state, lr=0.5, momentum=0.0, weight_decay=1.0)
+        sgd_step(params, velocities, lr=0.5, momentum=0.0, weight_decay=1.0)
         np.testing.assert_allclose(params["w"].data, [0.5])
 
     def test_missing_gradient_means_zero(self):
-        params, state = self._param(2.0)
+        params, velocities = self._param(2.0)
         params["w"].grad = None
-        sgd_step(params, state, lr=0.1, momentum=0.0, weight_decay=0.0)
+        sgd_step(params, velocities, lr=0.1, momentum=0.0, weight_decay=0.0)
         np.testing.assert_array_equal(params["w"].data, [2.0])
 
     def test_non_finite_gradient_raises(self):
-        params, state = self._param(1.0)
+        params, velocities = self._param(1.0)
         params["w"].grad = np.array([float("inf")])
         with pytest.raises(TrainingDivergence, match="'w'"):
-            sgd_step(params, state, lr=0.1, momentum=0.0, weight_decay=0.0)
-
-    def test_state_matches_network(self):
-        net = init_network(NetworkConfig(2, (4,), 2, init_seed=0))
-        state = OptimizerState.for_network(net)
-        assert set(state.velocities) == set(net.parameters)
-        assert all(np.all(v == 0.0) for v in state.velocities.values())
+            sgd_step(params, velocities, lr=0.1, momentum=0.0, weight_decay=0.0)
 
 
 class TestLrSchedule:

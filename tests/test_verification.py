@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from distilforge import autodiff
-from distilforge import losses as losses_mod
 from distilforge import verification
 from distilforge.autodiff import Tensor, mul, reduce_sum
 from distilforge.verification import (
@@ -20,6 +19,7 @@ from distilforge.verification import (
     oracle_angle_loss,
     oracle_cross_entropy,
     oracle_distance_loss,
+    oracle_huber,
     oracle_kl,
     oracle_relation_loss,
     run_checks,
@@ -33,6 +33,12 @@ class TestOracles:
         logits = np.zeros((3, 5))
         one_hot = np.eye(5)[:3]
         assert abs(oracle_cross_entropy(logits, one_hot) - math.log(5.0)) < 1e-12
+
+    def test_huber_hand_values(self):
+        assert oracle_huber(2.0, 0.0) == 1.5
+        assert oracle_huber(0.0, 0.5) == 0.125
+        assert oracle_huber(1.0, 0.0) == 0.5
+        assert oracle_huber(3.0, 3.0) == 0.0
 
     def test_cross_entropy_two_row_case(self):
         logits = np.array([[0.0, math.log(3.0)], [math.log(2.0), 0.0]])
@@ -174,8 +180,25 @@ class TestChecks:
     def test_huber_check_detects_mutation(self, monkeypatch):
         # Break the implementation and make sure the check notices;
         # otherwise the suite proves nothing.
-        monkeypatch.setattr(losses_mod, "huber", lambda a, b: abs(a - b))
+        def absolute(x):
+            xd = x.data
+            return autodiff._record(np.abs(xd), "huber_penalty", (x,), lambda g: (g * np.sign(xd),))
+
+        monkeypatch.setattr(verification, "huber_penalty", absolute)
         with pytest.raises(VerificationFailure):
+            verification.check_huber_values()
+
+    def test_huber_check_detects_backward_jump(self, monkeypatch):
+        # Right values, but a backward that steps from slope 1 to 2 past |x| = 1.
+        def jumping(x):
+            xd = x.data
+            slope = np.where(np.abs(xd) <= 1.0, xd, 2.0 * np.sign(xd))
+            return autodiff._record(
+                autodiff.huber_penalty(x).data, "huber_penalty", (x,), lambda g: (g * slope,)
+            )
+
+        monkeypatch.setattr(verification, "huber_penalty", jumping)
+        with pytest.raises(VerificationFailure, match="backward jumps"):
             verification.check_huber_values()
 
     def test_op_gradient_check_detects_transposed_backward(self, monkeypatch):
