@@ -221,7 +221,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul expects 2-d tensors, got {ad.shape} and {bd.shape}")
     if ad.shape[1] != bd.shape[0]:
         raise ValueError(f"matmul: inner dimensions differ, {ad.shape} vs {bd.shape}")
-    return _record(ad @ bd, "matmul", (a, b), lambda g: (g @ bd.T, ad.T @ g))
+    # A constant operand (the input batch, a frozen weight) gets no gradient.
+    return _record(
+        ad @ bd,
+        "matmul",
+        (a, b),
+        lambda g: (g @ bd.T if a.requires_grad else None, ad.T @ g if b.requires_grad else None),
+    )
 
 
 def _normalized_axis(x: Tensor, axis) -> int | None:

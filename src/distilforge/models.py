@@ -76,13 +76,16 @@ class PeerNetwork:
                 f"got {features.data.shape}"
             )
         h = features
-        n_hidden = len(self.config.hidden_dims)
-        for i in range(n_hidden):
+        for i in range(len(self.config.hidden_dims)):
             h = relu(add_bias(matmul(h, self.parameters[f"w{i}"]), self.parameters[f"b{i}"]))
-        logits = add_bias(
-            matmul(h, self.parameters[f"w{n_hidden}"]), self.parameters[f"b{n_hidden}"]
+        return ForwardOutput(embedding=h, logits=self.head(h))
+
+    def head(self, embedding: Tensor) -> Tensor:
+        """Logits from embeddings: the output layer alone."""
+        n_hidden = len(self.config.hidden_dims)
+        return add_bias(
+            matmul(embedding, self.parameters[f"w{n_hidden}"]), self.parameters[f"b{n_hidden}"]
         )
-        return ForwardOutput(embedding=h, logits=logits)
 
     def snapshot(self) -> "PeerNetwork":
         """Frozen deep copy; later training of the source leaves it untouched."""

@@ -129,19 +129,27 @@ def sgd_step(
 ) -> None:
     """One SGD update: g' = g + wd*w; v <- momentum*v + g'; w <- w - lr*v.
 
-    `velocities` maps each parameter name to its momentum buffer, updated in place.
+    `velocities` maps each parameter name to its momentum buffer. Buffers and
+    each `p.data` are updated in place through one scratch array per
+    parameter, with the formula's float operations in its order, so the bits
+    match an out-of-place update. A missing gradient steps by weight decay
+    alone; a non-finite one raises before its parameter or velocity changes.
+    A tape recorded before the step reads the new weights, so it must not be
+    backpropagated afterwards: the trainer reuses a peer's forward output
+    only until that peer steps.
     """
     for name, p in parameters.items():
         g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
-        if not np.isfinite(g).all():
+        if g is not None and not np.isfinite(g).all():
             raise TrainingDivergence(f"non-finite gradient for parameter '{name}'")
-        g = g + weight_decay * p.data
+        step = np.multiply(p.data, weight_decay)
+        if g is not None:
+            step += g
         v = velocities[name]
         v *= momentum
-        v += g
-        p.data = p.data - lr * v
+        v += step
+        np.multiply(v, lr, out=step)
+        p.data -= step
 
 
 def lr_at(epoch: int, config: TrainConfig) -> float:
@@ -251,13 +259,22 @@ def _train_epochs(
     sequential order it steps at once, so the second peer's loss sees the
     first peer's updated outputs; in simultaneous order both step after both
     backward passes, so both losses see pre-step outputs. A peer's forward
-    output is reused until that peer steps. Shuffling uses epoch numbers
-    from `epoch_offset` on, so the batch stream never repeats across stages.
+    output is reused until that peer steps. Each frozen snapshot's embedding
+    is computed once, over the whole training split, and each batch applies
+    the snapshot's output layer to its rows at the batch's own shape. This
+    relies on BLAS giving each row of a hidden layer's product the same bits
+    whichever rows share the call; OpenBLAS does not for small products such
+    as a narrow output layer at batch size (README, Determinism). Shuffling
+    uses epoch numbers from `epoch_offset` on, so the batch stream never
+    repeats across stages.
     """
     need_tuples = weights.beta > 0 and include_relation
     sequential = config.update_order == "sequential"
     velocities = [{name: np.zeros_like(p.data) for name, p in net.parameters.items()}
                   for net in nets]
+    teacher_embeddings = None
+    if weights.gamma > 0 and lrs:
+        teacher_embeddings = [s.forward(train_ds.features).embedding.data for s in snapshots]
     records: list[MetricsRecord] = []
     for epoch, lr in enumerate(lrs):
         shuffle_epoch = epoch_offset + epoch
@@ -286,7 +303,8 @@ def _train_epochs(
                     result = total_loss(
                         forward(k),
                         forward(1 - k) if weights.beta > 0 else None,
-                        snapshots[k].forward(batch.features).logits if weights.gamma > 0 else None,
+                        None if teacher_embeddings is None
+                        else snapshots[k].head(Tensor(teacher_embeddings[k][batch.indices])),
                         batch.one_hot_labels,
                         weights,
                         tuples,

@@ -119,6 +119,23 @@ class TestMatmul:
         with pytest.raises(ValueError, match="inner dimensions"):
             matmul(Tensor([[1.0, 2.0]]), Tensor([[1.0, 2.0]]))
 
+    @pytest.mark.parametrize("constant", ["a", "b"])
+    def test_constant_operand_gets_no_gradient(self, constant):
+        rng = np.random.default_rng(3)
+        a = Tensor(rng.uniform(-1.0, 1.0, (5, 4)), requires_grad=constant != "a")
+        b = Tensor(rng.uniform(-1.0, 1.0, (4, 3)), requires_grad=constant != "b")
+        g = rng.uniform(-1.0, 1.0, (5, 3))
+        grad_a, grad_b = matmul(a, b)._rule(g)
+        backward(reduce_sum(mul(matmul(a, b), Tensor(g))))
+        if constant == "a":
+            assert grad_a is None and a.grad is None
+            assert np.array_equal(grad_b, a.data.T @ g)
+            assert np.array_equal(b.grad, a.data.T @ g)
+        else:
+            assert grad_b is None and b.grad is None
+            assert np.array_equal(grad_a, g @ b.data.T)
+            assert np.array_equal(a.grad, g @ b.data.T)
+
 class TestReductions:
     def test_values(self):
         x = Tensor([[1.0, 2.0], [3.0, 4.0]])

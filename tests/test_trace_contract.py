@@ -9,7 +9,9 @@ the demo's batch 32 does; the ablation at batch 16 takes every triple, as
 the `ablate_small` workload does; its batches of 16 and 2 build both
 relation sides every call, so each side's distances must come from exactly
 one `pairwise_l2` call. Variant D at batch 17 has no relation term
-and must leave every relation layer idle, as the `wide_idx` workload does.
+and must leave every relation layer idle, as the `wide_idx` workload does;
+its forward and `matmul` call counts are pinned by formula, so a frozen
+snapshot forwarded per batch again fails here.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -71,3 +74,16 @@ def test_traced_variant_d_run_keeps_the_relation_layers_idle(tmp_path):
         idle=run._RELATION + ("losses.tuple_sets.capped",),
     )
     assert run.layer_activity_errors(traced, contract) == []
+
+    # Forward passes: one per net per stage-1 batch; three per sequential
+    # stage-2 batch (net1, net2, then net1 again after its step); one per
+    # frozen snapshot per stage 2, whose output layer then runs once per
+    # net per batch; train and test evaluation per net per epoch; the final
+    # test evaluation per net. The demo nets have 3 layers.
+    trace = traced.result["trace"]
+    calls = collections.Counter(trace["names"][span[0]] for span in trace["spans"])
+    batches, epochs1, epochs2, layers = math.ceil(18 / 17), 1, 1, 3
+    forwards = (2 * batches * epochs1 + 3 * batches * epochs2 + 2
+                + 2 * 2 * (epochs1 + epochs2) + 2)
+    assert calls["models.forward"] == forwards, calls
+    assert calls["autodiff.op.matmul"] == layers * forwards + 2 * batches * epochs2, calls

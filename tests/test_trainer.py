@@ -156,6 +156,42 @@ class TestSgdStep:
         with pytest.raises(TrainingDivergence, match="'w'"):
             sgd_step(params, velocities, lr=0.1, momentum=0.0, weight_decay=0.0)
 
+    def test_updates_in_place_with_the_out_of_place_bits(self):
+        rng = np.random.default_rng(5)
+        shapes = {"w0": (6, 4), "b0": (4,)}
+        lr, momentum, wd = 0.1, 0.9, 5e-4
+        params = {n: Tensor(rng.standard_normal(s), requires_grad=True) for n, s in shapes.items()}
+        velocities = {n: np.zeros(s) for n, s in shapes.items()}
+        arrays = {n: p.data for n, p in params.items()}
+        ref_w = {n: p.data.copy() for n, p in params.items()}
+        ref_v = {n: np.zeros(s) for n, s in shapes.items()}
+        for step in range(3):
+            for n, p in params.items():
+                p.grad = None if (n, step) == ("b0", 1) else rng.standard_normal(shapes[n])
+            grads = {n: p.grad for n, p in params.items()}
+            sgd_step(params, velocities, lr, momentum, wd)
+            for n, p in params.items():
+                g = np.zeros(shapes[n]) if grads[n] is None else grads[n]
+                g = g + wd * ref_w[n]
+                ref_v[n] = momentum * ref_v[n] + g
+                ref_w[n] = ref_w[n] - lr * ref_v[n]
+                assert p.data is arrays[n]
+                assert np.array_equal(p.data, ref_w[n]), (n, step)
+                assert np.array_equal(velocities[n], ref_v[n]), (n, step)
+
+    def test_non_finite_gradient_leaves_its_parameter_and_velocity(self):
+        params = {
+            "w0": Tensor(np.array([1.0, -2.0]), requires_grad=True),
+            "b0": Tensor(np.array([3.0]), requires_grad=True),
+        }
+        velocities = {"w0": np.array([0.5, 0.5]), "b0": np.array([0.25])}
+        params["w0"].grad = np.array([1.0, 1.0])
+        params["b0"].grad = np.array([float("inf")])
+        with pytest.raises(TrainingDivergence, match="'b0'"):
+            sgd_step(params, velocities, lr=0.1, momentum=0.9, weight_decay=0.1)
+        assert params["b0"].data.tolist() == [3.0]
+        assert velocities["b0"].tolist() == [0.25]
+
 
 class TestLrSchedule:
     def test_piecewise_constant_decay(self):
@@ -372,6 +408,42 @@ class TestStage2:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergence, match="stage 2 epoch"):
                 train_stage2(nets, snapshots, train, test, config)
+
+
+class TestSelfTeacher:
+    def test_wide_snapshot_rows_match_per_batch_forwards(self):
+        """One pass over the split, then the output layer per batch, gives
+        each batch's forward logits bit for bit: 784 -> [256, 64] -> 10 at
+        batch 128, ragged last batch of 80 included."""
+        from distilforge.data import Dataset, batch_iterator
+
+        rng = np.random.default_rng(11)
+        train = Dataset(Tensor(rng.standard_normal((2000, 784))), rng.integers(0, 10, 2000), 10)
+        snapshot = init_network(NetworkConfig(784, (256, 64), 10, init_seed=1)).snapshot()
+        embeddings = snapshot.forward(train.features).embedding.data
+        sizes = []
+        for batch in batch_iterator(train, 128, shuffle_seed=0, epoch=0):
+            sizes.append(len(batch))
+            expected = snapshot.forward(batch.features)
+            rows = embeddings[batch.indices]
+            assert np.array_equal(rows, expected.embedding.data)
+            assert np.array_equal(snapshot.head(Tensor(rows)).data, expected.logits.data)
+        assert sizes == [128] * 15 + [80]
+
+    @pytest.mark.parametrize("stage2_epochs", [0, 2])
+    def test_each_snapshot_forwards_once_per_stage(self, stage2_epochs):
+        train, test = tiny_datasets()
+        nets = fresh_pair()
+        config = small_config(stage2_epochs=stage2_epochs)
+        snapshots, _ = pretrain_stage1(nets, train, test, config)
+        calls = [0, 0]
+        for k, snapshot in enumerate(snapshots):
+            def counted(features, k=k, forward=snapshot.forward):
+                calls[k] += 1
+                return forward(features)
+            snapshot.forward = counted
+        train_stage2(nets, snapshots, train, test, config)
+        assert calls == [min(stage2_epochs, 1)] * 2
 
 
 class TestTrainPair:
