@@ -46,6 +46,7 @@ __all__ = [
     "TRIPLE_CAP_COUNT",
     "LossWeights",
     "TupleSets",
+    "RelationSide",
     "RelationLoss",
     "TotalLoss",
     "cross_entropy",
@@ -228,36 +229,60 @@ def self_distill_kl(student_logits: Tensor, teacher_logits: Tensor, t: float) ->
     return _kl_softened(student_logits, teacher_logits, float(t))
 
 
-def _geometry(embeddings: Tensor, tuples: TupleSets) -> tuple[Tensor, bool, np.ndarray]:
-    """One side's pair geometry, read from a single pairwise_l2 matrix.
+class RelationSide:
+    """One embedding's side of the relation term, measured once per tuple set.
 
-    Returns (distance potentials, degenerate, long_leg), where long_leg
-    flags each pair row whose distance is at least COINCIDENCE_EPS.
+    `measure` reads one pairwise_l2 matrix into the distance `potentials`,
+    the `degenerate` flag and `valid`, the triples whose two legs are both
+    at least COINCIDENCE_EPS long on this side; `cosines` adds their
+    cosines on first read. All of it stays on the embedding's tape, so one
+    side serves as the student, whose loss backpropagates through it, and as
+    the peer, whose values are read as constants. Measuring for another
+    tuple set rebuilds it.
     """
-    n = embeddings.data.shape[0]
-    if tuples.n != n:
-        raise ValueError(f"tuple sets built for batch {tuples.n}, embeddings have {n} rows")
-    dist = pairwise_l2(embeddings)
-    long_leg = dist.data[tuples.pair_u, tuples.pair_v] >= COINCIDENCE_EPS
-    mean_dist = div(reduce_sum(dist), float(tuples.num_pairs))
-    if mean_dist.item() < MEAN_DISTANCE_EPS:
-        return Tensor(np.zeros(tuples.num_pairs)), True, long_leg
-    flat = reshape(dist, (n * n,))
-    return div(gather(flat, tuples.pair_u * n + tuples.pair_v), mean_dist), False, long_leg
 
+    def __init__(self, embeddings: Tensor):
+        self.embeddings = embeddings
+        self.tuples: Optional[TupleSets] = None
 
-def _cosines(embeddings: Tensor, tuples: TupleSets, valid: np.ndarray) -> Tensor:
-    """Cosine between the pair-row legs head[i] and tail[i] of every valid triple.
+    def measure(self, tuples: TupleSets) -> "RelationSide":
+        if tuples is self.tuples:
+            return self
+        e = self.embeddings
+        n = e.data.shape[0]
+        if tuples.n != n:
+            raise ValueError(f"tuple sets built for batch {tuples.n}, embeddings have {n} rows")
+        dist = pairwise_l2(e)
+        long_leg = dist.data[tuples.pair_u, tuples.pair_v] >= COINCIDENCE_EPS
+        self.valid = long_leg[tuples.head] & long_leg[tuples.tail]
+        mean_dist = div(reduce_sum(dist), float(tuples.num_pairs))
+        self.degenerate = mean_dist.item() < MEAN_DISTANCE_EPS
+        if self.degenerate:
+            self.potentials = Tensor(np.zeros(tuples.num_pairs))
+        else:
+            flat = reshape(dist, (n * n,))
+            self.potentials = div(gather(flat, tuples.pair_u * n + tuples.pair_v), mean_dist)
+        self._cosines = None
+        self.tuples = tuples
+        return self
 
-    Each ordered pair's leg e[u] - e[v] and its length are computed once. A
-    full triple set takes each middle index's cosines from one Gram matrix
-    of its n-1 unit legs; a sampled one gathers the two legs per triple,
-    because its at most 16*15*14 triples would fill only a small part of
-    the n*(n-1)*(n-1) Gram cells, whose count grows as n**3.
-    """
-    legs = sub(gather(embeddings, tuples.pair_u), gather(embeddings, tuples.pair_v))
-    lengths = sqrt(reduce_sum(mul(legs, legs), axis=1))
-    return triple_cosines(legs, lengths, tuples.head[valid], tuples.tail[valid], tuples.middle_rows)
+    def cosines(self) -> Tensor:
+        """Cosine between the pair-row legs head[i] and tail[i] of every valid triple.
+
+        Each ordered pair's leg e[u] - e[v] and its length are computed once.
+        A full triple set takes each middle index's cosines from one Gram
+        matrix of its n-1 unit legs; a sampled one gathers the two legs per
+        triple, because its at most 16*15*14 triples would fill only a small
+        part of the n*(n-1)*(n-1) Gram cells, whose count grows as n**3.
+        """
+        if self._cosines is None:
+            e, t = self.embeddings, self.tuples
+            legs = sub(gather(e, t.pair_u), gather(e, t.pair_v))
+            lengths = sqrt(reduce_sum(mul(legs, legs), axis=1))
+            self._cosines = triple_cosines(
+                legs, lengths, t.head[self.valid], t.tail[self.valid], t.middle_rows
+            )
+        return self._cosines
 
 
 def distance_potentials(embeddings: Tensor, tuples: TupleSets) -> tuple[Tensor, bool]:
@@ -268,7 +293,8 @@ def distance_potentials(embeddings: Tensor, tuples: TupleSets) -> tuple[Tensor, 
     zeros (zero gradient) and the flag is set. Otherwise the potentials mean
     to exactly 1 up to floating point.
     """
-    return _geometry(embeddings, tuples)[:2]
+    side = RelationSide(embeddings).measure(tuples)
+    return side.potentials, side.degenerate
 
 
 def angle_potentials(embeddings: Tensor, tuples: TupleSets) -> tuple[Tensor, np.ndarray]:
@@ -280,9 +306,8 @@ def angle_potentials(embeddings: Tensor, tuples: TupleSets) -> tuple[Tensor, np.
     """
     if embeddings.data.shape[0] < 3:
         raise ValueError("angle potentials need at least 3 samples")
-    long_leg = _geometry(embeddings, tuples)[2]
-    valid = long_leg[tuples.head] & long_leg[tuples.tail]
-    return _cosines(embeddings, tuples, valid), valid
+    side = RelationSide(embeddings).measure(tuples)
+    return side.cosines(), side.valid
 
 
 @dataclass
@@ -297,33 +322,46 @@ class RelationLoss:
 
 
 def relation_distill_loss(
-    emb_a: Tensor, emb_b: Tensor, weights: LossWeights, tuples: TupleSets
+    student: RelationSide | Tensor,
+    peer: RelationSide | Tensor,
+    weights: LossWeights,
+    tuples: TupleSets,
 ) -> RelationLoss:
     """Mean Huber gap of distance potentials plus beta1 times the angle gap.
 
-    The value is symmetric in its embedding arguments. Gradient flow follows
-    whatever the caller passes: detach one side to stop its gradients.
-    Batches below 3 samples skip the angle term; batches below 2 samples
-    contribute nothing at all.
+    Each side is a RelationSide, measured here on first use, or an embedding
+    Tensor, measured for this call alone. Gradients reach only the student:
+    the peer's potentials and cosines enter as constants. The value is
+    symmetric in the two sides. The sides may differ in width but not in
+    row count. Batches below 3 samples skip the angle term; batches below 2
+    samples contribute nothing at all.
     """
-    if emb_a.data.shape != emb_b.data.shape:
-        raise ValueError(
-            f"embedding shapes differ: {emb_a.data.shape} vs {emb_b.data.shape}"
-        )
-    if emb_a.data.shape[0] < 2:
+    student, peer = (
+        side if isinstance(side, RelationSide) else RelationSide(side) for side in (student, peer)
+    )
+    n, n_peer = student.embeddings.data.shape[0], peer.embeddings.data.shape[0]
+    if n != n_peer:
+        raise ValueError(f"embedding row counts differ: {n} vs {n_peer}")
+    if n < 2:
         return RelationLoss(Tensor(0.0), Tensor(0.0), Tensor(0.0))
-    pots_a, degenerate_a, long_a = _geometry(emb_a, tuples)
-    pots_b, degenerate_b, long_b = _geometry(emb_b, tuples)
-    dd = reduce_mean(huber_penalty(sub(pots_a, pots_b)))
-    collapses = int(degenerate_a) + int(degenerate_b)
+    student.measure(tuples)
+    peer.measure(tuples)
+    dd = reduce_mean(huber_penalty(sub(student.potentials, Tensor(peer.potentials.data))))
+    collapses = int(student.degenerate) + int(peer.degenerate)
 
     ad = Tensor(0.0)
-    long_leg = long_a & long_b
-    valid = long_leg[tuples.head] & long_leg[tuples.tail]
+    # The pair's valid triples are a subset of each side's own; `cosines`
+    # holds one value per own valid triple, so each side is narrowed to the
+    # pair's by position. The student's gather backward scatters exact
+    # copies of the gradient and adds exact zeros elsewhere.
+    valid = student.valid & peer.valid
     skipped = int(tuples.num_triples - valid.sum())
     if valid.any():
-        gap = sub(_cosines(emb_a, tuples, valid), _cosines(emb_b, tuples, valid))
-        ad = reduce_mean(huber_penalty(gap))
+        own = student.cosines()
+        if valid.sum() < student.valid.sum():
+            own = gather(own, np.flatnonzero(valid[student.valid]))
+        other = peer.cosines().data[np.flatnonzero(valid[peer.valid])]
+        ad = reduce_mean(huber_penalty(sub(own, Tensor(other))))
     total = add(dd, mul(ad, weights.beta1))
     return RelationLoss(total, dd, ad, collapses, skipped)
 
@@ -342,6 +380,13 @@ class TotalLoss:
     triples_skipped: int = 0
 
 
+def _relation_side(outputs: ForwardOutput) -> RelationSide:
+    """The relation side kept with a forward output, made on first use."""
+    if outputs.relation is None:
+        outputs.relation = RelationSide(outputs.embedding)
+    return outputs.relation
+
+
 def total_loss(
     outputs: ForwardOutput,
     peer_outputs: Optional[ForwardOutput],
@@ -353,11 +398,12 @@ def total_loss(
     """alpha * CE + beta * (relation + beta2 * peer KL) + gamma * self-distillation.
 
     The peer's embedding and logits are constants, so gradients reach only
-    the network being updated. Terms with a zero coefficient are skipped
-    entirely, not just scaled to zero, so degenerate weight settings reduce
-    bit-for-bit to the simpler training schemes they imply. The relation
-    term runs if and only if tuple sets are given. Component fields report
-    raw (unweighted) values.
+    the network being updated. Each output keeps its relation side, so an
+    output read as the student and as the peer is measured once. Terms with
+    a zero coefficient are skipped entirely, not just scaled to zero, so
+    degenerate weight settings reduce bit-for-bit to the simpler training
+    schemes they imply. The relation term runs if and only if tuple sets are
+    given. Component fields report raw (unweighted) values.
     """
     parts = []
     result = TotalLoss(total=Tensor(0.0))
@@ -371,7 +417,7 @@ def total_loss(
         mutual = Tensor(0.0)
         if tuples is not None:
             rel = relation_distill_loss(
-                outputs.embedding, peer_outputs.embedding.detach(), weights, tuples
+                _relation_side(outputs), _relation_side(peer_outputs), weights, tuples
             )
             mutual = rel.total
             result.loss_dd = rel.distance.item()

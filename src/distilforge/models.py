@@ -54,10 +54,15 @@ class NetworkConfig:
 
 @dataclass
 class ForwardOutput:
-    """Embedding (batch, hidden_dims[-1]) and logits (batch, num_classes)."""
+    """Embedding (batch, hidden_dims[-1]) and logits (batch, num_classes).
+
+    `relation` holds the embedding's relation geometry once a loss has
+    measured it, so that it lives and dies with this output.
+    """
 
     embedding: Tensor
     logits: Tensor
+    relation: object = None
 
 
 class PeerNetwork:
@@ -144,8 +149,8 @@ def load_checkpoint(path) -> PeerNetwork:
     Raises ValueError naming the problem: a document that is not an object
     holding `config` and `parameters` objects, an invalid config, or a
     parameter that the config does not have or lacks, that is not an object,
-    whose shape differs from the config's, or whose data is not base64 of 8
-    bytes per element of its shape.
+    whose shape differs from the config's, whose data is not base64 of 8
+    bytes per element of its shape, or whose values are not all finite.
     """
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
@@ -187,5 +192,7 @@ def load_checkpoint(path) -> PeerNetwork:
                 f"shape {shape} needs {needed}"
             )
         arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"checkpoint parameter '{name}': non-finite values")
         params[name] = Tensor(arr, requires_grad=True)
     return PeerNetwork(config, params)

@@ -259,9 +259,10 @@ def _train_epochs(
     sequential order it steps at once, so the second peer's loss sees the
     first peer's updated outputs; in simultaneous order both step after both
     backward passes, so both losses see pre-step outputs. A peer's forward
-    output is reused until that peer steps. Each frozen snapshot's embedding
-    is computed once, over the whole training split, and each batch applies
-    the snapshot's output layer to its rows at the batch's own shape. This
+    output, with the relation geometry `total_loss` keeps on it, is reused
+    until that peer steps. Each frozen snapshot's embedding is computed
+    once, over the whole training split, and each batch applies the
+    snapshot's output layer to its rows at the batch's own shape. This
     relies on BLAS giving each row of a hidden layer's product the same bits
     whichever rows share the call; OpenBLAS does not for small products such
     as a narrow output layer at batch size (README, Determinism). Shuffling

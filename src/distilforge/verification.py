@@ -230,8 +230,8 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
 def op_cases() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
     """(name, op of one tensor, input): one case per engine op form and tensor operand.
 
-    `triple_cosines` is fed from embeddings the way `losses._cosines` feeds
-    it, on a full triple set (the Gram layout) and on a capped one.
+    `triple_cosines` is fed from embeddings the way `RelationSide.cosines`
+    feeds it, on a full triple set (the Gram layout) and on a capped one.
     """
     rng = np.random.default_rng(9)
 
@@ -335,7 +335,7 @@ def loss_builders(scn: GradScenario) -> dict[str, Callable[[], Tensor]]:
 
     def relation():
         return relation_distill_loss(
-            scn.net.forward(scn.x).embedding, peer_out().embedding.detach(), w, scn.tuples
+            scn.net.forward(scn.x).embedding, peer_out().embedding, w, scn.tuples
         )
 
     return {

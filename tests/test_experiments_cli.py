@@ -743,6 +743,17 @@ class TestCli:
         assert (out / "data" / "notes.txt").read_text() == "kept"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
 
+    @pytest.mark.parametrize("update_order", ["sequential", "simultaneous"])
+    def test_peers_of_different_widths_train(self, tmp_path, update_order):
+        code, err = run_demo_with(tmp_path, {
+            ("network2", "hidden_dims"): [8, 4],
+            ("train", "variant"): "A",
+            ("train", "update_order"): update_order,
+        })
+        assert code == 0, err
+        assert not any("Traceback" in line for line in err), err
+        assert (tmp_path / "out" / "rep0" / "metrics.csv").exists()
+
     def test_ablate_command(self, tmp_path, capsys):
         path = write_config(tmp_path)
         out = tmp_path / "ablate"

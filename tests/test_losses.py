@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from distilforge.autodiff import (
-    Tensor, backward, div, gather, huber_penalty, mul, reduce_sum, triple_cosines,
+    Tensor, add, backward, div, gather, huber_penalty, mul, pairwise_l2, reduce_mean,
+    reduce_sum, reshape, sqrt, sub, triple_cosines,
 )
 from distilforge.losses import (
     COINCIDENCE_EPS,
     LossWeights,
+    RelationSide,
     TupleSets,
     angle_potentials,
     cross_entropy,
@@ -518,12 +520,111 @@ class TestRelationLoss:
         )
         assert err < 1e-4
 
+    def test_peers_of_different_widths_match_oracle(self):
+        rng = np.random.default_rng(36)
+        w = LossWeights()
+        for n in (3, 6):
+            wide, narrow = rng.uniform(-1.0, 1.0, (n, 16)), rng.uniform(-1.0, 1.0, (n, 4))
+            for ea, eb in ((wide, narrow), (narrow, wide)):
+                rel = relation_distill_loss(Tensor(ea), Tensor(eb), w, TupleSets.build(n))
+                assert abs(rel.distance.item() - oracle_distance_loss(ea, eb)) < 1e-10
+                assert abs(rel.angle.item() - oracle_angle_loss(ea, eb)) < 1e-10
+        with pytest.raises(ValueError, match="embedding row counts differ: 4 vs 3"):
+            relation_distill_loss(
+                Tensor(np.ones((4, 16))), Tensor(np.ones((3, 4))), w, TupleSets.build(4)
+            )
+
     def test_collapsed_embeddings_counted(self):
         ea = np.ones((3, 2))
         eb = np.ones((3, 2)) * 5.0
         rel = relation_distill_loss(Tensor(ea), Tensor(eb), LossWeights(), TupleSets.build(3))
         assert rel.pi_collapses == 2
         assert rel.total.item() == 0.0
+
+
+def fresh_pair_relation(student, peer, tuples, beta1):
+    """(distance, angle, total) with both sides' geometry built for this pair alone.
+
+    The reference composition: the peer is detached, and each side's
+    cosines are computed for the pair's valid triples only, not for its own.
+    """
+    peer = peer.detach()
+
+    def potentials_and_long_legs(e):
+        n = e.data.shape[0]
+        dist = pairwise_l2(e)
+        mean = div(reduce_sum(dist), float(tuples.num_pairs))
+        pots = div(gather(reshape(dist, (n * n,)), tuples.pair_u * n + tuples.pair_v), mean)
+        return pots, dist.data[tuples.pair_u, tuples.pair_v] >= COINCIDENCE_EPS
+
+    def cosines(e, valid):
+        legs = sub(gather(e, tuples.pair_u), gather(e, tuples.pair_v))
+        lengths = sqrt(reduce_sum(mul(legs, legs), axis=1))
+        head, tail = tuples.head[valid], tuples.tail[valid]
+        return triple_cosines(legs, lengths, head, tail, tuples.middle_rows)
+
+    (pots_s, long_s), (pots_p, long_p) = map(potentials_and_long_legs, (student, peer))
+    long_leg = long_s & long_p
+    valid = long_leg[tuples.head] & long_leg[tuples.tail]
+    dd = reduce_mean(huber_penalty(sub(pots_s, pots_p)))
+    ad = reduce_mean(huber_penalty(sub(cosines(student, valid), cosines(peer, valid))))
+    return dd, ad, add(dd, mul(ad, beta1))
+
+
+class TestRelationSide:
+    @pytest.mark.parametrize("n", [16, 17])
+    @pytest.mark.parametrize("coincident", ["none", "peer_only"])
+    def test_shared_sides_match_fresh_geometry(self, n, coincident):
+        """Each side measured once and read in both roles, as a simultaneous batch does.
+
+        Values and student gradients are bit-equal to geometry built fresh
+        per call. With rows coinciding in b alone, the pair's valid triples
+        are a strict subset of a's own, so a's cosines are narrowed as the
+        student and b's read whole.
+        """
+        rng = np.random.default_rng(60 + n)
+        ea, eb = rng.standard_normal((2, n, 5))
+        if coincident == "peer_only":
+            eb[n - 1] = eb[0]
+        tuples = TupleSets.build(n, rng)
+        assert tuples.capped == (n > 16)
+        w = LossWeights()
+        a, b = Tensor(ea, requires_grad=True), Tensor(eb, requires_grad=True)
+        side_a, side_b = RelationSide(a), RelationSide(b)
+        shared_ab = relation_distill_loss(side_a, side_b, w, tuples)
+        backward(shared_ab.total)
+        shared_ba = relation_distill_loss(side_b, side_a, w, tuples)
+        backward(shared_ba.total)
+        narrowed = (side_a.valid & side_b.valid) != side_a.valid
+        assert narrowed.any() == (coincident == "peer_only")
+        assert side_b.valid.all() == (coincident == "none")
+
+        roles = ((ea, eb, shared_ab, a.grad), (eb, ea, shared_ba, b.grad))
+        for student, peer, shared, grad in roles:
+            fresh = Tensor(student, requires_grad=True)
+            dd, ad, total = fresh_pair_relation(fresh, Tensor(peer), tuples, w.beta1)
+            backward(total)
+            assert np.array_equal(shared.distance.data, dd.data)
+            assert np.array_equal(shared.angle.data, ad.data)
+            assert np.array_equal(shared.total.data, total.data)
+            assert np.array_equal(grad, fresh.grad)
+
+    def test_peer_side_gets_no_gradient(self):
+        rng = np.random.default_rng(61)
+        a = Tensor(rng.uniform(-1.0, 1.0, (5, 3)), requires_grad=True)
+        b = Tensor(rng.uniform(-1.0, 1.0, (5, 3)), requires_grad=True)
+        backward(relation_distill_loss(a, b, LossWeights(), TupleSets.build(5)).total)
+        assert a.grad is not None
+        assert b.grad is None
+
+    def test_remeasured_for_another_tuple_set(self):
+        rng = np.random.default_rng(62)
+        side = RelationSide(Tensor(rng.standard_normal((17, 3))))
+        first = side.measure(TupleSets.build(17, np.random.default_rng(0))).cosines().data
+        again = side.measure(TupleSets.build(17, np.random.default_rng(1))).cosines().data
+        fresh, _ = angle_potentials(side.embeddings, side.tuples)
+        assert not np.array_equal(first, again)
+        assert np.array_equal(again, fresh.data)
 
 
 class TestMutualLoss:

@@ -218,8 +218,13 @@ class TestCheckpoint:
              "shape \\[4, 1\\], config needs \\[2, 2\\]"),
             ("b0", lambda p: p.pop("b0"), "missing, config needs shape \\[2\\]"),
             ("w2", lambda p: p.update(w2=p["w1"]), "not a parameter of the config"),
+            ("b0", lambda p: p["b0"].update(data=base64.b64encode(
+                struct.pack("<2d", 0.5, float("nan"))).decode()), "non-finite values$"),
+            ("b0", lambda p: p["b0"].update(data=base64.b64encode(
+                struct.pack("<2d", float("-inf"), 0.5)).decode()), "non-finite values$"),
         ],
-        ids=["byte_count", "invalid_base64", "list_form", "wrong_shape", "missing", "extra"],
+        ids=["byte_count", "invalid_base64", "list_form", "wrong_shape", "missing", "extra",
+             "nan", "inf"],
     )
     def test_bad_payload_names_parameter(self, tmp_path, name, edit, reason):
         path = tmp_path / "net.json"

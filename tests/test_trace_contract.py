@@ -6,12 +6,14 @@ child on tiny demo-like configs, so an engine or loss change that stops
 calling a listed op fails here, in the unit tests, and not only in the
 benchmark. Batch 17 makes the relation term subsample (cap) its triples, as
 the demo's batch 32 does; the ablation at batch 16 takes every triple, as
-the `ablate_small` workload does; its batches of 16 and 2 build both
-relation sides every call, so each side's distances must come from exactly
-one `pairwise_l2` call. Variant D at batch 17 has no relation term
-and must leave every relation layer idle, as the `wide_idx` workload does;
-its forward and `matmul` call counts are pinned by formula, so a frozen
-snapshot forwarded per batch again fails here.
+the `ablate_small` workload does. Each forward output's relation geometry
+comes from one `pairwise_l2` call, reused while the output is: two per
+simultaneous batch (one per relation call) and three per sequential one
+(net1, net2, then net1 after its step), batches below 2 rows making none.
+Variant D at batch 17 has no relation term and must leave every relation
+layer idle, as the `wide_idx` workload does; its forward and `matmul` call
+counts are pinned by formula, so a frozen snapshot forwarded per batch
+again fails here.
 """
 
 from __future__ import annotations
@@ -51,8 +53,14 @@ def traced_run(tmp_path: Path, command: str, train: dict) -> run.Process:
 
 def test_traced_demo_like_run_keeps_the_layer_contract(tmp_path):
     traced = traced_run(tmp_path, "run", {"batch_size": 17})
-    assert traced.result["trace"]["counters"]["losses.tuple_sets.capped"] > 0
+    trace = traced.result["trace"]
+    assert trace["counters"]["losses.tuple_sets.capped"] > 0
     assert run.layer_activity_errors(traced, run.WORKLOADS["demo_run"]) == []
+    # Sequential stage 2 over batches of 17 and 1 rows, one epoch: two
+    # relation calls per batch, three geometry passes for the 17-row batch.
+    calls = collections.Counter(trace["names"][span[0]] for span in trace["spans"])
+    assert calls["losses.relation"] == 2 * 2, calls
+    assert calls["autodiff.op.pairwise_l2"] == 3 * 1, calls
 
 
 def test_traced_full_triple_ablation_keeps_the_layer_contract(tmp_path):
@@ -62,7 +70,7 @@ def test_traced_full_triple_ablation_keeps_the_layer_contract(tmp_path):
     assert run.layer_activity_errors(traced, run.WORKLOADS["ablate_small"]) == []
     calls = collections.Counter(trace["names"][span[0]] for span in trace["spans"])
     assert calls["losses.relation"] > 0
-    assert calls["autodiff.op.pairwise_l2"] == 2 * calls["losses.relation"], calls
+    assert calls["autodiff.op.pairwise_l2"] == calls["losses.relation"], calls
 
 
 def test_traced_variant_d_run_keeps_the_relation_layers_idle(tmp_path):
