@@ -38,7 +38,7 @@ __all__ = [
     "gather",
     "triple_cosines",
     "huber_penalty",
-    "softmax_with_temperature",
+    "softmax_rows",
     "log_softmax_with_temperature",
     "pairwise_l2",
     "backward",
@@ -57,7 +57,8 @@ class Tensor:
 
     ``grad`` stays ``None`` until a backward pass reaches the tensor; ``None``
     means the derivative is identically zero (no path from the differentiated
-    scalar back to this tensor).
+    scalar back to this tensor). Only leaves keep it: an op's output holds
+    its gradient until the pass has handed it on to the op's inputs.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "parents", "_rule")
@@ -129,6 +130,9 @@ class Tape:
             g = node.grad
             if g is None:
                 continue
+            # An interior gradient is spent once its rule has run; kept, a
+            # later backward through this node would add it again.
+            node.grad = None
             for parent, pg in zip(node.parents, node._rule(g)):
                 if parent.requires_grad and pg is not None:
                     parent._accumulate(pg)
@@ -395,36 +399,29 @@ def huber_penalty(x: Tensor) -> Tensor:
     return _record(out, "huber_penalty", (x,), lambda g: (g * np.clip(xd, -1.0, 1.0),))
 
 
-def softmax_with_temperature(z: Tensor, t: float) -> Tensor:
-    """Row softmax of z / t for a 2-d (batch, classes) tensor."""
-    if not (_is_number(t) and t > 0):
-        raise ValueError("temperature must be a positive number")
-    if z.data.ndim != 2:
-        raise ValueError(f"softmax expects a 2-d tensor, got shape {z.data.shape}")
-    t = float(t)
-    u = z.data / t
-    u = u - u.max(axis=1, keepdims=True)
-    e = np.exp(u)
-    s = e / e.sum(axis=1, keepdims=True)
+def softmax_rows(z: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row softmax and row log-softmax of z / t for a 2-d (batch, classes) array.
 
-    def rule(g):
-        return ((s * (g - (g * s).sum(axis=1, keepdims=True))) / t,)
-
-    return _record(s, "softmax_with_temperature", (z,), rule)
+    Plain numpy, not a tape op: a distillation teacher's softened
+    distribution is a constant, and `log_softmax_with_temperature` takes its
+    value from here.
+    """
+    if not (_is_number(t) and math.isfinite(t) and t > 0):
+        raise ValueError("temperature must be a finite positive number")
+    if z.ndim != 2:
+        raise ValueError(f"softmax expects a 2-d array, got shape {z.shape}")
+    u = z / float(t)
+    shifted = u - u.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    return e / total, shifted - np.log(total)
 
 
 def log_softmax_with_temperature(z: Tensor, t: float) -> Tensor:
     """Row log-softmax of z / t, computed stably for large logits."""
-    if not (_is_number(t) and t > 0):
-        raise ValueError("temperature must be a positive number")
-    if z.data.ndim != 2:
-        raise ValueError(f"log_softmax expects a 2-d tensor, got shape {z.data.shape}")
-    t = float(t)
-    u = z.data / t
-    m = u.max(axis=1, keepdims=True)
-    shifted = u - m
-    out = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    out = softmax_rows(z.data, t)[1]
     s = np.exp(out)
+    t = float(t)
 
     def rule(g):
         return ((g - s * g.sum(axis=1, keepdims=True)) / t,)
@@ -460,8 +457,8 @@ def pairwise_l2(e: Tensor) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep seeding d(loss)/d(loss) = 1.
 
-    Gradients accumulate additively over multiple paths; tensors with
-    ``requires_grad=False`` are never written to.
+    Gradients accumulate additively over multiple paths, and on leaves over
+    backward calls; tensors with ``requires_grad=False`` are never written to.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")

@@ -33,6 +33,7 @@ from .trainer import (
     evaluate_top1,
     metrics_to_csv,
     train_pair,
+    variant_weights,
 )
 
 __all__ = [
@@ -368,10 +369,16 @@ def run_ablation(config: ExperimentConfig, out_dir=None, overwrite: bool = False
 
     Writes one sub-directory per variant, an ablation.csv comparison table
     (one row per variant and net) and an ablation_report.json that flags
-    whether removing the self term (variant B) cost the most accuracy. Like
+    whether removing the self term (variant B) cost the most accuracy. Every
+    variant's objective is checked before any training. Like
     `run_experiment`'s, the outputs reach `out` only when every variant
     succeeded.
     """
+    for variant in VARIANTS:
+        try:
+            variant_weights(config.train.weights, variant)
+        except ValueError as exc:
+            raise ConfigError(f"train: {exc}") from exc
     out = _resolve_out_dir(config, out_dir)
     _guard_overwrite(out, _ABLATION_OUTPUTS, overwrite)
     with _staged_output(out, _ABLATION_OUTPUTS) as stage:

@@ -1,15 +1,18 @@
 """Distillation losses for collaborative two-peer training.
 
-Response-based terms compare softened class distributions: cross-entropy
-against one-hot labels, mutual KL against the peer's predictions, and a
-temperature-softened KL against a frozen snapshot of the network itself.
-Relation-based terms compare batch geometry instead: normalized pairwise
-distances over ordered sample pairs, and angle cosines over ordered sample
-triples, each penalized with a unit-threshold Huber function.
+Response-based terms compare softened class distributions: `cross_entropy`
+against one-hot labels, and `kl_softened` against a teacher, which is the
+peer's predictions at temperature 1 for the mutual term and a frozen
+snapshot of the network itself at the configured temperature for the self
+term. Relation-based terms compare batch geometry instead: normalized
+pairwise distances over ordered sample pairs, and angle cosines over ordered
+sample triples, each measured once per forward output by a `RelationSide`
+and penalized with a unit-threshold Huber function.
 
 All losses reduce with the batch mean, so values are comparable across batch
 sizes. Teacher-side quantities (the peer and the snapshot) are constants:
-gradients only ever flow into the network being updated.
+gradients only ever flow into the network being updated, and a teacher's
+softened distribution is computed off the tape.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .autodiff import (
     reduce_mean,
     reduce_sum,
     reshape,
-    softmax_with_temperature,
+    softmax_rows,
     sqrt,
     sub,
     triple_cosines,
@@ -50,10 +53,7 @@ __all__ = [
     "RelationLoss",
     "TotalLoss",
     "cross_entropy",
-    "kl_mutual",
-    "self_distill_kl",
-    "distance_potentials",
-    "angle_potentials",
+    "kl_softened",
     "relation_distill_loss",
     "total_loss",
 ]
@@ -197,48 +197,36 @@ def cross_entropy(logits: Tensor, one_hot: Tensor) -> Tensor:
     return mul(reduce_mean(picked), -1.0)
 
 
-def _kl_softened(student_logits: Tensor, teacher_logits: Tensor, t: float) -> Tensor:
+def kl_softened(student_logits: Tensor, teacher_logits: Tensor, t: float) -> Tensor:
+    """Batch-mean KL from the teacher's softmax of logits / t to the student's.
+
+    The first argument is the network being updated: it sits in the log
+    denominator. The teacher side is computed off the tape, as a constant;
+    no gradient reaches it. The value is not rescaled by t**2. The mutual
+    term runs at t = 1, the self term at the configured temperature.
+    """
     if student_logits.data.shape != teacher_logits.data.shape:
         raise ValueError(
             f"logit shapes differ: {student_logits.data.shape} vs {teacher_logits.data.shape}"
         )
-    teacher = Tensor(teacher_logits.data)
-    q = softmax_with_temperature(teacher, t)
-    log_q = log_softmax_with_temperature(teacher, t)
+    q, log_q = softmax_rows(teacher_logits.data, t)
     log_p = log_softmax_with_temperature(student_logits, t)
-    per_row = reduce_sum(mul(q, sub(log_q, log_p)), axis=1)
+    per_row = reduce_sum(mul(Tensor(q), sub(Tensor(log_q), log_p)), axis=1)
     return reduce_mean(per_row)
-
-
-def kl_mutual(student_logits: Tensor, teacher_logits: Tensor) -> Tensor:
-    """Batch-mean KL from the peer's softmax to the student's, temperature 1.
-
-    The first argument is the network being updated: it sits in the log
-    denominator. The teacher side is a constant; no gradient reaches it.
-    """
-    return _kl_softened(student_logits, teacher_logits, 1.0)
-
-
-def self_distill_kl(student_logits: Tensor, teacher_logits: Tensor, t: float) -> Tensor:
-    """Batch-mean KL from a frozen snapshot's softened softmax to the student's.
-
-    Both sides use temperature t; the value is not rescaled by t**2.
-    """
-    if not (np.isfinite(t) and t > 0):
-        raise ValueError("temperature must be positive")
-    return _kl_softened(student_logits, teacher_logits, float(t))
 
 
 class RelationSide:
     """One embedding's side of the relation term, measured once per tuple set.
 
     `measure` reads one pairwise_l2 matrix into the distance `potentials`,
-    the `degenerate` flag and `valid`, the triples whose two legs are both
-    at least COINCIDENCE_EPS long on this side; `cosines` adds their
-    cosines on first read. All of it stays on the embedding's tape, so one
-    side serves as the student, whose loss backpropagates through it, and as
-    the peer, whose values are read as constants. Measuring for another
-    tuple set rebuilds it.
+    one per ordered pair and normalized by their mean, the `degenerate` flag
+    and `valid`, the triples whose two legs are both at least
+    COINCIDENCE_EPS long on this side; `cosines` adds their cosines on first
+    read. A mean pair distance below MEAN_DISTANCE_EPS makes the side
+    degenerate, with constant zero potentials. All of it stays on the
+    embedding's tape, so one side serves as the student, whose loss
+    backpropagates through it, and as the peer, whose values are read as
+    constants. Measuring for another tuple set rebuilds it.
     """
 
     def __init__(self, embeddings: Tensor):
@@ -283,31 +271,6 @@ class RelationSide:
                 legs, lengths, t.head[self.valid], t.tail[self.valid], t.middle_rows
             )
         return self._cosines
-
-
-def distance_potentials(embeddings: Tensor, tuples: TupleSets) -> tuple[Tensor, bool]:
-    """Pairwise distances normalized by their batch mean, one per ordered pair.
-
-    Returns (potentials, degenerate). When the mean pair distance falls below
-    MEAN_DISTANCE_EPS the batch is degenerate: the potentials are constant
-    zeros (zero gradient) and the flag is set. Otherwise the potentials mean
-    to exactly 1 up to floating point.
-    """
-    side = RelationSide(embeddings).measure(tuples)
-    return side.potentials, side.degenerate
-
-
-def angle_potentials(embeddings: Tensor, tuples: TupleSets) -> tuple[Tensor, np.ndarray]:
-    """Cosine of the angle at the middle index of each valid ordered triple.
-
-    Triples whose (u, v) or (w, v) leg is shorter than COINCIDENCE_EPS are
-    skipped. Returns (cosines for the valid triples, boolean validity mask
-    over all triples in the tuple set).
-    """
-    if embeddings.data.shape[0] < 3:
-        raise ValueError("angle potentials need at least 3 samples")
-    side = RelationSide(embeddings).measure(tuples)
-    return side.cosines(), side.valid
 
 
 @dataclass
@@ -425,7 +388,7 @@ def total_loss(
             result.pi_collapses = rel.pi_collapses
             result.triples_skipped = rel.triples_skipped
         if weights.beta2 > 0:
-            kl = kl_mutual(outputs.logits, peer_outputs.logits)
+            kl = kl_softened(outputs.logits, peer_outputs.logits, 1.0)
             result.loss_kl_mutual = kl.item()
             scaled = mul(kl, weights.beta2)
             mutual = scaled if tuples is None else add(mutual, scaled)
@@ -433,7 +396,7 @@ def total_loss(
     if weights.gamma > 0:
         if snapshot_logits is None:
             raise ValueError("snapshot logits are required when gamma > 0")
-        sd = self_distill_kl(outputs.logits, snapshot_logits, weights.temperature)
+        sd = kl_softened(outputs.logits, snapshot_logits, weights.temperature)
         parts.append(mul(sd, weights.gamma))
         result.loss_sd = sd.item()
     total = parts[0]

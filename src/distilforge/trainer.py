@@ -97,8 +97,7 @@ class TrainConfig:
             raise ValueError("lr_milestones must lie below stage2_epochs")
         if not isinstance(self.weights, LossWeights):
             raise ValueError("weights must be a LossWeights instance")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {','.join(VARIANTS)}")
+        variant_weights(self.weights, self.variant)
         if self.update_order not in UPDATE_ORDERS:
             raise ValueError(f"update_order must be one of {','.join(UPDATE_ORDERS)}")
 
@@ -107,17 +106,19 @@ def variant_weights(weights: LossWeights, variant: str) -> tuple[LossWeights, bo
     """Effective weights and relation-term switch for an ablation variant.
 
     A runs the full objective; B drops the self term; C drops the mutual
-    response KL; D drops the relation term (both distance and angle).
+    response KL; D drops the relation term (both distance and angle). A
+    variant that leaves no term with a positive weight is rejected, since
+    it would train on a constant zero loss.
     """
-    if variant == "A":
-        return weights, True
-    if variant == "B":
-        return replace(weights, gamma=0.0), True
-    if variant == "C":
-        return replace(weights, beta2=0.0), True
-    if variant == "D":
-        return weights, False
-    raise ValueError(f"variant must be one of {','.join(VARIANTS)}")
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {','.join(VARIANTS)}")
+    relation = variant != "D"
+    gamma = 0.0 if variant == "B" else weights.gamma
+    beta2 = 0.0 if variant == "C" else weights.beta2
+    mutual = weights.beta > 0 and (relation or beta2 > 0)
+    if not (weights.alpha > 0 or mutual or gamma > 0):
+        raise ValueError(f"variant {variant} leaves no loss term with a positive weight")
+    return replace(weights, gamma=gamma, beta2=beta2), relation
 
 
 def sgd_step(

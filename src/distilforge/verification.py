@@ -18,7 +18,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import losses as losses_mod
 from .autodiff import (
     Tensor,
     add,
@@ -35,7 +34,7 @@ from .autodiff import (
     reduce_sum,
     relu,
     reshape,
-    softmax_with_temperature,
+    softmax_rows,
     sqrt,
     sub,
     triple_cosines,
@@ -43,11 +42,11 @@ from .autodiff import (
 from .data import synth_blobs, mean_std_normalize
 from .losses import (
     LossWeights,
+    RelationSide,
     TupleSets,
     cross_entropy,
-    kl_mutual,
+    kl_softened,
     relation_distill_loss,
-    self_distill_kl,
     total_loss,
 )
 from .models import NetworkConfig, init_network
@@ -267,8 +266,6 @@ def op_cases() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
         ("huber_penalty", huber_penalty, draw(-2.0, 2.0, 3, 4)),
         ("reshape", lambda t: reshape(t, (12,)), a),
         ("gather", lambda t: gather(t, [0, 2, 2, 1]), a),
-        ("softmax_t1", lambda t: softmax_with_temperature(t, 1.0), a),
-        ("softmax_t3", lambda t: softmax_with_temperature(t, 3.0), a),
         ("log_softmax_t1", lambda t: log_softmax_with_temperature(t, 1.0), a),
         ("log_softmax_t3", lambda t: log_softmax_with_temperature(t, 3.0), a),
         ("pairwise_l2", pairwise_l2, draw(-1.0, 1.0, 5, 3)),
@@ -340,8 +337,8 @@ def loss_builders(scn: GradScenario) -> dict[str, Callable[[], Tensor]]:
 
     return {
         "cross_entropy": lambda: cross_entropy(scn.net.forward(scn.x).logits, scn.one_hot),
-        "mutual_kl": lambda: kl_mutual(scn.net.forward(scn.x).logits, peer_out().logits),
-        "self_distill_kl": lambda: self_distill_kl(
+        "mutual_kl": lambda: kl_softened(scn.net.forward(scn.x).logits, peer_out().logits, 1.0),
+        "self_distill_kl": lambda: kl_softened(
             scn.net.forward(scn.x).logits, scn.snapshot.forward(scn.x).logits, w.temperature
         ),
         "distance_loss": lambda: relation().distance,
@@ -371,7 +368,7 @@ def check_op_gradients() -> None:
 
 def check_op_values() -> None:
     rng = np.random.default_rng(11)
-    rows = softmax_with_temperature(Tensor(rng.uniform(-1e3, 1e3, (5, 7))), 1.0).data.sum(axis=1)
+    rows = softmax_rows(rng.uniform(-1e3, 1e3, (5, 7)), 1.0)[0].sum(axis=1)
     _ensure(np.abs(rows - 1.0).max() < 1e-9, "softmax rows do not sum to 1 at logit scale 1e3")
     d = pairwise_l2(Tensor(rng.uniform(-1.0, 1.0, (4, 3)))).data
     _ensure(np.array_equal(d, d.T), "pairwise_l2 is not symmetric")
@@ -408,14 +405,14 @@ def check_response_loss_values() -> None:
     rng = np.random.default_rng(15)
     z = Tensor(rng.uniform(-2.0, 2.0, (3, 5)))
     _ensure(
-        abs(kl_mutual(z, Tensor(z.data.copy())).item()) < 1e-12,
+        abs(kl_softened(z, Tensor(z.data.copy()), 1.0).item()) < 1e-12,
         "mutual KL of identical logits is not zero",
     )
     zb = Tensor(z.data + rng.uniform(0.1, 0.5, (3, 5)))
-    _ensure(kl_mutual(z, zb).item() > 1e-9, "mutual KL of distinct logits is not positive")
+    _ensure(kl_softened(z, zb, 1.0).item() > 1e-9, "mutual KL of distinct logits is not positive")
     student = np.zeros((1, 2))
     teacher = np.array([[20.0, 0.0]])
-    gap = abs(kl_mutual(Tensor(student), Tensor(teacher)).item() - math.log(2.0))
+    gap = abs(kl_softened(Tensor(student), Tensor(teacher), 1.0).item() - math.log(2.0))
     _ensure(gap < 1e-4, f"near-one-hot teacher KL off ln(2) by {gap:.3e}")
 
 
@@ -448,11 +445,11 @@ def check_potential_normalization() -> None:
     rng = np.random.default_rng(16)
     e = Tensor(rng.uniform(-2.0, 2.0, (6, 4)))
     tuples = TupleSets.build(6)
-    pots, degenerate = losses_mod.distance_potentials(e, tuples)
-    _ensure(not degenerate, "random batch flagged as degenerate")
-    gap = abs(pots.data.mean() - 1.0)
+    side = RelationSide(e).measure(tuples)
+    _ensure(not side.degenerate, "random batch flagged as degenerate")
+    gap = abs(side.potentials.data.mean() - 1.0)
     _ensure(gap < 1e-9, f"mean distance potential off 1 by {gap:.3e}")
-    angles, _ = losses_mod.angle_potentials(e, tuples)
+    angles = side.cosines()
     _ensure(
         angles.data.min() >= -1.0 - 1e-12 and angles.data.max() <= 1.0 + 1e-12,
         "angle potentials leave [-1, 1]",

@@ -16,13 +16,11 @@ from distilforge.autodiff import Tensor, add, backward, huber_penalty, mul
 from distilforge.data import batch_iterator, mean_std_normalize, synth_blobs
 from distilforge.losses import (
     LossWeights,
+    RelationSide,
     TupleSets,
-    angle_potentials,
     cross_entropy,
-    distance_potentials,
-    kl_mutual,
+    kl_softened,
     relation_distill_loss,
-    self_distill_kl,
 )
 from distilforge.experiments import load_experiment_config, run_experiment
 from distilforge.models import NetworkConfig, init_network
@@ -91,11 +89,11 @@ def test_criterion_3_relational_invariances():
                 Tensor(e), Tensor(shifted), weights, tuples
             ).total.item()
             assert abs(value) < 1e-9, f"lambda={lam}: {value:.3e}"
-        pots, degenerate = distance_potentials(Tensor(e), tuples)
-        assert not degenerate
-        assert abs(pots.data.mean() - 1.0) < 1e-9
-        angles, valid = angle_potentials(Tensor(e), tuples)
-        assert valid.all()
+        side = RelationSide(Tensor(e)).measure(tuples)
+        assert not side.degenerate
+        assert abs(side.potentials.data.mean() - 1.0) < 1e-9
+        angles = side.cosines()
+        assert side.valid.all()
         assert angles.data.min() >= -1.0 and angles.data.max() <= 1.0
     print("criterion 3: invariances hold at lambda 0.5/2/10, mean potential 1, cosines bounded")
 
@@ -106,7 +104,7 @@ def test_criterion_4_analytic_loss_values():
     ce = cross_entropy(Tensor(np.zeros((3, 4))), Tensor(np.eye(4)[:3])).item()
     assert abs(ce - np.log(4.0)) < 1e-12
     z = np.random.default_rng(4).uniform(-2.0, 2.0, (3, 5))
-    assert abs(kl_mutual(Tensor(z), Tensor(z.copy())).item()) < 1e-12
+    assert abs(kl_softened(Tensor(z), Tensor(z.copy()), 1.0).item()) < 1e-12
     print("criterion 4: huber_penalty(2, 0.5)=(1.5, 0.125), CE(uniform,4)=ln4, KL(z,z)=0")
 
 
@@ -130,7 +128,7 @@ def _reference_stage2(nets, snapshots, train_ds, config, weights, use_self_term)
                 loss = mul(cross_entropy(logits, batch.one_hot_labels), weights.alpha)
                 if use_self_term:
                     snap_logits = snapshots[k].forward(batch.features).logits
-                    self_term = self_distill_kl(logits, snap_logits, weights.temperature)
+                    self_term = kl_softened(logits, snap_logits, weights.temperature)
                     loss = add(loss, mul(self_term, weights.gamma))
                 nets[k].zero_grads()
                 backward(loss)

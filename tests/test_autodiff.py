@@ -22,11 +22,13 @@ from distilforge.autodiff import (
     reduce_sum,
     relu,
     reshape,
-    softmax_with_temperature,
+    softmax_rows,
     sqrt,
     sub,
     triple_cosines,
 )
+from distilforge.losses import cross_entropy
+from distilforge.models import NetworkConfig, init_network
 from distilforge.verification import grad_check, op_cases, op_gradient_error
 
 GRAD_TOL = 1e-6
@@ -182,10 +184,9 @@ class TestNonlinearities:
 
 class TestSoftmax:
     def test_values(self):
-        z = Tensor([[0.0, math.log(2.0)]])
-        np.testing.assert_allclose(
-            softmax_with_temperature(z, 1.0).data, [[1.0 / 3.0, 2.0 / 3.0]], atol=1e-15
-        )
+        p, log_p = softmax_rows(np.array([[0.0, math.log(2.0)]]), 1.0)
+        np.testing.assert_allclose(p, [[1.0 / 3.0, 2.0 / 3.0]], atol=1e-15)
+        np.testing.assert_allclose(log_p, np.log([[1.0 / 3.0, 2.0 / 3.0]]), atol=1e-15)
         np.testing.assert_allclose(
             log_softmax_with_temperature(Tensor([[0.0, 0.0]]), 1.0).data,
             [[-math.log(2.0), -math.log(2.0)]],
@@ -193,28 +194,31 @@ class TestSoftmax:
         )
 
     def test_temperature_softens(self):
-        z = Tensor([[0.0, 2.0]])
-        hot = softmax_with_temperature(z, 1.0).data[0]
-        soft = softmax_with_temperature(z, 2.0).data[0]
+        z = np.array([[0.0, 2.0]])
+        hot = softmax_rows(z, 1.0)[0][0]
+        soft = softmax_rows(z, 2.0)[0][0]
         expected = math.e / (1.0 + math.e)
         assert abs(soft[1] - expected) < 1e-12
         assert soft[1] < hot[1]
 
     def test_large_logits_stable(self):
-        z = Tensor([[1e4, -1e4, 0.0]])
-        p = softmax_with_temperature(z, 1.0).data
-        assert np.isfinite(p).all()
+        z = np.array([[1e4, -1e4, 0.0]])
+        p, log_p = softmax_rows(z, 1.0)
+        assert np.isfinite(p).all() and np.isfinite(log_p).all()
         assert abs(p.sum() - 1.0) < 1e-12
-        lp = log_softmax_with_temperature(z, 1.0).data
-        assert np.isfinite(lp).all()
+        lp = log_softmax_with_temperature(Tensor(z), 1.0).data
+        assert np.array_equal(lp, log_p)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="temperature"):
-            softmax_with_temperature(Tensor([[1.0]]), 0.0)
+        for t in (0.0, -1.0, math.inf, math.nan, True):
+            with pytest.raises(ValueError, match="temperature"):
+                softmax_rows(np.array([[1.0]]), t)
         with pytest.raises(ValueError, match="temperature"):
             log_softmax_with_temperature(Tensor([[1.0]]), -1.0)
         with pytest.raises(ValueError, match="2-d"):
-            softmax_with_temperature(Tensor([1.0, 2.0]), 1.0)
+            softmax_rows(np.array([1.0, 2.0]), 1.0)
+        with pytest.raises(ValueError, match="2-d"):
+            log_softmax_with_temperature(Tensor([1.0, 2.0]), 1.0)
 
 class TestStructuralOps:
     def test_add_bias(self):
@@ -324,6 +328,18 @@ class TestBackward:
         backward(reduce_sum(mul(x, 3.0)))
         backward(reduce_sum(mul(x, 3.0)))
         np.testing.assert_array_equal(x.grad, [6.0])
+
+    def test_second_backward_through_one_output_repeats_the_first(self):
+        net = init_network(NetworkConfig(2, (4, 3), 2, init_seed=5))
+        x = Tensor(np.random.default_rng(10).uniform(-1.0, 1.0, (6, 2)))
+        out = net.forward(x)
+        labels = Tensor(np.eye(2)[[0, 1, 1, 0, 1, 0]])
+        grads = []
+        for _ in range(2):
+            net.zero_grads()
+            backward(cross_entropy(out.logits, labels))
+            grads.append(net.parameters["w0"].grad.copy())
+        assert np.array_equal(grads[1], grads[0])
 
     def test_reused_node_accumulates_within_one_tape(self):
         x = Tensor([2.0], requires_grad=True)

@@ -529,6 +529,30 @@ class TestCli:
             shutil.rmtree(out)
 
     @pytest.mark.parametrize("command", ["run", "ablate"])
+    @pytest.mark.parametrize(
+        "weights, variant, empty",
+        [
+            # B drops the self term, the only one left.
+            ({"alpha": 0.0, "beta": 0.0, "gamma": 0.6}, "B", "B"),
+            # D drops the relation term, and beta2 = 0 the peer KL with it.
+            ({"alpha": 0.0, "gamma": 0.0, "beta2": 0.0}, "D", "D"),
+        ],
+        ids=["no_self_term", "no_mutual_term"],
+    )
+    def test_variant_with_empty_objective_exits_1(
+        self, tmp_path, capsys, command, weights, variant, empty
+    ):
+        train = dict(base_config_dict()["train"], weights=weights)
+        if command == "run":
+            train["variant"] = variant
+        path = write_config(tmp_path, train=train)
+        assert cli.main([command, str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config: train: variant {empty} leaves no loss term with a positive weight"
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
     def test_output_error_exits_1(self, tmp_path, capsys, command):
         path = write_config(tmp_path)
         blocker = tmp_path / "blocker"

@@ -16,12 +16,9 @@ from distilforge.losses import (
     LossWeights,
     RelationSide,
     TupleSets,
-    angle_potentials,
     cross_entropy,
-    distance_potentials,
-    kl_mutual,
+    kl_softened,
     relation_distill_loss,
-    self_distill_kl,
     total_loss,
 )
 from distilforge.models import ForwardOutput, NetworkConfig, init_network
@@ -203,19 +200,19 @@ class TestCrossEntropy:
 class TestMutualKL:
     def test_identical_logits_zero(self):
         z = np.random.default_rng(21).uniform(-2.0, 2.0, (4, 6))
-        assert abs(kl_mutual(Tensor(z), Tensor(z.copy())).item()) < 1e-12
+        assert abs(kl_softened(Tensor(z), Tensor(z.copy()), 1.0).item()) < 1e-12
 
     def test_hand_case(self):
         student = Tensor(np.zeros((1, 2)))
         teacher = Tensor(np.array([[0.0, math.log(3.0)]]))
         # KL([1/4, 3/4] || [1/2, 1/2]) = 0.75 ln 3 - ln 2.
-        assert abs(kl_mutual(student, teacher).item() - 0.130812035941137) < 1e-15
+        assert abs(kl_softened(student, teacher, 1.0).item() - 0.130812035941137) < 1e-15
 
     def test_positive_and_asymmetric(self):
         rng = np.random.default_rng(22)
         a = Tensor(rng.uniform(-2.0, 2.0, (3, 4)))
         b = Tensor(rng.uniform(-2.0, 2.0, (3, 4)))
-        ab, ba = kl_mutual(a, b).item(), kl_mutual(b, a).item()
+        ab, ba = kl_softened(a, b, 1.0).item(), kl_softened(b, a, 1.0).item()
         assert ab > 0 and ba > 0
         assert abs(ab - ba) > 1e-6
 
@@ -224,20 +221,20 @@ class TestMutualKL:
         for _ in range(10):
             s = rng.uniform(-3.0, 3.0, (5, 4))
             t = rng.uniform(-3.0, 3.0, (5, 4))
-            got = kl_mutual(Tensor(s), Tensor(t)).item()
+            got = kl_softened(Tensor(s), Tensor(t), 1.0).item()
             assert abs(got - oracle_kl(s, t, 1.0)) < 1e-12
 
     def test_teacher_receives_no_gradient(self):
         rng = np.random.default_rng(24)
         s = Tensor(rng.uniform(-1.0, 1.0, (3, 4)), requires_grad=True)
         t = Tensor(rng.uniform(-1.0, 1.0, (3, 4)), requires_grad=True)
-        backward(kl_mutual(s, t))
+        backward(kl_softened(s, t, 1.0))
         assert s.grad is not None
         assert t.grad is None
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="logit shapes differ"):
-            kl_mutual(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+            kl_softened(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), 1.0)
 
 
 class TestSelfDistillKL:
@@ -247,7 +244,7 @@ class TestSelfDistillKL:
         t = 3.0
         student = Tensor(np.zeros((1, 2)))
         teacher = Tensor(np.array([[0.0, t * math.log(3.0)]]))
-        got = self_distill_kl(student, teacher, t).item()
+        got = kl_softened(student, teacher, t).item()
         assert abs(got - 0.130812035941137) < 1e-14
 
     def test_matches_oracle(self):
@@ -255,56 +252,57 @@ class TestSelfDistillKL:
         for t in (1.0, 2.0, 3.0, 5.0):
             s = rng.uniform(-3.0, 3.0, (4, 5))
             z = rng.uniform(-3.0, 3.0, (4, 5))
-            got = self_distill_kl(Tensor(s), Tensor(z), t).item()
+            got = kl_softened(Tensor(s), Tensor(z), t).item()
             assert abs(got - oracle_kl(s, z, t)) < 1e-12
 
     def test_higher_temperature_softens_penalty(self):
         s = Tensor(np.array([[0.0, 1.0, -1.0]]))
         z = Tensor(np.array([[2.0, -1.0, 0.5]]))
-        assert self_distill_kl(s, z, 5.0).item() < self_distill_kl(s, z, 1.0).item()
+        assert kl_softened(s, z, 5.0).item() < kl_softened(s, z, 1.0).item()
 
     def test_validation(self):
         with pytest.raises(ValueError, match="temperature"):
-            self_distill_kl(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))), 0.0)
+            kl_softened(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))), 0.0)
         with pytest.raises(ValueError, match="logit shapes differ"):
-            self_distill_kl(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3))), 2.0)
+            kl_softened(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3))), 2.0)
 
 
 class TestDistancePotentials:
     def test_collinear_hand_values(self):
         tuples = TupleSets.build(3)
-        pots, degenerate = distance_potentials(Tensor(COLLINEAR), tuples)
-        assert not degenerate
+        side = RelationSide(Tensor(COLLINEAR)).measure(tuples)
+        assert not side.degenerate
         # Distances (1, 2, 1, 1, 2, 1) have mean 4/3.
         expected = {
             (0, 1): 0.75, (0, 2): 1.5, (1, 0): 0.75,
             (1, 2): 0.75, (2, 0): 1.5, (2, 1): 0.75,
         }
-        for u, v, p in zip(tuples.pair_u, tuples.pair_v, pots.data):
+        for u, v, p in zip(tuples.pair_u, tuples.pair_v, side.potentials.data):
             assert abs(p - expected[(int(u), int(v))]) < 1e-15
 
     def test_mean_is_one(self):
         rng = np.random.default_rng(26)
         for n in (2, 5, 9):
             e = Tensor(rng.uniform(-3.0, 3.0, (n, 4)))
-            pots, _ = distance_potentials(e, TupleSets.build(n))
+            pots = RelationSide(e).measure(TupleSets.build(n)).potentials
             assert abs(pots.data.mean() - 1.0) < 1e-12
 
     def test_collapsed_batch_flagged(self):
         e = Tensor(np.ones((4, 3)))
-        pots, degenerate = distance_potentials(e, TupleSets.build(4))
-        assert degenerate
-        np.testing.assert_array_equal(pots.data, np.zeros(12))
+        side = RelationSide(e).measure(TupleSets.build(4))
+        assert side.degenerate
+        np.testing.assert_array_equal(side.potentials.data, np.zeros(12))
 
     def test_batch_size_mismatch(self):
         with pytest.raises(ValueError, match="built for batch"):
-            distance_potentials(Tensor(np.zeros((4, 2))), TupleSets.build(3))
+            RelationSide(Tensor(np.zeros((4, 2)))).measure(TupleSets.build(3))
 
 
 class TestAnglePotentials:
     def test_right_angle_hand_values(self):
         tuples = TupleSets.build(3)
-        vals, valid = angle_potentials(Tensor(BENT), tuples)
+        side = RelationSide(Tensor(BENT)).measure(tuples)
+        vals, valid = side.cosines(), side.valid
         assert valid.all()
         # Vertex 1 sees a right angle; vertices 0 and 2 see 45 degrees.
         expected = {1: 0.0, 0: math.cos(math.pi / 4), 2: math.cos(math.pi / 4)}
@@ -314,23 +312,20 @@ class TestAnglePotentials:
     def test_range_bound(self):
         rng = np.random.default_rng(27)
         e = Tensor(rng.uniform(-5.0, 5.0, (7, 3)))
-        vals, valid = angle_potentials(e, TupleSets.build(7))
+        side = RelationSide(e).measure(TupleSets.build(7))
+        vals, valid = side.cosines(), side.valid
         assert valid.all()
         assert vals.data.min() >= -1.0 - 1e-12
         assert vals.data.max() <= 1.0 + 1e-12
 
     def test_coincident_rows_masked_out(self):
         e = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 3.0]])
-        vals, valid = angle_potentials(Tensor(e), TupleSets.build(4))
-        assert not valid.all()
         tuples = TupleSets.build(4)
-        for u, v, _, ok in zip(*decode_triples(tuples), valid):
+        side = RelationSide(Tensor(e)).measure(tuples)
+        assert side.cosines().data.size == side.valid.sum() < tuples.num_triples
+        for u, v, _, ok in zip(*decode_triples(tuples), side.valid):
             if {int(u), int(v)} == {0, 1}:
                 assert not ok
-
-    def test_small_batch_rejected(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            angle_potentials(Tensor(np.zeros((2, 2))), TupleSets.build(2))
 
     @pytest.mark.parametrize("n", [3, 16, 17, 32])
     @pytest.mark.parametrize("coincident", [False, True], ids=["distinct", "coincident"])
@@ -341,7 +336,8 @@ class TestAnglePotentials:
             e[n - 1] = e[0]
         tuples = TupleSets.build(n, rng)
         assert tuples.capped == (n > 16)
-        vals, valid = angle_potentials(Tensor(e), tuples)
+        side = RelationSide(Tensor(e)).measure(tuples)
+        vals, valid = side.cosines(), side.valid
         assert valid.all() != coincident
         rows_u, rows_v = tuples.pair_u, tuples.pair_v
         head_rows, tail_rows = tuples.head[valid], tuples.tail[valid]
@@ -405,7 +401,7 @@ class TestRelationLoss:
         tuples = TupleSets.build(built_for, rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match=f"built for batch {built_for}, embeddings have 4"):
             if loss == "angle":
-                angle_potentials(e, tuples)
+                RelationSide(e).measure(tuples)
             else:
                 relation_distill_loss(e, e, LossWeights(), tuples)
 
@@ -622,7 +618,7 @@ class TestRelationSide:
         side = RelationSide(Tensor(rng.standard_normal((17, 3))))
         first = side.measure(TupleSets.build(17, np.random.default_rng(0))).cosines().data
         again = side.measure(TupleSets.build(17, np.random.default_rng(1))).cosines().data
-        fresh, _ = angle_potentials(side.embeddings, side.tuples)
+        fresh = RelationSide(side.embeddings).measure(side.tuples).cosines()
         assert not np.array_equal(first, again)
         assert np.array_equal(again, fresh.data)
 
@@ -647,7 +643,7 @@ class TestMutualLoss:
         w = self.MUTUAL_ONLY
         tl = self._mutual(a, b, TupleSets.build(4))
         rel = relation_distill_loss(a.embedding, b.embedding.detach(), w, TupleSets.build(4))
-        assert tl.loss_kl_mutual == kl_mutual(a.logits, b.logits).item()
+        assert tl.loss_kl_mutual == kl_softened(a.logits, b.logits, 1.0).item()
         expected = w.beta * (rel.total.item() + w.beta2 * tl.loss_kl_mutual)
         assert abs(tl.total.item() - expected) < 1e-12
         assert tl.loss_ce == 0.0 and tl.loss_sd == 0.0
@@ -665,7 +661,8 @@ class TestMutualLoss:
         w = self.MUTUAL_ONLY
         tl = self._mutual(a, b, None)
         assert tl.loss_dd == 0.0 and tl.loss_ad == 0.0
-        assert tl.total.data == mul(mul(kl_mutual(a.logits, b.logits), w.beta2), w.beta).data
+        kl = kl_softened(a.logits, b.logits, 1.0)
+        assert tl.total.data == mul(mul(kl, w.beta2), w.beta).data
 
     def test_relation_runs_only_with_tuples(self):
         a, b = self._outputs(40), self._outputs(41)
@@ -707,7 +704,7 @@ class TestTotalLoss:
         expected = (
             w.alpha * cross_entropy(out.logits, labels).item()
             + mutual.total.item()
-            + w.gamma * self_distill_kl(out.logits, sout.logits, w.temperature).item()
+            + w.gamma * kl_softened(out.logits, sout.logits, w.temperature).item()
         )
         assert abs(tl.total.item() - expected) < 1e-12
 
@@ -718,11 +715,11 @@ class TestTotalLoss:
         out, pout, sout = net.forward(x), peer.forward(x), snap.forward(x)
         tl = total_loss(out, pout, sout.logits, labels, w, tuples)
         assert tl.loss_ce == cross_entropy(out.logits, labels).item()
-        assert tl.loss_kl_mutual == kl_mutual(out.logits, pout.logits).item()
+        assert tl.loss_kl_mutual == kl_softened(out.logits, pout.logits, 1.0).item()
         rel = relation_distill_loss(out.embedding, pout.embedding.detach(), w, tuples)
         assert tl.loss_dd == rel.distance.item()
         assert tl.loss_ad == rel.angle.item()
-        assert tl.loss_sd == self_distill_kl(out.logits, sout.logits, w.temperature).item()
+        assert tl.loss_sd == kl_softened(out.logits, sout.logits, w.temperature).item()
 
     def test_zero_weight_terms_reduce_bitwise(self):
         net, _, _, x, labels = self._scenario(46)

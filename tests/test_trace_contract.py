@@ -11,9 +11,9 @@ comes from one `pairwise_l2` call, reused while the output is: two per
 simultaneous batch (one per relation call) and three per sequential one
 (net1, net2, then net1 after its step), batches below 2 rows making none.
 Variant D at batch 17 has no relation term and must leave every relation
-layer idle, as the `wide_idx` workload does; its forward and `matmul` call
-counts are pinned by formula, so a frozen snapshot forwarded per batch
-again fails here.
+layer idle, as the `wide_idx` workload does; its forward, `matmul` and
+log-softmax call counts are pinned by formula, so a frozen snapshot
+forwarded per batch, or a KL teacher put back on the tape, fails here.
 """
 
 from __future__ import annotations
@@ -95,3 +95,8 @@ def test_traced_variant_d_run_keeps_the_relation_layers_idle(tmp_path):
                 + 2 * 2 * (epochs1 + epochs2) + 2)
     assert calls["models.forward"] == forwards, calls
     assert calls["autodiff.op.matmul"] == layers * forwards + 2 * batches * epochs2, calls
+    # One loss per net per batch. Each takes a log-softmax for its CE term,
+    # and a stage-2 loss one more for the student side of each KL term; the
+    # teacher side of a KL term is computed off the tape.
+    losses1, losses2 = 2 * batches * epochs1, 2 * batches * epochs2
+    assert calls["autodiff.op.log_softmax_with_temperature"] == losses1 + 3 * losses2, calls
