@@ -10,6 +10,14 @@ Shape discipline is strict. Binary operations require two tensors of equal
 shape; `mul` and `div` also take a python number as the right operand, and
 `div` a single-element tensor. There is no general broadcasting. Row-vector
 bias addition gets its own operation.
+
+Every tensor holds finite values: `Tensor` checks what it wraps, and each op
+checks its result unless finite inputs cannot give a non-finite one. `relu`,
+`sqrt`, `gather`, `reshape` and `huber_penalty` skip the check (each op
+states why); every other op can overflow, `triple_cosines` too, since its
+`lengths` is an input of its own and may be far shorter than the legs. A
+record whose inputs all are constants keeps neither its inputs nor its
+gradient rule, so evaluation forwards hold no references to their inputs.
 """
 
 from __future__ import annotations
@@ -82,11 +90,6 @@ class Tensor:
         """Copy of the values with no tape history and no gradient tracking."""
         return Tensor(self.data.copy())
 
-    def _accumulate(self, g) -> None:
-        # Never add in place: a rule may hand one array to several parents
-        # or return a read-only broadcast view.
-        self.grad = g if self.grad is None else self.grad + g
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
@@ -107,22 +110,25 @@ class Tape:
 
     @classmethod
     def from_root(cls, root: Tensor) -> "Tape":
+        # Depth-first post-order. A None on the stack marks that every input
+        # of the node below it is ordered, so that node comes next.
         order: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
+        visited: set[Tensor] = set()
+        stack: list = [root]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
+            node = stack.pop()
+            if node is None:
+                order.append(stack.pop())
                 continue
-            if id(node) in visited or node._rule is None:
+            if node in visited or node._rule is None:
                 continue
-            visited.add(id(node))
-            stack.append((node, True))
+            visited.add(node)
+            stack.append(node)
+            stack.append(None)
             for parent in node.parents:
                 # Constant subgraphs cannot receive gradients; skip them.
                 if parent.requires_grad:
-                    stack.append((parent, False))
+                    stack.append(parent)
         return cls(order)
 
     def backprop(self) -> None:
@@ -134,20 +140,51 @@ class Tape:
             # later backward through this node would add it again.
             node.grad = None
             for parent, pg in zip(node.parents, node._rule(g)):
-                if parent.requires_grad and pg is not None:
-                    parent._accumulate(pg)
+                if pg is not None and parent.requires_grad:
+                    # Never add in place: a rule may hand one array to
+                    # several parents or return a read-only view.
+                    held = parent.grad
+                    parent.grad = pg if held is None else held + pg
 
 
-def _record(data, op: str, parents: Sequence[Tensor], rule: Callable) -> Tensor:
+def _no_inputs(g) -> tuple:
+    """Gradient rule of a record built from constants: it has no inputs to feed."""
+    return ()
+
+
+def _record(
+    data, op: str, parents: tuple[Tensor, ...], rule: Callable, checked: bool = True
+) -> Tensor:
     data = np.asarray(data, dtype=np.float64)
-    if data.size and not np.isfinite(data).all():
+    if checked and not (np.isfinite(data).all() if data.ndim else math.isfinite(data)):
         raise AutodiffError(f"non-finite result from '{op}'")
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.requires_grad = any(p.requires_grad for p in parents)
     out.grad = None
-    out.parents = tuple(parents)
-    out._rule = rule
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out.parents = parents
+            out._rule = rule
+            return out
+    out.requires_grad = False
+    out.parents = ()
+    out._rule = _no_inputs
+    return out
+
+
+def _constant(data: np.ndarray) -> Tensor:
+    """Constant tensor over a float64 array whose values are known to be finite.
+
+    Neither copies nor checks: for arrays taken from checked tensors, or
+    computed from them and fed only into ops that check their results.
+    """
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.requires_grad = False
+    out.grad = None
+    out.parents = ()
+    out._rule = None
     return out
 
 
@@ -237,7 +274,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def _normalized_axis(x: Tensor, axis) -> int | None:
     if axis is None:
         return None
-    if not isinstance(axis, (int, np.integer)):
+    if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)):
         raise ValueError(f"reduce axis must be an int or None, got {axis!r}")
     nd = x.data.ndim
     if not -nd <= axis < nd:
@@ -249,9 +286,10 @@ def reduce_sum(x: Tensor, axis=None) -> Tensor:
     ax = _normalized_axis(x, axis)
     shape = x.data.shape
     if ax is None:
-        rule = lambda g: (np.broadcast_to(g, shape),)
+        rule = lambda g: (np.full(shape, g),)
     else:
-        rule = lambda g: (np.broadcast_to(np.expand_dims(g, ax), shape),)
+        kept, count = shape[:ax] + (1,) + shape[ax + 1 :], shape[ax]
+        rule = lambda g: (g.reshape(kept).repeat(count, axis=ax),)
     return _record(x.data.sum(axis=ax), "sum", (x,), rule)
 
 
@@ -260,13 +298,15 @@ def reduce_mean(x: Tensor) -> Tensor:
     if x.data.size == 0:
         raise ValueError("mean over zero elements")
     shape, scale = x.data.shape, 1.0 / x.data.size
-    rule = lambda g: (np.broadcast_to(g * scale, shape),)
+    rule = lambda g: (np.full(shape, g * scale),)
     return _record(x.data.sum() * scale, "mean", (x,), rule)
 
 
 def relu(x: Tensor) -> Tensor:
     xd = x.data
-    return _record(np.maximum(xd, 0.0), "relu", (x,), lambda g: (g * (xd > 0.0),))
+    # Unchecked: each output is an input or zero.
+    rule = lambda g: (g * (xd > 0.0),)
+    return _record(np.maximum(xd, 0.0), "relu", (x,), rule, checked=False)
 
 
 def sqrt(x: Tensor) -> Tensor:
@@ -278,7 +318,8 @@ def sqrt(x: Tensor) -> Tensor:
     def rule(g):
         return (np.divide(0.5 * g, out, out=np.zeros_like(out), where=out > 0.0),)
 
-    return _record(out, "sqrt", (x,), rule)
+    # Unchecked: sqrt(v) <= max(v, 1) for v >= 0.
+    return _record(out, "sqrt", (x,), rule, checked=False)
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -291,7 +332,9 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
 def reshape(x: Tensor, shape) -> Tensor:
     old = x.data.shape
-    return _record(x.data.reshape(shape), "reshape", (x,), lambda g: (g.reshape(old),))
+    # Unchecked: the same values in another shape.
+    rule = lambda g: (g.reshape(old),)
+    return _record(x.data.reshape(shape), "reshape", (x,), rule, checked=False)
 
 
 def gather(x: Tensor, indices) -> Tensor:
@@ -305,13 +348,15 @@ def gather(x: Tensor, indices) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ValueError(f"gather index out of range for first axis of size {n}")
     xd = x.data
-    return _record(
-        np.take(xd, idx, axis=0), "gather", (x,), lambda g: (_scatter_rows(idx, g, xd.shape),)
-    )
+    rule = lambda g: (_scatter_rows(idx, g, xd.shape),)
+    # Unchecked: every output is a copy of an input.
+    return _record(np.take(xd, idx, axis=0), "gather", (x,), rule, checked=False)
 
 
 def _scatter_rows(idx: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum the rows of g into a zero array of `shape` at first-axis positions idx."""
+    if len(shape) == 1:
+        return np.bincount(idx, weights=g, minlength=shape[0])
     # One bincount over flat (row, column) positions: repeated rows add up
     # in index order, the same order on every run.
     width = math.prod(shape[1:])
@@ -396,7 +441,10 @@ def huber_penalty(x: Tensor) -> Tensor:
     """
     xd = x.data
     out = np.where(np.abs(xd) <= 1.0, 0.5 * xd * xd, np.abs(xd) - 0.5)
-    return _record(out, "huber_penalty", (x,), lambda g: (g * np.clip(xd, -1.0, 1.0),))
+    # Unchecked: each output is at most 0.5 or |x| - 0.5. (0.5 * x * x may
+    # overflow where |x| > 1, but np.where does not pick it there.)
+    rule = lambda g: (g * np.clip(xd, -1.0, 1.0),)
+    return _record(out, "huber_penalty", (x,), rule, checked=False)
 
 
 def softmax_rows(z: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:

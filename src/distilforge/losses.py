@@ -25,6 +25,7 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
+    _constant,
     add,
     div,
     gather,
@@ -193,7 +194,7 @@ def cross_entropy(logits: Tensor, one_hot: Tensor) -> Tensor:
     if np.abs(row_sums - 1.0).max() > 1e-12:
         raise ValueError("each label row must sum to 1")
     log_p = log_softmax_with_temperature(logits, 1.0)
-    picked = reduce_sum(mul(log_p, Tensor(one_hot.data)), axis=1)
+    picked = reduce_sum(mul(log_p, _constant(one_hot.data)), axis=1)
     return mul(reduce_mean(picked), -1.0)
 
 
@@ -209,9 +210,10 @@ def kl_softened(student_logits: Tensor, teacher_logits: Tensor, t: float) -> Ten
         raise ValueError(
             f"logit shapes differ: {student_logits.data.shape} vs {teacher_logits.data.shape}"
         )
+    # An overflowing teacher (logits / t) fails the check of `sub`.
     q, log_q = softmax_rows(teacher_logits.data, t)
     log_p = log_softmax_with_temperature(student_logits, t)
-    per_row = reduce_sum(mul(Tensor(q), sub(Tensor(log_q), log_p)), axis=1)
+    per_row = reduce_sum(mul(_constant(q), sub(_constant(log_q), log_p)), axis=1)
     return reduce_mean(per_row)
 
 
@@ -309,7 +311,7 @@ def relation_distill_loss(
         return RelationLoss(Tensor(0.0), Tensor(0.0), Tensor(0.0))
     student.measure(tuples)
     peer.measure(tuples)
-    dd = reduce_mean(huber_penalty(sub(student.potentials, Tensor(peer.potentials.data))))
+    dd = reduce_mean(huber_penalty(sub(student.potentials, _constant(peer.potentials.data))))
     collapses = int(student.degenerate) + int(peer.degenerate)
 
     ad = Tensor(0.0)
@@ -324,7 +326,7 @@ def relation_distill_loss(
         if valid.sum() < student.valid.sum():
             own = gather(own, np.flatnonzero(valid[student.valid]))
         other = peer.cosines().data[np.flatnonzero(valid[peer.valid])]
-        ad = reduce_mean(huber_penalty(sub(own, Tensor(other))))
+        ad = reduce_mean(huber_penalty(sub(own, _constant(other))))
     total = add(dd, mul(ad, weights.beta1))
     return RelationLoss(total, dd, ad, collapses, skipped)
 

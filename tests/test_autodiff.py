@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from distilforge.autodiff import (
     AutodiffError,
+    Tape,
     Tensor,
     add,
     add_bias,
@@ -151,6 +154,13 @@ class TestReductions:
             reduce_sum(x, axis=2)
         with pytest.raises(ValueError, match="axis"):
             reduce_sum(x, axis="rows")
+
+    def test_bool_axis_rejected(self):
+        # bool is an int subclass; True would silently reduce over axis 1.
+        x = Tensor([[1.0, 2.0], [3.0, 4.0]])
+        for axis in (True, False):
+            with pytest.raises(ValueError, match="reduce axis must be an int or None"):
+                reduce_sum(x, axis=axis)
 
     def test_mean_of_empty_rejected(self):
         with pytest.raises(ValueError, match="zero elements"):
@@ -306,6 +316,41 @@ class TestStructuralOps:
             pairwise_l2(Tensor([[1.0, 2.0]]))
 
 
+# Every finite float64, up to the largest magnitudes.
+FINITE = st.floats(-1.7e308, 1.7e308, allow_nan=False, allow_infinity=False)
+
+
+class TestFiniteness:
+    """Ops that skip the finiteness check cannot make a non-finite value; the others check."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2), elements=FINITE))
+    @example(np.array([1.7e308, -1.7e308, 5e-324, -1.0, 0.0]))
+    def test_unchecked_ops_keep_finite_inputs_finite(self, values):
+        x = Tensor(values)
+        # Every row, last first, and the first one again.
+        picks = [*range(values.shape[0] - 1, -1, -1), 0]
+        # huber_penalty's quadratic branch may overflow where np.where discards it.
+        with np.errstate(over="ignore"):
+            outputs = [
+                relu(x),
+                sqrt(Tensor(np.abs(values))),
+                gather(x, picks),
+                reshape(x, (-1,)),
+                huber_penalty(x),
+            ]
+        for out in outputs:
+            assert np.isfinite(out.data).all()
+
+    @pytest.mark.parametrize("groups", [None, [[0, 1]]], ids=["chain", "gram"])
+    def test_triple_cosines_checks_its_result(self, groups):
+        # `lengths` is an input of its own: legs far longer than it overflow.
+        legs, lengths = Tensor(np.full((2, 3), 1e200)), Tensor(np.ones(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(AutodiffError, match="non-finite result from 'triple_cosines'"):
+                triple_cosines(legs, lengths, [0], [1], groups)
+
+
 class TestOpGradients:
     @pytest.mark.parametrize("name, op, x", OP_CASES, ids=[name for name, _, _ in OP_CASES])
     def test_gradient(self, name, op, x):
@@ -358,6 +403,23 @@ class TestBackward:
     def test_leaf_loss_raises(self):
         with pytest.raises(AutodiffError, match="empty tape"):
             backward(Tensor(1.0))
+
+    def test_tape_order_is_post_order_depth_first(self):
+        # A diamond: one parent with two children that meet again, over a shared leaf.
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        parent = mul(x, 2.0)
+        left, right = mul(parent, 3.0), mul(parent, 4.0)
+        root = reduce_sum(add(left, mul(x, right)))
+        joined = root.parents[0]
+        product = joined.parents[1]
+        assert Tape.from_root(root).nodes == [parent, right, product, left, joined, root]
+
+    def test_record_of_constants_keeps_no_inputs(self):
+        a, b = Tensor([1.0, 2.0]), Tensor([3.0, 4.0])
+        out = add(a, b)
+        assert out.parents == () and not out.requires_grad
+        trained = Tensor([1.0, 2.0], requires_grad=True)
+        assert add(trained, b).parents[0] is trained
 
     def test_constant_subgraph_loss_is_fine(self):
         # A loss built only from constants has no trainable inputs; running

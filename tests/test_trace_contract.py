@@ -14,6 +14,9 @@ Variant D at batch 17 has no relation term and must leave every relation
 layer idle, as the `wide_idx` workload does; its forward, `matmul` and
 log-softmax call counts are pinned by formula, so a frozen snapshot
 forwarded per batch, or a KL teacher put back on the tape, fails here.
+Each run's `autodiff.tape_nodes`, the records summed over every backward
+tape, is pinned too: a record of constants that lands on a tape, or a
+record that goes missing, changes it.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ def test_traced_demo_like_run_keeps_the_layer_contract(tmp_path):
     calls = collections.Counter(trace["names"][span[0]] for span in trace["spans"])
     assert calls["losses.relation"] == 2 * 2, calls
     assert calls["autodiff.op.pairwise_l2"] == 3 * 1, calls
+    assert trace["counters"]["autodiff.tape_nodes"] == 218
 
 
 def test_traced_full_triple_ablation_keeps_the_layer_contract(tmp_path):
@@ -71,6 +75,7 @@ def test_traced_full_triple_ablation_keeps_the_layer_contract(tmp_path):
     calls = collections.Counter(trace["names"][span[0]] for span in trace["spans"])
     assert calls["losses.relation"] > 0
     assert calls["autodiff.op.pairwise_l2"] == calls["losses.relation"], calls
+    assert trace["counters"]["autodiff.tape_nodes"] == 830
 
 
 def test_traced_variant_d_run_keeps_the_relation_layers_idle(tmp_path):
@@ -100,3 +105,4 @@ def test_traced_variant_d_run_keeps_the_relation_layers_idle(tmp_path):
     # teacher side of a KL term is computed off the tape.
     losses1, losses2 = 2 * batches * epochs1, 2 * batches * epochs2
     assert calls["autodiff.op.log_softmax_with_temperature"] == losses1 + 3 * losses2, calls
+    assert trace["counters"]["autodiff.tape_nodes"] == 172
