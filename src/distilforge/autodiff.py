@@ -364,18 +364,18 @@ def _scatter_rows(idx: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
     return np.bincount(flat, weights=g.reshape(-1), minlength=math.prod(shape)).reshape(shape)
 
 
-def triple_cosines(legs: Tensor, lengths: Tensor, head, tail, groups=None) -> Tensor:
+def triple_cosines(legs: Tensor, lengths: Tensor, head, tail, k=None) -> Tensor:
     """Cosine between leg rows head[i] and tail[i] for every i.
 
     The value is legs[h] . legs[t] / lengths[h] / lengths[t], where `lengths`
-    holds the row norms of `legs`; both are tape inputs. Without `groups` each
+    holds the row norms of `legs`; both are tape inputs. Without `k` each
     cosine gathers its two rows and repeats the gather, mul, reduce_sum and
-    div chain, with the same values and gradients bit for bit. `groups` is an
-    (m, k) array that lists every leg row once and puts the two rows of each
-    cosine in one group. Then all cosines come from one batched (m, k, k) Gram
-    matrix of unit legs, within a few ulp of the chain. That layout costs
-    m*k*k cells however few cosines are read, so it pays only when they fill
-    most of it.
+    div chain, with the same values and gradients bit for bit. A group size
+    `k` splits the legs into consecutive groups of k rows and puts the two
+    rows of each cosine in one group. Then all cosines come from one batched
+    (m, k, k) Gram matrix of unit legs, within a few ulp of the chain. That
+    layout costs m*k*k cells however few cosines are read, so it pays only
+    when they fill most of it.
     """
     ld, lens = legs.data, lengths.data
     if ld.ndim != 2 or lens.shape != ld.shape[:1]:
@@ -389,7 +389,7 @@ def triple_cosines(legs: Tensor, lengths: Tensor, head, tail, groups=None) -> Te
     short = lens < DIV_GUARD
     if short.any() and (short[head].any() or short[tail].any()):
         raise AutodiffError(f"triple_cosines: leg length below {DIV_GUARD:g}")
-    if groups is None:
+    if k is None:
         lh, lt = lens[head], lens[tail]
         hl, tl = np.take(ld, head, axis=0), np.take(ld, tail, axis=0)
         dots = (hl * tl).sum(axis=1)
@@ -406,24 +406,20 @@ def triple_cosines(legs: Tensor, lengths: Tensor, head, tail, groups=None) -> Te
 
         return _record(q / lt, "triple_cosines", (legs, lengths), rule)
 
-    groups = np.asarray(groups, dtype=np.int64)
-    if groups.ndim != 2 or not np.array_equal(np.sort(groups, axis=None), np.arange(rows)):
-        raise ValueError(f"triple_cosines: groups must list each of the {rows} legs once")
-    m, k = groups.shape
-    pos = np.empty(rows, dtype=np.int64)
-    pos[groups.reshape(-1)] = np.arange(rows)
-    hp, tp = pos[head], pos[tail]
-    if (hp // k != tp // k).any():
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1 or rows % k:
+        raise ValueError(f"triple_cosines: group size {k!r} does not divide the {rows} legs")
+    m = rows // k
+    if (head // k != tail // k).any():
         raise ValueError("triple_cosines: a cosine's two legs lie in different groups")
-    cells = hp * k + tp % k
+    cells = head * k + tail % k
     nonzero = (lens > 0.0)[:, None]
     unit = np.divide(ld, lens[:, None], out=np.zeros_like(ld), where=nonzero)
-    grouped = unit[groups]
+    grouped = unit.reshape(m, k, ld.shape[1])
     gram = grouped @ grouped.transpose(0, 2, 1)
 
     def rule(g):
         g_gram = np.bincount(cells, weights=g, minlength=m * k * k).reshape(m, k, k)
-        g_unit = ((g_gram + g_gram.transpose(0, 2, 1)) @ grouped).reshape(rows, -1)[pos]
+        g_unit = ((g_gram + g_gram.transpose(0, 2, 1)) @ grouped).reshape(ld.shape)
         # Through unit = legs / lengths; legs no cosine reads get zero.
         g_legs = np.divide(g_unit, lens[:, None], out=np.zeros_like(ld), where=nonzero)
         g_lens = np.divide(
@@ -440,10 +436,10 @@ def huber_penalty(x: Tensor) -> Tensor:
     Continuously differentiable at the seam, with derivative clip(x, -1, 1).
     """
     xd = x.data
-    out = np.where(np.abs(xd) <= 1.0, 0.5 * xd * xd, np.abs(xd) - 0.5)
-    # Unchecked: each output is at most 0.5 or |x| - 0.5. (0.5 * x * x may
-    # overflow where |x| > 1, but np.where does not pick it there.)
-    rule = lambda g: (g * np.clip(xd, -1.0, 1.0),)
+    c = np.clip(xd, -1.0, 1.0)
+    # Unchecked: each output is at most 0.5 or |x| - 0.5; c is x where it is picked.
+    out = np.where(np.abs(xd) <= 1.0, 0.5 * c * c, np.abs(xd) - 0.5)
+    rule = lambda g: (g * c,)
     return _record(out, "huber_penalty", (x,), rule, checked=False)
 
 

@@ -127,8 +127,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        # Every op result is checked for finiteness and a failure gets its own
-        # error line, so numpy's floating-point warnings would only repeat it.
+        # Every op result that can be non-finite is checked (five ops cannot
+        # make one from finite inputs) and a failure gets its own error line,
+        # so numpy's floating-point warnings would only repeat it.
         with np.errstate(all="ignore"):
             if args.command == "run":
                 return _cmd_run(args)

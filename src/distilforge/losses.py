@@ -105,13 +105,13 @@ class TupleSets:
     """Ordered index pairs and triples over one batch.
 
     Pairs always cover all n*(n-1) ordered distinct pairs, pair (u, v) at row
-    u*(n-1) + v - (v > u). A triple (u, v, w) is stored as the pair rows of
-    its two legs: `head` holds (u, v) and `tail` holds (w, v). Triples cover
-    all n*(n-1)*(n-2) ordered distinct triples up to batch size 16; larger
-    batches use a seeded uniform subsample of 16*15*14 triples. A full
-    triple set also has `middle_rows`: row v lists the pair rows (u, v),
-    u != v, in increasing u, so that every triple's two legs share a row.
-    Full sets depend only on n: each is built once and shared, with
+    u*(n-1) + v - (v > u). Leg row r runs from pair_u[r] to pair_v[r], so the
+    n-1 legs that meet at v are the consecutive rows v*(n-1) ... v*(n-1)+n-2,
+    in increasing other endpoint. A triple (u, v, w) is stored as the rows of
+    its two legs from the middle index: `head` holds (v, u) and `tail` holds
+    (v, w). Triples cover all n*(n-1)*(n-2) ordered distinct triples up to
+    batch size 16; larger batches use a seeded uniform subsample of 16*15*14
+    triples. Full sets depend only on n: each is built once and shared, with
     read-only arrays.
     """
 
@@ -120,11 +120,10 @@ class TupleSets:
     pair_v: np.ndarray
     head: np.ndarray
     tail: np.ndarray
-    middle_rows: Optional[np.ndarray] = None
 
     @property
     def capped(self) -> bool:
-        return self.middle_rows is None
+        return self.n > TRIPLE_CAP_BATCH
 
     @property
     def num_pairs(self) -> int:
@@ -155,7 +154,7 @@ class TupleSets:
             chunks.append(draw)
             got += draw.shape[0]
         sample = np.concatenate(chunks)[:TRIPLE_CAP_COUNT].astype(np.int64)
-        return cls._from_triples(n, sample[:, 0], sample[:, 1], sample[:, 2], capped=True)
+        return cls._from_triples(n, sample[:, 0], sample[:, 1], sample[:, 2])
 
     @classmethod
     @functools.lru_cache(maxsize=TRIPLE_CAP_BATCH + 1)
@@ -163,23 +162,20 @@ class TupleSets:
         idx = np.arange(n, dtype=np.int64)
         tu, tv, tw = (a.reshape(-1) for a in np.meshgrid(idx, idx, idx, indexing="ij"))
         keep = (tu != tv) & (tu != tw) & (tv != tw)
-        sets = cls._from_triples(n, tu[keep], tv[keep], tw[keep], capped=False)
-        for array in (sets.pair_u, sets.pair_v, sets.head, sets.tail, sets.middle_rows):
+        sets = cls._from_triples(n, tu[keep], tv[keep], tw[keep])
+        for array in (sets.pair_u, sets.pair_v, sets.head, sets.tail):
             array.flags.writeable = False
         return sets
 
     @classmethod
-    def _from_triples(cls, n: int, tu, tv, tw, capped: bool) -> "TupleSets":
+    def _from_triples(cls, n: int, tu, tv, tw) -> "TupleSets":
         def row(u, v):
             return u * (n - 1) + v - (v > u)
 
         u = np.repeat(np.arange(n, dtype=np.int64), n)
         v = np.tile(np.arange(n, dtype=np.int64), n)
         keep = u != v
-        pair_u, pair_v = u[keep], v[keep]
-        # Entry k of row(pair_v, pair_u) is the row of the reversed pair k.
-        middle_rows = None if capped else row(pair_v, pair_u).reshape(n, max(n - 1, 0))
-        return cls(n, pair_u, pair_v, row(tu, tv), row(tw, tv), middle_rows)
+        return cls(n, u[keep], v[keep], row(tv, tu), row(tv, tw))
 
 
 def cross_entropy(logits: Tensor, one_hot: Tensor) -> Tensor:
@@ -257,21 +253,20 @@ class RelationSide:
         return self
 
     def cosines(self) -> Tensor:
-        """Cosine between the pair-row legs head[i] and tail[i] of every valid triple.
+        """Cosine between the legs head[i] and tail[i] of every valid triple.
 
-        Each ordered pair's leg e[u] - e[v] and its length are computed once.
-        A full triple set takes each middle index's cosines from one Gram
-        matrix of its n-1 unit legs; a sampled one gathers the two legs per
-        triple, because its at most 16*15*14 triples would fill only a small
+        Each ordered pair's leg e[pair_v] - e[pair_u] and its length are computed
+        once. A full triple set takes each middle index's cosines from one Gram
+        matrix of its n-1 consecutive unit legs; a sampled one gathers the two legs
+        per triple, because its at most 16*15*14 triples would fill only a small
         part of the n*(n-1)*(n-1) Gram cells, whose count grows as n**3.
         """
         if self._cosines is None:
             e, t = self.embeddings, self.tuples
-            legs = sub(gather(e, t.pair_u), gather(e, t.pair_v))
+            legs = sub(gather(e, t.pair_v), gather(e, t.pair_u))
             lengths = sqrt(reduce_sum(mul(legs, legs), axis=1))
-            self._cosines = triple_cosines(
-                legs, lengths, t.head[self.valid], t.tail[self.valid], t.middle_rows
-            )
+            k = None if t.capped else t.n - 1
+            self._cosines = triple_cosines(legs, lengths, t.head[self.valid], t.tail[self.valid], k)
         return self._cosines
 
 

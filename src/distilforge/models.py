@@ -18,6 +18,13 @@ import numpy as np
 
 from .autodiff import Tensor, add_bias, matmul, relu
 
+
+def _integer(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Architecture and initialization seed for one peer."""
@@ -31,7 +38,10 @@ class NetworkConfig:
     def __post_init__(self):
         if not isinstance(self.hidden_dims, (list, tuple)):
             raise ValueError("hidden_dims must be a list of layer widths")
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
+        for name in ("input_dim", "num_classes", "init_seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        widths = tuple(_integer("hidden_dims entry", d) for d in self.hidden_dims)
+        object.__setattr__(self, "hidden_dims", widths)
         if self.input_dim < 1:
             raise ValueError("input_dim must be positive")
         if not self.hidden_dims:

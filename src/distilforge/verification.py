@@ -37,7 +37,6 @@ from .autodiff import (
     softmax_rows,
     sqrt,
     sub,
-    triple_cosines,
 )
 from .data import synth_blobs, mean_std_normalize
 from .losses import (
@@ -229,8 +228,8 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
 def op_cases() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
     """(name, op of one tensor, input): one case per engine op form and tensor operand.
 
-    `triple_cosines` is fed from embeddings the way `RelationSide.cosines`
-    feeds it, on a full triple set (the Gram layout) and on a capped one.
+    `triple_cosines` is fed from embeddings through `RelationSide.cosines`,
+    on a full triple set (the Gram layout) and on a capped one (the chain).
     """
     rng = np.random.default_rng(9)
 
@@ -243,9 +242,7 @@ def op_cases() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
         return [(f"{name}_a", lambda t: op(t, y), x), (f"{name}_b", lambda t: op(x, t), y)]
 
     def cosines(e, tuples):
-        legs = sub(gather(e, tuples.pair_u), gather(e, tuples.pair_v))
-        lengths = sqrt(reduce_sum(mul(legs, legs), axis=1))
-        return triple_cosines(legs, lengths, tuples.head, tuples.tail, tuples.middle_rows)
+        return RelationSide(e).measure(tuples).cosines()
 
     full, capped = TupleSets.build(5), TupleSets.build(17, rng)
     return [

@@ -60,8 +60,8 @@ FROZEN_AD_E4 = 0.08453028038141203
 
 
 def decode_triples(tuples):
-    """(u, v, w) of every triple, read back through the pair rows of its two legs."""
-    return tuples.pair_u[tuples.head], tuples.pair_v[tuples.head], tuples.pair_u[tuples.tail]
+    """(u, v, w) of every triple, read back through the pair rows (v, u) and (v, w) of its legs."""
+    return tuples.pair_v[tuples.head], tuples.pair_u[tuples.head], tuples.pair_v[tuples.tail]
 
 
 def one_hot(labels, m):
@@ -112,10 +112,15 @@ class TestTupleSets:
 
     @pytest.mark.parametrize("n", [5, 16, 17, 32])
     def test_head_and_tail_legs_share_the_middle_index(self, n):
+        """Leg row r starts at r // (n-1), so a triple's two legs share one group of n-1 rows."""
         t = TupleSets.build(n, rng=np.random.default_rng(n))
         assert t.head.shape == t.tail.shape == (t.num_triples,)
-        assert np.array_equal(t.pair_v[t.tail], t.pair_v[t.head])
+        np.testing.assert_array_equal(t.pair_u, np.arange(t.num_pairs) // (n - 1))
+        assert (np.diff(t.pair_v.reshape(n, n - 1), axis=1) > 0).all()
         u, v, w = decode_triples(t)
+        np.testing.assert_array_equal(t.pair_u[t.tail], v)
+        np.testing.assert_array_equal(t.head // (n - 1), v)
+        np.testing.assert_array_equal(t.tail // (n - 1), v)
         assert u.min() >= 0 and max(u.max(), v.max(), w.max()) < n
         assert ((u != v) & (u != w) & (v != w)).all()
 
@@ -123,7 +128,7 @@ class TestTupleSets:
     def test_full_sets_are_built_once_and_read_only(self, n):
         t = TupleSets.build(n)
         assert TupleSets.build(n, rng=np.random.default_rng(1)) is t
-        for array in (t.pair_u, t.pair_v, t.head, t.tail, t.middle_rows):
+        for array in (t.pair_u, t.pair_v, t.head, t.tail):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
@@ -158,6 +163,14 @@ class TestHuber:
     def test_exact_values(self):
         x = Tensor(np.array([2.0, 0.5, 0.0, 1.0]))
         assert huber_penalty(x).data.tolist() == [1.5, 0.125, 0.0, 0.5]
+
+    def test_large_inputs_do_not_overflow(self):
+        x = Tensor(np.array([1e200, -1e300, 0.5]), requires_grad=True)
+        with np.errstate(over="raise"):
+            out = huber_penalty(x)
+            backward(reduce_sum(out))
+        assert out.data.tolist() == [1e200 - 0.5, 1e300 - 0.5, 0.125]
+        assert x.grad.tolist() == [1.0, -1.0, 0.5]
 
     def test_symmetry(self):
         x = np.array([0.3, 1.6, 1.0, 2.5])
@@ -341,8 +354,8 @@ class TestAnglePotentials:
         assert valid.all() != coincident
         rows_u, rows_v = tuples.pair_u, tuples.pair_v
         head_rows, tail_rows = tuples.head[valid], tuples.tail[valid]
-        head = e[rows_u[head_rows]] - e[rows_v[head_rows]]
-        tail = e[rows_u[tail_rows]] - e[rows_v[tail_rows]]
+        head = e[rows_v[head_rows]] - e[rows_u[head_rows]]
+        tail = e[rows_v[tail_rows]] - e[rows_u[tail_rows]]
         norm_head = np.sqrt((head * head).sum(axis=1))
         norm_tail = np.sqrt((tail * tail).sum(axis=1))
         formula = (head * tail).sum(axis=1) / norm_head / norm_tail
@@ -363,8 +376,9 @@ class TestTripleCosines:
         if coincident:
             e[n - 1] = e[0]
         tuples = TupleSets.build(n, rng)
-        legs = e[tuples.pair_u] - e[tuples.pair_v]
+        legs = e[tuples.pair_v] - e[tuples.pair_u]
         lengths = np.sqrt((legs * legs).sum(axis=1))
+        k = None if tuples.capped else n - 1
         head, tail = tuples.head, tuples.tail
         keep = (lengths[head] >= COINCIDENCE_EPS) & (lengths[tail] >= COINCIDENCE_EPS)
         assert keep.all() != coincident
@@ -377,7 +391,7 @@ class TestTripleCosines:
             backward(reduce_sum(mul(out, Tensor(weights))))
             return out.data, lt.grad, st.grad
 
-        got = run(lambda lt, st: triple_cosines(lt, st, head, tail, tuples.middle_rows))
+        got = run(lambda lt, st: triple_cosines(lt, st, head, tail, k))
         reference = run(
             lambda lt, st: div(
                 div(reduce_sum(mul(gather(lt, head), gather(lt, tail)), axis=1), gather(st, head)),
@@ -554,10 +568,10 @@ def fresh_pair_relation(student, peer, tuples, beta1):
         return pots, dist.data[tuples.pair_u, tuples.pair_v] >= COINCIDENCE_EPS
 
     def cosines(e, valid):
-        legs = sub(gather(e, tuples.pair_u), gather(e, tuples.pair_v))
+        legs = sub(gather(e, tuples.pair_v), gather(e, tuples.pair_u))
         lengths = sqrt(reduce_sum(mul(legs, legs), axis=1))
         head, tail = tuples.head[valid], tuples.tail[valid]
-        return triple_cosines(legs, lengths, head, tail, tuples.middle_rows)
+        return triple_cosines(legs, lengths, head, tail, None if tuples.capped else tuples.n - 1)
 
     (pots_s, long_s), (pots_p, long_p) = map(potentials_and_long_legs, (student, peer))
     long_leg = long_s & long_p

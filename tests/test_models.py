@@ -44,6 +44,12 @@ class TestNetworkConfig:
         assert doc["hidden_dims"] == [16, 8]
         assert NetworkConfig(**doc) == c
 
+    def test_numpy_integers_become_ints(self):
+        c = NetworkConfig(np.int64(4), [np.int32(16), 8], np.int64(3), init_seed=np.uint8(7))
+        assert c == NetworkConfig(4, (16, 8), 3, init_seed=7)
+        fields = (c.input_dim, *c.hidden_dims, c.num_classes, c.init_seed)
+        assert all(type(v) is int for v in fields)
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [
@@ -244,10 +250,22 @@ class TestCheckpoint:
              "checkpoint config: .*unexpected keyword argument 'bogus'"),
             (lambda doc: dict(doc, config=dict(doc["config"], hidden_dims=5)),
              "checkpoint config: hidden_dims must be a list"),
+            (lambda doc: dict(doc, config=dict(doc["config"], input_dim=2.0)),
+             "^checkpoint config: input_dim must be an integer, got 2.0$"),
+            (lambda doc: dict(doc, config=dict(doc["config"], num_classes=3.0)),
+             "^checkpoint config: num_classes must be an integer, got 3.0$"),
+            (lambda doc: dict(doc, config=dict(doc["config"], init_seed=1.5)),
+             "^checkpoint config: init_seed must be an integer, got 1.5$"),
+            (lambda doc: dict(doc, config=dict(doc["config"], init_seed=True)),
+             "^checkpoint config: init_seed must be an integer, got True$"),
+            (lambda doc: dict(doc, config=dict(doc["config"], hidden_dims=[4.7, 3])),
+             "^checkpoint config: hidden_dims entry must be an integer, got 4.7$"),
             (lambda doc: dict(doc, parameters=dict(doc["parameters"], w0=[1.0, 0.0])),
              "parameter 'w0': not an object"),
         ],
-        ids=["root_list", "no_parameters", "unknown_config_key", "hidden_dims_int", "entry_list"],
+        ids=["root_list", "no_parameters", "unknown_config_key", "hidden_dims_int",
+             "input_dim_float", "num_classes_float", "init_seed_float", "init_seed_bool",
+             "hidden_dims_float", "entry_list"],
     )
     def test_malformed_document_is_a_value_error(self, tmp_path, edit, reason):
         path = tmp_path / "net.json"
