@@ -19,9 +19,9 @@ import re
 import secrets
 import shutil
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, get_type_hints
+from typing import ClassVar, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -39,6 +39,9 @@ from .trainer import (
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
+    "BlobsSource",
+    "IdxSource",
+    "CsvSource",
     "load_experiment_config",
     "build_datasets",
     "run_experiment",
@@ -47,8 +50,6 @@ __all__ = [
 ]
 
 ABLATION_CSV_HEADER = "variant,net,mean_test_top1,stddev_test_top1"
-
-_DATASET_KINDS = ("blobs", "idx", "csv")
 
 # Names that `run_experiment` and `run_ablation` write at the top of their
 # output directory; an earlier run's entries with these names are replaced.
@@ -61,56 +62,107 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
+class BlobsSource:
+    """Synthetic ring blobs; the test split is drawn with seed + 1."""
+
+    kind: ClassVar[str] = "blobs"
+    num_classes: int = field(metadata={"minimum": 2})
+    per_class: int = field(metadata={"minimum": 1})
+    dim: int = field(metadata={"minimum": 2})
+    seed: int = field(metadata={"minimum": 0})
+    test_per_class: int = field(default=None, metadata={"minimum": 1})  # None: per_class
+    spread: float = 0.5
+
+    def load(self) -> tuple[Dataset, Dataset]:
+        test_per_class = self.per_class if self.test_per_class is None else self.test_per_class
+        return (
+            synth_blobs(self.num_classes, self.per_class, self.dim, self.spread, self.seed),
+            synth_blobs(self.num_classes, test_per_class, self.dim, self.spread, self.seed + 1),
+        )
+
+
+@dataclass(frozen=True)
+class IdxSource:
+    """An IDX image file and its label file per split."""
+
+    kind: ClassVar[str] = "idx"
+    train_images: str
+    train_labels: str
+    test_images: str
+    test_labels: str
+
+    def load(self) -> tuple[Dataset, Dataset]:
+        return (
+            load_idx(self.train_images, self.train_labels),
+            load_idx(self.test_images, self.test_labels),
+        )
+
+
+@dataclass(frozen=True)
+class CsvSource:
+    """A CSV file per split; without `num_classes` the labels give the class count."""
+
+    kind: ClassVar[str] = "csv"
+    train: str
+    test: str
+    num_classes: int = field(default=None, metadata={"minimum": 2})
+
+    def load(self) -> tuple[Dataset, Dataset]:
+        return load_csv(self.train, self.num_classes), load_csv(self.test, self.num_classes)
+
+
+DatasetSource = Union[BlobsSource, IdxSource, CsvSource]
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    dataset: dict
+    dataset: DatasetSource
     network1: NetworkConfig
     network2: NetworkConfig
     train: TrainConfig
-    output_dir: Optional[str]
-    seed_repetitions: int
-
-
-def _reject_unknown(d: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(d) - allowed)
-    if unknown:
-        raise ConfigError(f"{where}: unknown field '{unknown[0]}'")
-
-
-def _require_object(raw: dict, key: str) -> dict:
-    value = raw.get(key)
-    if value is None:
-        raise ConfigError(f"{key}: required section is missing")
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key}: must be a JSON object")
-    return value
+    output_dir: Optional[str] = None
+    seed_repetitions: int = field(default=1, metadata={"minimum": 1})
 
 
 def _from_json(cls, section, where: str):
     """`cls` built from a JSON object whose keys and value types follow `cls`'s fields.
 
-    Fields without a default are required. `int` and `float` fields take JSON
-    numbers (not bools), `str` fields strings, `tuple` fields lists of
-    integers and dataclass fields nested objects; ranges are `cls`'s to check.
+    `where` names the object in messages; the fields of the root, "config",
+    are named alone. Fields without a default are required. `int` fields take
+    JSON integers (not bools) of at least their `minimum` metadata, `float`
+    fields JSON numbers (not bools), `str` fields strings, `Optional[str]`
+    fields strings or null, `tuple` fields lists of integers and dataclass
+    fields nested objects; a union of dataclasses takes the member whose
+    `kind` the object's "kind" names. Other ranges are `cls`'s to check.
     """
     if not isinstance(section, dict):
         raise ConfigError(f"{where}: must be a JSON object")
+    if get_origin(cls) is Union:
+        members = get_args(cls)
+        cls = next((m for m in members if m.kind == section.get("kind")), None)
+        if cls is None:
+            raise ConfigError(f"{where}.kind: must be one of {', '.join(m.kind for m in members)}")
+        section = {k: v for k, v in section.items() if k != "kind"}
     fields = dataclasses.fields(cls)
-    _reject_unknown(section, {f.name for f in fields}, where)
+    unknown = sorted(set(section) - {f.name for f in fields})
+    if unknown:
+        raise ConfigError(f"{where}: unknown field '{unknown[0]}'")
     kinds = get_type_hints(cls)
+    prefix = "" if where == "config" else f"{where}."
     kwargs = {}
     for f in fields:
-        name, kind = f"{where}.{f.name}", kinds[f.name]
+        name, kind = prefix + f.name, kinds[f.name]
         if f.name not in section:
             if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
                 raise ConfigError(f"{name}: required field is missing")
             continue
         value = section[f.name]
         if kind is int:
-            value = _int_field(value, name)
+            value = _int_field(value, name, f.metadata.get("minimum"))
         elif kind is float:
             value = _float_field(value, name)
-        elif kind is str:
-            if not isinstance(value, str):
+        elif kind in (str, Optional[str]):
+            if not isinstance(value, str) and (value is not None or kind is str):
                 raise ConfigError(f"{name}: must be a string")
         elif kind is tuple:
             if not isinstance(value, list):
@@ -136,27 +188,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file cannot be read: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    _reject_unknown(raw, {f.name for f in dataclasses.fields(ExperimentConfig)}, "config")
-
-    dataset = _require_object(raw, "dataset")
-    kind = dataset.get("kind")
-    if kind not in _DATASET_KINDS:
-        raise ConfigError(f"dataset.kind: must be one of {', '.join(_DATASET_KINDS)}")
-
-    output_dir = raw.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise ConfigError("output_dir: must be a string path")
-
-    return ExperimentConfig(
-        dataset=dataset,
-        network1=_from_json(NetworkConfig, _require_object(raw, "network1"), "network1"),
-        network2=_from_json(NetworkConfig, _require_object(raw, "network2"), "network2"),
-        train=_from_json(TrainConfig, _require_object(raw, "train"), "train"),
-        output_dir=output_dir,
-        seed_repetitions=_int_field(raw.get("seed_repetitions", 1), "seed_repetitions", 1),
-    )
+    return _from_json(ExperimentConfig, raw, "config")
 
 
 def _int_field(value, where: str, minimum: Optional[int] = None) -> int:
@@ -178,66 +210,21 @@ def _float_field(value, where: str) -> float:
     raise ConfigError(f"{where}: must be a number")
 
 
-def build_datasets(spec: dict) -> tuple[Dataset, Dataset]:
-    """Materialize (train, test) from a dataset spec and normalize them.
+def build_datasets(source: DatasetSource) -> tuple[Dataset, Dataset]:
+    """Load (train, test) from a dataset source and normalize them.
 
     Both splits must have the same feature width and only finite features,
     before and after normalization, and they share the larger of their class
     counts. Normalization statistics come from the training split only.
     """
-    kind = spec.get("kind")
-    if kind == "blobs":
-        allowed = {"kind", "num_classes", "per_class", "test_per_class", "dim", "spread", "seed"}
-        _reject_unknown(spec, allowed, "dataset")
-        num_classes = _int_field(spec.get("num_classes"), "dataset.num_classes", 2)
-        per_class = _int_field(spec.get("per_class"), "dataset.per_class", 1)
-        test_per_class = _int_field(
-            spec.get("test_per_class", per_class), "dataset.test_per_class", 1
-        )
-        dim = _int_field(spec.get("dim"), "dataset.dim", 2)
-        seed = _int_field(spec.get("seed"), "dataset.seed", 0)
-        spread = _float_field(spec.get("spread", 0.5), "dataset.spread")
-        try:
-            train = synth_blobs(num_classes, per_class, dim, spread, seed)
-            test = synth_blobs(num_classes, test_per_class, dim, spread, seed + 1)
-        except ValueError as exc:
-            raise ConfigError(f"dataset: {exc}") from exc
-    elif kind == "idx":
-        allowed = {"kind", "train_images", "train_labels", "test_images", "test_labels"}
-        _reject_unknown(spec, allowed, "dataset")
-        for key in sorted(allowed - {"kind"}):
-            if not isinstance(spec.get(key), str):
-                raise ConfigError(f"dataset.{key}: must be a file path")
-        try:
-            train = load_idx(spec["train_images"], spec["train_labels"])
-            test = load_idx(spec["test_images"], spec["test_labels"])
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"dataset: {exc}") from exc
-    elif kind == "csv":
-        allowed = {"kind", "train", "test", "num_classes"}
-        _reject_unknown(spec, allowed, "dataset")
-        for key in ("train", "test"):
-            if not isinstance(spec.get(key), str):
-                raise ConfigError(f"dataset.{key}: must be a file path")
-        num_classes = spec.get("num_classes")
-        if "num_classes" in spec:
-            _int_field(num_classes, "dataset.num_classes", 2)
-        try:
-            train = load_csv(spec["train"], num_classes)
-            test = load_csv(spec["test"], num_classes)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"dataset: {exc}") from exc
-    else:
-        raise ConfigError(f"dataset.kind: must be one of {', '.join(_DATASET_KINDS)}")
-    # A split may lack the highest labels; both take the larger class count.
-    train.num_classes = test.num_classes = max(train.num_classes, test.num_classes)
-    if train.input_dim != test.input_dim:
-        raise ConfigError(
-            f"dataset: train has {train.input_dim} features, test has {test.input_dim}"
-        )
     try:
+        train, test = source.load()
+        # A split may lack the highest labels; both take the larger class count.
+        train.num_classes = test.num_classes = max(train.num_classes, test.num_classes)
+        if train.input_dim != test.input_dim:
+            raise ValueError(f"train has {train.input_dim} features, test has {test.input_dim}")
         train, test = mean_std_normalize(train, [test])
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"dataset: {exc}") from exc
     return train, test
 

@@ -41,7 +41,7 @@ from .autodiff import (
     sub,
     triple_cosines,
 )
-from .models import ForwardOutput
+from .models import ForwardOutput, _number
 
 __all__ = [
     "COINCIDENCE_EPS",
@@ -90,9 +90,11 @@ class LossWeights:
     temperature: float = 3.0
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "gamma", "beta1", "beta2", "temperature"):
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
         for name in ("alpha", "beta", "gamma", "beta1", "beta2"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and np.isfinite(v) and v >= 0):
+            if not (np.isfinite(v) and v >= 0):
                 raise ValueError(f"{name} must be a finite non-negative number")
         if not (self.alpha > 0 or self.beta > 0 or self.gamma > 0):
             raise ValueError("at least one of alpha, beta, gamma must be positive")

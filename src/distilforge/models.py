@@ -25,6 +25,15 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _number(name: str, value) -> float:
+    if not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating)):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Architecture and initialization seed for one peer."""
@@ -162,7 +171,10 @@ def load_checkpoint(path) -> PeerNetwork:
     whose shape differs from the config's, whose data is not base64 of 8
     bytes per element of its shape, or whose values are not all finite.
     """
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ValueError(f"checkpoint is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"checkpoint root is a {type(doc).__name__}, not an object")
     for key in ("config", "parameters"):

@@ -23,7 +23,7 @@ import numpy as np
 from .autodiff import AutodiffError, Tensor, backward
 from .data import Dataset, batch_iterator
 from .losses import LossWeights, TotalLoss, TupleSets, total_loss
-from .models import PeerNetwork
+from .models import PeerNetwork, _integer, _number
 
 logger = logging.getLogger(__name__)
 
@@ -71,7 +71,12 @@ class TrainConfig:
     update_order: str = "sequential"
 
     def __post_init__(self):
-        object.__setattr__(self, "lr_milestones", tuple(int(m) for m in self.lr_milestones))
+        for name in ("stage1_epochs", "stage2_epochs", "batch_size", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("lr", "lr_factor", "momentum", "weight_decay"):
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
+        milestones = tuple(_integer("lr_milestones entry", m) for m in self.lr_milestones)
+        object.__setattr__(self, "lr_milestones", milestones)
         if self.stage1_epochs < 0:
             raise ValueError("stage1_epochs must be >= 0")
         if self.stage2_epochs < 0:
@@ -251,10 +256,11 @@ def _train_epochs(
     stage: int,
     weights: LossWeights,
     include_relation: bool,
-    lrs: Sequence[float],
-    epoch_offset: int,
 ) -> list[MetricsRecord]:
-    """One epoch per entry of `lrs`, training both peers on `weights`' objective.
+    """The stage's epochs, training both peers on `weights`' objective.
+
+    Stage 1 runs `stage1_epochs` epochs at the constant `lr`; stage 2 runs
+    `stage2_epochs` epochs, each at the rate `lr_at` gives as it starts.
 
     Per batch, each peer forms its loss and back-propagates in turn. In
     sequential order it steps at once, so the second peer's loss sees the
@@ -266,19 +272,22 @@ def _train_epochs(
     snapshot's output layer to its rows at the batch's own shape. This
     relies on BLAS giving each row of a hidden layer's product the same bits
     whichever rows share the call; OpenBLAS does not for small products such
-    as a narrow output layer at batch size (README, Determinism). Shuffling
-    uses epoch numbers from `epoch_offset` on, so the batch stream never
+    as a narrow output layer at batch size (README, Determinism). Stage 2's
+    shuffling continues stage 1's epoch numbers, so the batch stream never
     repeats across stages.
     """
+    epochs = config.stage2_epochs if stage == 2 else config.stage1_epochs
+    epoch_offset = config.stage1_epochs if stage == 2 else 0
     need_tuples = weights.beta > 0 and include_relation
     sequential = config.update_order == "sequential"
     velocities = [{name: np.zeros_like(p.data) for name, p in net.parameters.items()}
                   for net in nets]
     teacher_embeddings = None
-    if weights.gamma > 0 and lrs:
+    if weights.gamma > 0 and epochs:
         teacher_embeddings = [s.forward(train_ds.features).embedding.data for s in snapshots]
     records: list[MetricsRecord] = []
-    for epoch, lr in enumerate(lrs):
+    for epoch in range(epochs):
+        lr = lr_at(epoch, config) if stage == 2 else config.lr
         shuffle_epoch = epoch_offset + epoch
         stats = [_EpochStats(), _EpochStats()]
         try:
@@ -352,8 +361,6 @@ def pretrain_stage1(
         stage=1,
         weights=LossWeights(alpha=1.0, beta=0.0, gamma=0.0),
         include_relation=False,
-        lrs=[config.lr] * config.stage1_epochs,
-        epoch_offset=0,
     )
     if records:
         first = [r.loss_ce for r in records[:2]]
@@ -389,8 +396,6 @@ def train_stage2(
         stage=2,
         weights=weights,
         include_relation=include_relation,
-        lrs=[lr_at(epoch, config) for epoch in range(config.stage2_epochs)],
-        epoch_offset=config.stage1_epochs,
     )
 
 

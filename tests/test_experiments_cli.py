@@ -14,7 +14,10 @@ from distilforge import cli
 from distilforge import experiments, verification
 from distilforge.experiments import (
     ABLATION_CSV_HEADER,
+    BlobsSource,
     ConfigError,
+    CsvSource,
+    IdxSource,
     build_datasets,
     load_experiment_config,
     run_ablation,
@@ -171,6 +174,9 @@ class TestLoadConfig:
         assert config.train.lr_milestones == ()
         assert config.seed_repetitions == 1
         assert config.output_dir is None
+        assert config.dataset == BlobsSource(
+            num_classes=3, per_class=6, test_per_class=4, dim=2, spread=0.5, seed=7
+        )
 
     def test_weights_section(self, tmp_path):
         doc = base_config_dict()
@@ -208,7 +214,7 @@ class TestLoadConfig:
             (lambda d: d["network1"].update(depth=3), "network1: unknown field 'depth'"),
             (lambda d: d["train"].update(optimizer="adam"), "train: unknown field"),
             (lambda d: d["train"].update(weights={"delta": 1.0}), "train.weights: unknown"),
-            (lambda d: d.pop("network2"), "network2: required section is missing"),
+            (lambda d: d.pop("network2"), "network2: required field is missing"),
             (lambda d: d["network1"].pop("input_dim"), "network1.input_dim: required"),
             (lambda d: d["network1"].update(input_dim=0), "network1: input_dim"),
             (lambda d: d["train"].update(lr=0.0), "train: lr must be positive"),
@@ -227,6 +233,10 @@ class TestLoadConfig:
             (lambda d: d["network1"].update(hidden_dims=8), "network1.hidden_dims: must be a list"),
             (lambda d: d.update(seed_repetitions=0), "seed_repetitions"),
             (lambda d: d.update(output_dir=7), "output_dir"),
+            (
+                lambda d: d["dataset"].update(test_per_class=None),
+                "dataset.test_per_class: must be an integer >= 1",
+            ),
             (lambda d: d["dataset"].update(kind="parquet"), "dataset.kind"),
             (lambda d: d.update(dataset="blobs"), "dataset: must be a JSON object"),
         ],
@@ -242,22 +252,22 @@ class TestLoadConfig:
 
 class TestBuildDatasets:
     def test_blobs(self):
-        spec = base_config_dict()["dataset"]
-        train, test = build_datasets(spec)
+        source = BlobsSource(
+            num_classes=3, per_class=6, test_per_class=4, dim=2, spread=0.5, seed=7
+        )
+        train, test = build_datasets(source)
         assert len(train) == 18 and len(test) == 12
         assert train.num_classes == test.num_classes == 3
         np.testing.assert_allclose(train.features.data.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(train.features.data.std(axis=0), 1.0, atol=1e-12)
 
     def test_blobs_test_split_differs_from_train(self):
-        spec = base_config_dict()["dataset"]
-        spec["test_per_class"] = spec["per_class"]
-        train, test = build_datasets(spec)
+        source = BlobsSource(num_classes=3, per_class=6, test_per_class=6, dim=2, seed=7)
+        train, test = build_datasets(source)
         assert not np.array_equal(train.features.data, test.features.data)
 
     def test_blobs_defaults(self):
-        spec = {"kind": "blobs", "num_classes": 2, "per_class": 4, "dim": 2, "seed": 0}
-        train, test = build_datasets(spec)
+        train, test = build_datasets(BlobsSource(num_classes=2, per_class=4, dim=2, seed=0))
         assert len(train) == 8 and len(test) == 8
 
     def test_csv_kind(self, tmp_path):
@@ -265,9 +275,7 @@ class TestBuildDatasets:
         test_path = tmp_path / "test.csv"
         train_path.write_text("f0,f1,y\n0.0,1.0,0\n1.0,0.0,1\n2.0,2.0,2\n")
         test_path.write_text("f0,f1,y\n0.5,0.5,1\n")
-        train, test = build_datasets(
-            {"kind": "csv", "train": str(train_path), "test": str(test_path)}
-        )
+        train, test = build_datasets(CsvSource(train=str(train_path), test=str(test_path)))
         assert len(train) == 3 and len(test) == 1
         # Class count is shared across splits.
         assert train.num_classes == test.num_classes == 3
@@ -277,21 +285,22 @@ class TestBuildDatasets:
         test_path = tmp_path / "test.csv"
         train_path.write_text("f0,y\n1.7e308,0\n1.7e308,1\n-1.7e308,0\n")
         test_path.write_text("f0,y\n0.0,1\n")
-        spec = {"kind": "csv", "train": str(train_path), "test": str(test_path)}
+        source = CsvSource(train=str(train_path), test=str(test_path))
         with np.errstate(all="ignore"), pytest.raises(
             ConfigError, match="dataset: normalized train: features hold non-finite values"
         ):
-            build_datasets(spec)
+            build_datasets(source)
 
     @pytest.mark.parametrize("value", ["3", 2.5, 1, True, None])
-    def test_csv_num_classes_must_be_integer_at_least_2(self, value):
+    def test_csv_num_classes_must_be_integer_at_least_2(self, tmp_path, value):
         spec = {"kind": "csv", "train": "a.csv", "test": "b.csv", "num_classes": value}
         with pytest.raises(ConfigError, match="dataset.num_classes: must be an integer >= 2"):
-            build_datasets(spec)
+            load_experiment_config(write_config(tmp_path, dataset=spec))
 
-    def test_csv_missing_path(self):
-        with pytest.raises(ConfigError, match="dataset.test"):
-            build_datasets({"kind": "csv", "train": "x.csv"})
+    def test_csv_missing_path(self, tmp_path):
+        spec = {"kind": "csv", "train": "x.csv"}
+        with pytest.raises(ConfigError, match="^dataset.test: required field is missing$"):
+            load_experiment_config(write_config(tmp_path, dataset=spec))
 
     def test_idx_kind(self, tmp_path):
         from test_data import write_idx
@@ -306,11 +315,10 @@ class TestBuildDatasets:
             np.array([0, 1], dtype=np.uint8), prefix="t_",
         )
         train, test = build_datasets(
-            {
-                "kind": "idx",
-                "train_images": str(ipath), "train_labels": str(lpath),
-                "test_images": str(tipath), "test_labels": str(tlpath),
-            }
+            IdxSource(
+                train_images=str(ipath), train_labels=str(lpath),
+                test_images=str(tipath), test_labels=str(tlpath),
+            )
         )
         assert train.features.data.shape == (6, 4)
         assert train.num_classes == test.num_classes == 3
@@ -318,7 +326,7 @@ class TestBuildDatasets:
     def test_load_errors_become_config_errors(self, tmp_path):
         missing = tmp_path / "missing.csv"
         with pytest.raises(ConfigError, match="dataset:"):
-            build_datasets({"kind": "csv", "train": str(missing), "test": str(missing)})
+            build_datasets(CsvSource(train=str(missing), test=str(missing)))
 
 
 class TestRunExperiment:
@@ -480,6 +488,47 @@ class TestCli:
         assert cli.main(["run", str(csv_classes), "--out", str(tmp_path / "o")]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert lines == ["error: config: dataset.num_classes: must be an integer >= 2"], lines
+
+    @pytest.mark.parametrize(
+        "dataset, missing",
+        [
+            ({"kind": "blobs", "num_classes": 3, "per_class": 6, "seed": 7}, "dim"),
+            (
+                {"kind": "idx", "train_images": "a", "test_images": "b", "test_labels": "c"},
+                "train_labels",
+            ),
+            ({"kind": "csv", "train": "a.csv"}, "test"),
+        ],
+        ids=["blobs_dim", "idx_train_labels", "csv_test"],
+    )
+    def test_missing_dataset_field_is_named(self, tmp_path, capsys, dataset, missing):
+        path = write_config(tmp_path, dataset=dataset)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config: dataset.{missing}: required field is missing"
+        ]
+        assert not out.exists()
+
+    def test_null_output_dir_is_unset(self, tmp_path, capsys):
+        path = write_config(tmp_path, output_dir=None)
+        assert load_experiment_config(path).output_dir is None
+        assert cli.main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: config: output_dir: missing (set it in the config or pass --out)"
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+
+    def test_seed_repetitions_defaults_to_one(self, tmp_path):
+        doc = base_config_dict()
+        del doc["seed_repetitions"]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["rep0", "summary.json"]
+        assert json.loads((out / "summary.json").read_text())["seed_repetitions"] == 1
 
     def test_overwrite_flag(self, tmp_path, capsys):
         path = write_config(tmp_path)

@@ -89,6 +89,20 @@ class TestLossWeights:
         with pytest.raises(ValueError):
             LossWeights(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(alpha=True), "alpha must be a number, got True"),
+            (dict(beta2=None), "beta2 must be a number, got None"),
+            (dict(temperature=True), "temperature must be a number, got True"),
+            (dict(temperature="3"), "temperature must be a number, got '3'"),
+        ],
+        ids=["alpha_bool", "beta2_none", "temperature_bool", "temperature_str"],
+    )
+    def test_rejects_mistyped_weights(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LossWeights(**kwargs)
+
 
 class TestTupleSets:
     @pytest.mark.parametrize(

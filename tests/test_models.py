@@ -262,14 +262,22 @@ class TestCheckpoint:
              "^checkpoint config: hidden_dims entry must be an integer, got 4.7$"),
             (lambda doc: dict(doc, parameters=dict(doc["parameters"], w0=[1.0, 0.0])),
              "parameter 'w0': not an object"),
+            # Bytes are written as they are.
+            (lambda doc: b"{not json", "^checkpoint is not valid JSON: Expecting property name"),
+            (lambda doc: b'{"config": \xff}',
+             "^checkpoint is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
         ],
         ids=["root_list", "no_parameters", "unknown_config_key", "hidden_dims_int",
              "input_dim_float", "num_classes_float", "init_seed_float", "init_seed_bool",
-             "hidden_dims_float", "entry_list"],
+             "hidden_dims_float", "entry_list", "not_json", "not_utf8"],
     )
     def test_malformed_document_is_a_value_error(self, tmp_path, edit, reason):
         path = tmp_path / "net.json"
         save_checkpoint(hand_network(), path)
-        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        doc = edit(json.loads(path.read_text()))
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+        else:
+            path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=reason):
             load_checkpoint(path)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from distilforge import trainer
 from distilforge.autodiff import Tensor
 from distilforge.data import synth_blobs, mean_std_normalize
 from distilforge.losses import LossWeights
@@ -105,6 +106,33 @@ class TestTrainConfig:
     def test_validation(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             TrainConfig(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(stage1_epochs=1.5), "stage1_epochs must be an integer, got 1.5"),
+            (dict(stage2_epochs=None), "stage2_epochs must be an integer, got None"),
+            (dict(batch_size=2.5), "batch_size must be an integer, got 2.5"),
+            (dict(batch_size=True), "batch_size must be an integer, got True"),
+            (dict(seed=1.5), "seed must be an integer, got 1.5"),
+            (dict(lr_milestones=(2.7,)), "lr_milestones entry must be an integer, got 2.7"),
+            (dict(lr=True), "lr must be a number, got True"),
+            (dict(lr="0.1"), "lr must be a number, got '0.1'"),
+            (dict(momentum=None), "momentum must be a number, got None"),
+            (dict(weight_decay=10**400), "weight_decay must be a number, got 1000"),
+        ],
+        ids=["stage1_epochs", "stage2_epochs", "batch_size", "batch_size_bool", "seed",
+             "lr_milestones", "lr_bool", "lr_str", "momentum", "weight_decay_huge"],
+    )
+    def test_rejects_mistyped_fields(self, overrides, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            TrainConfig(**overrides)
+
+    def test_numpy_scalars_become_python_numbers(self):
+        c = TrainConfig(batch_size=np.int64(8), lr=np.float64(0.5), lr_milestones=[np.int32(3)])
+        assert type(c.batch_size) is int and c.batch_size == 8
+        assert type(c.lr) is float and c.lr == 0.5
+        assert c.lr_milestones == (3,) and type(c.lr_milestones[0]) is int
 
 
 class TestVariantWeights:
@@ -324,6 +352,46 @@ class TestStage1:
         train, test = tiny_datasets()
         with pytest.raises(ValueError, match="two peer networks"):
             pretrain_stage1([fresh_pair()[0]], train, test, small_config())
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.fixture
+def stop_at_first_step(monkeypatch):
+    """Stop a run at its first SGD step; fail if a later epoch's rate is computed first."""
+
+    def stop(*args, **kwargs):
+        raise _Stop
+
+    rates = []
+
+    def counted_lr_at(epoch, config):
+        rates.append(epoch)
+        assert rates == [0], "learning rates computed ahead of their epochs"
+        return lr_at(epoch, config)
+
+    monkeypatch.setattr(trainer, "sgd_step", stop)
+    monkeypatch.setattr(trainer, "lr_at", counted_lr_at)
+
+
+class TestHugeEpochCounts:
+    HUGE = 10**20
+
+    def test_stage1_starts_training(self, stop_at_first_step):
+        train, test = tiny_datasets()
+        config = small_config(stage1_epochs=self.HUGE)
+        with pytest.raises(_Stop):
+            pretrain_stage1(fresh_pair(), train, test, config)
+
+    def test_stage2_starts_training(self, stop_at_first_step):
+        train, test = tiny_datasets()
+        nets = fresh_pair()
+        snapshots = [net.snapshot() for net in nets]
+        config = small_config(stage1_epochs=self.HUGE, stage2_epochs=self.HUGE)
+        with pytest.raises(_Stop):
+            train_stage2(nets, snapshots, train, test, config)
 
 
 class TestStage2:
