@@ -186,7 +186,8 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file cannot be read: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # A JSONDecodeError, or an integer past Python's digit limit for str -> int.
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     return _from_json(ExperimentConfig, raw, "config")
 

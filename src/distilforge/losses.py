@@ -45,6 +45,7 @@ from .models import ForwardOutput, _number
 
 __all__ = [
     "COINCIDENCE_EPS",
+    "GRAM_CELLS_PER_TRIPLE",
     "MEAN_DISTANCE_EPS",
     "TRIPLE_CAP_BATCH",
     "TRIPLE_CAP_COUNT",
@@ -70,6 +71,11 @@ MEAN_DISTANCE_EPS = 1e-8
 # Batches larger than this subsample the ordered-triple set.
 TRIPLE_CAP_BATCH = 16
 TRIPLE_CAP_COUNT = 16 * 15 * 14
+
+# A triple set reads its cosines from the batched Gram layout while the
+# layout's n*(n-1)**2 cells are at most this many per triple: every full set
+# and sampled sets up to batch 41. Past that the per-triple gathers cost less.
+GRAM_CELLS_PER_TRIPLE = 20
 
 
 @dataclass(frozen=True)
@@ -107,25 +113,35 @@ class TupleSets:
     """Ordered index pairs and triples over one batch.
 
     Pairs always cover all n*(n-1) ordered distinct pairs, pair (u, v) at row
-    u*(n-1) + v - (v > u). Leg row r runs from pair_u[r] to pair_v[r], so the
-    n-1 legs that meet at v are the consecutive rows v*(n-1) ... v*(n-1)+n-2,
-    in increasing other endpoint. A triple (u, v, w) is stored as the rows of
-    its two legs from the middle index: `head` holds (v, u) and `tail` holds
-    (v, w). Triples cover all n*(n-1)*(n-2) ordered distinct triples up to
-    batch size 16; larger batches use a seeded uniform subsample of 16*15*14
-    triples. Full sets depend only on n: each is built once and shared, with
-    read-only arrays.
+    u*(n-1) + v - (v > u); `pair_index` holds u*n + v, its cell in a
+    row-major (n, n) matrix. Pair arrays depend only on n and are shared,
+    read-only, by every set of that size. Leg row r runs from pair_u[r] to
+    pair_v[r], so the n-1 legs that meet at v are the consecutive rows
+    v*(n-1) ... v*(n-1)+n-2, in increasing other endpoint. A triple (u, v, w)
+    is stored as the rows of its two legs from the middle index: `head` holds
+    (v, u) and `tail` holds (v, w). Triples cover all n*(n-1)*(n-2) ordered
+    distinct triples up to batch size 16; larger batches use a seeded uniform
+    subsample of 16*15*14 triples (`capped`). Full sets depend only on n:
+    each is built once and shared, with read-only arrays. `gram` picks the
+    cosine layout; see GRAM_CELLS_PER_TRIPLE.
     """
 
     n: int
     pair_u: np.ndarray
     pair_v: np.ndarray
+    pair_index: np.ndarray
     head: np.ndarray
     tail: np.ndarray
 
     @property
     def capped(self) -> bool:
         return self.n > TRIPLE_CAP_BATCH
+
+    @property
+    def gram(self) -> bool:
+        cells = self.n * (self.n - 1) ** 2
+        # Sets under 3 rows hold no triples; max() keeps them on the Gram side.
+        return cells <= GRAM_CELLS_PER_TRIPLE * max(self.num_triples, 1)
 
     @property
     def num_pairs(self) -> int:
@@ -165,7 +181,7 @@ class TupleSets:
         tu, tv, tw = (a.reshape(-1) for a in np.meshgrid(idx, idx, idx, indexing="ij"))
         keep = (tu != tv) & (tu != tw) & (tv != tw)
         sets = cls._from_triples(n, tu[keep], tv[keep], tw[keep])
-        for array in (sets.pair_u, sets.pair_v, sets.head, sets.tail):
+        for array in (sets.head, sets.tail):
             array.flags.writeable = False
         return sets
 
@@ -174,10 +190,20 @@ class TupleSets:
         def row(u, v):
             return u * (n - 1) + v - (v > u)
 
-        u = np.repeat(np.arange(n, dtype=np.int64), n)
-        v = np.tile(np.arange(n, dtype=np.int64), n)
-        keep = u != v
-        return cls(n, u[keep], v[keep], row(tv, tu), row(tv, tw))
+        return cls(n, *_pairs(n), row(tv, tu), row(tv, tw))
+
+
+@functools.lru_cache(maxsize=8)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only pair_u, pair_v and pair_index of the ordered distinct pairs of n."""
+    u = np.repeat(np.arange(n, dtype=np.int64), n)
+    v = np.tile(np.arange(n, dtype=np.int64), n)
+    keep = u != v
+    # Positions run over the row-major (n, n) grid, so a kept one is u*n + v.
+    arrays = (u[keep], v[keep], np.flatnonzero(keep))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def cross_entropy(logits: Tensor, one_hot: Tensor) -> Tensor:
@@ -241,7 +267,7 @@ class RelationSide:
         if tuples.n != n:
             raise ValueError(f"tuple sets built for batch {tuples.n}, embeddings have {n} rows")
         dist = pairwise_l2(e)
-        long_leg = dist.data[tuples.pair_u, tuples.pair_v] >= COINCIDENCE_EPS
+        long_leg = np.take(dist.data, tuples.pair_index) >= COINCIDENCE_EPS
         self.valid = long_leg[tuples.head] & long_leg[tuples.tail]
         mean_dist = div(reduce_sum(dist), float(tuples.num_pairs))
         self.degenerate = mean_dist.item() < MEAN_DISTANCE_EPS
@@ -249,7 +275,7 @@ class RelationSide:
             self.potentials = Tensor(np.zeros(tuples.num_pairs))
         else:
             flat = reshape(dist, (n * n,))
-            self.potentials = div(gather(flat, tuples.pair_u * n + tuples.pair_v), mean_dist)
+            self.potentials = div(gather(flat, tuples.pair_index), mean_dist)
         self._cosines = None
         self.tuples = tuples
         return self
@@ -258,16 +284,17 @@ class RelationSide:
         """Cosine between the legs head[i] and tail[i] of every valid triple.
 
         Each ordered pair's leg e[pair_v] - e[pair_u] and its length are computed
-        once. A full triple set takes each middle index's cosines from one Gram
-        matrix of its n-1 consecutive unit legs; a sampled one gathers the two legs
-        per triple, because its at most 16*15*14 triples would fill only a small
+        once. While the tuple set's `gram` holds, each middle index's cosines come
+        from one Gram matrix of its n-1 consecutive unit legs. That is every full
+        set and sampled sets up to batch 41; beyond it, the two legs are gathered
+        per triple, because the 16*15*14 sampled triples would fill only a small
         part of the n*(n-1)*(n-1) Gram cells, whose count grows as n**3.
         """
         if self._cosines is None:
             e, t = self.embeddings, self.tuples
             legs = sub(gather(e, t.pair_v), gather(e, t.pair_u))
             lengths = sqrt(reduce_sum(mul(legs, legs), axis=1))
-            k = None if t.capped else t.n - 1
+            k = t.n - 1 if t.gram else None
             self._cosines = triple_cosines(legs, lengths, t.head[self.valid], t.tail[self.valid], k)
         return self._cosines
 

@@ -489,6 +489,19 @@ class TestCli:
         lines = capsys.readouterr().err.splitlines()
         assert lines == ["error: config: dataset.num_classes: must be an integer >= 2"], lines
 
+    def test_integer_past_the_digit_limit_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        text = json.dumps(base_config_dict(seed_repetitions="HUGE"))
+        path.write_text(text.replace('"HUGE"', "9" * 5000))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(
+            "error: config: config is not valid JSON: Exceeds the limit (4300 digits)"
+        ), lines
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "dataset, missing",
         [

@@ -168,6 +168,21 @@ class TestTupleSets:
         np.testing.assert_array_equal(a.tail, b.tail)
         assert not np.array_equal(a.head, c.head)
 
+    def test_gram_layout_is_read_up_to_batch_41(self):
+        """Gram cells n*(n-1)**2 at most GRAM_CELLS_PER_TRIPLE per triple: full sets and n <= 41."""
+        rng = np.random.default_rng(0)
+        sizes = [*range(17), 32, 41, 42, 64, 128]
+        gram = {n: TupleSets.build(n, rng).gram for n in sizes}
+        assert [n for n in sizes if not gram[n]] == [42, 64, 128]
+
+    def test_pair_arrays_are_shared_and_read_only(self):
+        a = TupleSets.build(17, rng=np.random.default_rng(0))
+        b = TupleSets.build(17, rng=np.random.default_rng(1))
+        for name in ("pair_u", "pair_v", "pair_index"):
+            assert getattr(a, name) is getattr(b, name)
+            assert not getattr(a, name).flags.writeable
+        np.testing.assert_array_equal(a.pair_index, a.pair_u * 17 + a.pair_v)
+
     def test_large_batch_requires_rng(self):
         with pytest.raises(ValueError, match="rng"):
             TupleSets.build(17)
@@ -354,7 +369,7 @@ class TestAnglePotentials:
             if {int(u), int(v)} == {0, 1}:
                 assert not ok
 
-    @pytest.mark.parametrize("n", [3, 16, 17, 32])
+    @pytest.mark.parametrize("n", [3, 16, 17, 32, 64])
     @pytest.mark.parametrize("coincident", [False, True], ids=["distinct", "coincident"])
     def test_equal_to_per_triple_formula(self, n, coincident):
         rng = np.random.default_rng(n)
@@ -373,15 +388,16 @@ class TestAnglePotentials:
         norm_head = np.sqrt((head * head).sum(axis=1))
         norm_tail = np.sqrt((tail * tail).sum(axis=1))
         formula = (head * tail).sum(axis=1) / norm_head / norm_tail
-        if tuples.capped:
-            assert np.array_equal(vals.data, formula)
-        else:
-            # Full triple sets read the cosines off a Gram matrix of unit legs.
+        assert tuples.gram == (n < 64)
+        if tuples.gram:
+            # The Gram layout reads the cosines off a Gram matrix of unit legs.
             assert np.abs(vals.data - formula).max() <= 4 * np.finfo(float).eps
+        else:
+            assert np.array_equal(vals.data, formula)
 
 
 class TestTripleCosines:
-    @pytest.mark.parametrize("n", [3, 16, 17, 32])
+    @pytest.mark.parametrize("n", [3, 16, 17, 32, 64])
     @pytest.mark.parametrize("coincident", [False, True], ids=["distinct", "coincident"])
     def test_matches_reference_chain(self, n, coincident):
         """Values and gradients against the gather, mul, reduce_sum and div chain."""
@@ -392,7 +408,7 @@ class TestTripleCosines:
         tuples = TupleSets.build(n, rng)
         legs = e[tuples.pair_v] - e[tuples.pair_u]
         lengths = np.sqrt((legs * legs).sum(axis=1))
-        k = None if tuples.capped else n - 1
+        k = n - 1 if tuples.gram else None
         head, tail = tuples.head, tuples.tail
         keep = (lengths[head] >= COINCIDENCE_EPS) & (lengths[tail] >= COINCIDENCE_EPS)
         assert keep.all() != coincident
@@ -413,12 +429,13 @@ class TestTripleCosines:
             )
         )
         assert tuples.capped == (n > 16)
+        assert tuples.gram == (n < 64)
         for g, r in zip(got, reference):
             assert g.shape == r.shape
-            if tuples.capped:
-                assert np.array_equal(g, r)
-            else:
+            if tuples.gram:
                 assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max()
+            else:
+                assert np.array_equal(g, r)
 
 
 class TestRelationLoss:
@@ -532,13 +549,14 @@ class TestRelationLoss:
         assert skipped > 0
         assert rel.triples_skipped == skipped
 
-    @pytest.mark.parametrize("n", [16, 17])
+    @pytest.mark.parametrize("n", [16, 17, 32, 64])
     def test_gradient_matches_finite_differences(self, n):
         rng = np.random.default_rng(35)
         ea = Tensor(rng.uniform(-1.0, 1.0, (n, 3)), requires_grad=True)
         eb = Tensor(rng.uniform(-1.0, 1.0, (n, 3)))
         tuples = TupleSets.build(n, rng)
         assert tuples.capped == (n > 16)
+        assert tuples.gram == (n < 64)
         err = max_param_grad_error(
             lambda: relation_distill_loss(ea, eb, LossWeights(), tuples).total, [ea]
         )
@@ -585,7 +603,7 @@ def fresh_pair_relation(student, peer, tuples, beta1):
         legs = sub(gather(e, tuples.pair_v), gather(e, tuples.pair_u))
         lengths = sqrt(reduce_sum(mul(legs, legs), axis=1))
         head, tail = tuples.head[valid], tuples.tail[valid]
-        return triple_cosines(legs, lengths, head, tail, None if tuples.capped else tuples.n - 1)
+        return triple_cosines(legs, lengths, head, tail, tuples.n - 1 if tuples.gram else None)
 
     (pots_s, long_s), (pots_p, long_p) = map(potentials_and_long_legs, (student, peer))
     long_leg = long_s & long_p
@@ -596,7 +614,7 @@ def fresh_pair_relation(student, peer, tuples, beta1):
 
 
 class TestRelationSide:
-    @pytest.mark.parametrize("n", [16, 17])
+    @pytest.mark.parametrize("n", [16, 17, 64])
     @pytest.mark.parametrize("coincident", ["none", "peer_only"])
     def test_shared_sides_match_fresh_geometry(self, n, coincident):
         """Each side measured once and read in both roles, as a simultaneous batch does.
