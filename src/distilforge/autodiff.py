@@ -364,18 +364,15 @@ def _scatter_rows(idx: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
     return np.bincount(flat, weights=g.reshape(-1), minlength=math.prod(shape)).reshape(shape)
 
 
-def triple_cosines(legs: Tensor, lengths: Tensor, head, tail, k=None) -> Tensor:
+def triple_cosines(legs: Tensor, lengths: Tensor, head, tail, k) -> Tensor:
     """Cosine between leg rows head[i] and tail[i] for every i.
 
     The value is legs[h] . legs[t] / lengths[h] / lengths[t], where `lengths`
-    holds the row norms of `legs`; both are tape inputs. Without `k` each
-    cosine gathers its two rows and repeats the gather, mul, reduce_sum and
-    div chain, with the same values and gradients bit for bit. A group size
-    `k` splits the legs into consecutive groups of k rows and puts the two
-    rows of each cosine in one group. Then all cosines come from one batched
-    (m, k, k) Gram matrix of unit legs, within a few ulp of the chain. That
-    layout costs m*k*k cells however few cosines are read, so it pays only
-    when they fill most of it.
+    holds the row norms of `legs`; both are tape inputs. The group size `k`
+    splits the legs into consecutive groups of k rows, and the two rows of
+    each cosine lie in one group. All cosines come from one batched (m, k, k)
+    Gram matrix of unit legs, within a few ulp of the per-triple gather, mul,
+    reduce_sum and div chain.
     """
     ld, lens = legs.data, lengths.data
     if ld.ndim != 2 or lens.shape != ld.shape[:1]:
@@ -389,23 +386,6 @@ def triple_cosines(legs: Tensor, lengths: Tensor, head, tail, k=None) -> Tensor:
     short = lens < DIV_GUARD
     if short.any() and (short[head].any() or short[tail].any()):
         raise AutodiffError(f"triple_cosines: leg length below {DIV_GUARD:g}")
-    if k is None:
-        lh, lt = lens[head], lens[tail]
-        hl, tl = np.take(ld, head, axis=0), np.take(ld, tail, axis=0)
-        dots = (hl * tl).sum(axis=1)
-        q = dots / lh
-
-        def rule(g):
-            gq = g / lt
-            gd = (gq / lh)[:, None]
-            g_legs = _scatter_rows(head, gd * tl, ld.shape) + _scatter_rows(tail, gd * hl, ld.shape)
-            g_lens = _scatter_rows(head, -gq * dots / (lh * lh), lens.shape) + _scatter_rows(
-                tail, -g * q / (lt * lt), lens.shape
-            )
-            return g_legs, g_lens
-
-        return _record(q / lt, "triple_cosines", (legs, lengths), rule)
-
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1 or rows % k:
         raise ValueError(f"triple_cosines: group size {k!r} does not divide the {rows} legs")
     m = rows // k

@@ -186,8 +186,8 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file cannot be read: {exc}") from None
-    except ValueError as exc:
-        # A JSONDecodeError, or an integer past Python's digit limit for str -> int.
+    except (ValueError, RecursionError) as exc:
+        # A JSONDecodeError, an integer past Python's str -> int digit limit, or deep nesting.
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     return _from_json(ExperimentConfig, raw, "config")
 

@@ -45,7 +45,6 @@ from .models import ForwardOutput, _number
 
 __all__ = [
     "COINCIDENCE_EPS",
-    "GRAM_CELLS_PER_TRIPLE",
     "MEAN_DISTANCE_EPS",
     "TRIPLE_CAP_BATCH",
     "TRIPLE_CAP_COUNT",
@@ -68,14 +67,10 @@ COINCIDENCE_EPS = 1e-8
 # potentials (and their gradients) are defined as zero.
 MEAN_DISTANCE_EPS = 1e-8
 
-# Batches larger than this subsample the ordered-triple set.
+# Batches larger than this sample their legs: at most this many triples, unless
+# even two legs per middle index give more.
 TRIPLE_CAP_BATCH = 16
 TRIPLE_CAP_COUNT = 16 * 15 * 14
-
-# A triple set reads its cosines from the batched Gram layout while the
-# layout's n*(n-1)**2 cells are at most this many per triple: every full set
-# and sampled sets up to batch 41. Past that the per-triple gathers cost less.
-GRAM_CELLS_PER_TRIPLE = 20
 
 
 @dataclass(frozen=True)
@@ -112,24 +107,27 @@ class LossWeights:
 class TupleSets:
     """Ordered index pairs and triples over one batch.
 
-    Pairs always cover all n*(n-1) ordered distinct pairs, pair (u, v) at row
-    u*(n-1) + v - (v > u); `pair_index` holds u*n + v, its cell in a
-    row-major (n, n) matrix. Pair arrays depend only on n and are shared,
-    read-only, by every set of that size. Leg row r runs from pair_u[r] to
-    pair_v[r], so the n-1 legs that meet at v are the consecutive rows
-    v*(n-1) ... v*(n-1)+n-2, in increasing other endpoint. A triple (u, v, w)
-    is stored as the rows of its two legs from the middle index: `head` holds
-    (v, u) and `tail` holds (v, w). Triples cover all n*(n-1)*(n-2) ordered
-    distinct triples up to batch size 16; larger batches use a seeded uniform
-    subsample of 16*15*14 triples (`capped`). Full sets depend only on n:
-    each is built once and shared, with read-only arrays. `gram` picks the
-    cosine layout; see GRAM_CELLS_PER_TRIPLE.
+    `pair_index` holds u*n + v for all n*(n-1) ordered distinct pairs (u, v)
+    in row-major order, each pair's cell in the (n, n) distance matrix. The
+    legs are the n*m rows middle*n + other of `leg_index`, grouped by middle
+    index: the m legs that meet at v are the consecutive rows v*m ...
+    v*m+m-1, in increasing other endpoint. A triple (u, v, w) is stored as
+    the rows of its two legs from the middle index: `head` holds (v, u) and
+    `tail` holds (v, w).
+
+    Up to batch size 16 a set is full: m = n-1, the legs are the pairs and
+    the triples are all n*(n-1)*(n-2) ordered distinct ones. A larger batch
+    (`capped`) draws, for each middle index, m of its n-1 other rows without
+    replacement from the per-batch rng, and keeps every ordered pair of them:
+    n*m*(m-1) triples, with m the largest value at most n-1 (and at least 2)
+    that keeps them within 16*15*14. Every ordered triple is then included
+    with probability m*(m-1) / ((n-1)*(n-2)). Everything but a sampled set's
+    `leg_index` depends on n alone, and is built once and shared read-only.
     """
 
     n: int
-    pair_u: np.ndarray
-    pair_v: np.ndarray
     pair_index: np.ndarray
+    leg_index: np.ndarray
     head: np.ndarray
     tail: np.ndarray
 
@@ -138,14 +136,12 @@ class TupleSets:
         return self.n > TRIPLE_CAP_BATCH
 
     @property
-    def gram(self) -> bool:
-        cells = self.n * (self.n - 1) ** 2
-        # Sets under 3 rows hold no triples; max() keeps them on the Gram side.
-        return cells <= GRAM_CELLS_PER_TRIPLE * max(self.num_triples, 1)
+    def legs_per_middle(self) -> int:
+        return self.leg_index.size // self.n if self.n else 0
 
     @property
     def num_pairs(self) -> int:
-        return int(self.pair_u.size)
+        return int(self.pair_index.size)
 
     @property
     def num_triples(self) -> int:
@@ -153,7 +149,7 @@ class TupleSets:
 
     @classmethod
     def build(cls, n: int, rng: Optional[np.random.Generator] = None) -> "TupleSets":
-        """Tuple sets for a batch of n; `rng` subsamples the triples of batches over 16."""
+        """Tuple sets for a batch of n; `rng` draws the legs of batches over 16."""
         n = int(n)
         if n < 0:
             raise ValueError("batch size must be non-negative")
@@ -161,18 +157,14 @@ class TupleSets:
             return cls._full(n)
         if rng is None:
             raise ValueError(
-                f"batches larger than {TRIPLE_CAP_BATCH} need an rng to subsample triples"
+                f"batches larger than {TRIPLE_CAP_BATCH} need an rng to sample legs"
             )
-        chunks = []
-        got = 0
-        while got < TRIPLE_CAP_COUNT:
-            draw = rng.integers(0, n, size=(TRIPLE_CAP_COUNT + TRIPLE_CAP_COUNT // 2, 3))
-            ok = (draw[:, 0] != draw[:, 1]) & (draw[:, 0] != draw[:, 2]) & (draw[:, 1] != draw[:, 2])
-            draw = draw[ok]
-            chunks.append(draw)
-            got += draw.shape[0]
-        sample = np.concatenate(chunks)[:TRIPLE_CAP_COUNT].astype(np.int64)
-        return cls._from_triples(n, sample[:, 0], sample[:, 1], sample[:, 2])
+        m, head, tail = _sampled_triples(n)
+        # A uniform m-subset of 0..n-2 per middle index, shifted past the middle.
+        other = np.sort(rng.random((n, n - 1)).argsort(axis=1)[:, :m], axis=1)
+        middle = np.arange(n)[:, None]
+        other += other >= middle
+        return cls(n, _pairs(n), (middle * n + other).reshape(-1), head, tail)
 
     @classmethod
     @functools.lru_cache(maxsize=TRIPLE_CAP_BATCH + 1)
@@ -180,30 +172,37 @@ class TupleSets:
         idx = np.arange(n, dtype=np.int64)
         tu, tv, tw = (a.reshape(-1) for a in np.meshgrid(idx, idx, idx, indexing="ij"))
         keep = (tu != tv) & (tu != tw) & (tv != tw)
-        sets = cls._from_triples(n, tu[keep], tv[keep], tw[keep])
-        for array in (sets.head, sets.tail):
+        tu, tv, tw = tu[keep], tv[keep], tw[keep]
+        head, tail = (tv * (n - 1) + x - (x > tv) for x in (tu, tw))
+        for array in (head, tail):
             array.flags.writeable = False
-        return sets
-
-    @classmethod
-    def _from_triples(cls, n: int, tu, tv, tw) -> "TupleSets":
-        def row(u, v):
-            return u * (n - 1) + v - (v > u)
-
-        return cls(n, *_pairs(n), row(tv, tu), row(tv, tw))
+        return cls(n, _pairs(n), _pairs(n), head, tail)
 
 
 @functools.lru_cache(maxsize=8)
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only pair_u, pair_v and pair_index of the ordered distinct pairs of n."""
-    u = np.repeat(np.arange(n, dtype=np.int64), n)
-    v = np.tile(np.arange(n, dtype=np.int64), n)
-    keep = u != v
-    # Positions run over the row-major (n, n) grid, so a kept one is u*n + v.
-    arrays = (u[keep], v[keep], np.flatnonzero(keep))
-    for array in arrays:
+def _pairs(n: int) -> np.ndarray:
+    """Read-only u*n + v of the ordered distinct pairs (u, v) of n, in row-major order."""
+    index = np.flatnonzero(~np.eye(n, dtype=bool))
+    index.flags.writeable = False
+    return index
+
+
+@functools.lru_cache(maxsize=8)
+def _sampled_triples(n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Legs per middle m, and read-only head and tail of a sampled set of n.
+
+    The triples are every off-diagonal cell (v, a, b) of the (n, m, m) Gram
+    tensor, in row-major order: legs v*m + a and v*m + b.
+    """
+    m = n - 1
+    while m > 2 and n * m * (m - 1) > TRIPLE_CAP_COUNT:
+        m -= 1
+    v, a, b = (x.reshape(-1) for x in np.indices((n, m, m), dtype=np.int64))
+    keep = a != b
+    head, tail = v[keep] * m + a[keep], v[keep] * m + b[keep]
+    for array in (head, tail):
         array.flags.writeable = False
-    return arrays
+    return m, head, tail
 
 
 def cross_entropy(logits: Tensor, one_hot: Tensor) -> Tensor:
@@ -267,7 +266,7 @@ class RelationSide:
         if tuples.n != n:
             raise ValueError(f"tuple sets built for batch {tuples.n}, embeddings have {n} rows")
         dist = pairwise_l2(e)
-        long_leg = np.take(dist.data, tuples.pair_index) >= COINCIDENCE_EPS
+        long_leg = np.take(dist.data, tuples.leg_index) >= COINCIDENCE_EPS
         self.valid = long_leg[tuples.head] & long_leg[tuples.tail]
         mean_dist = div(reduce_sum(dist), float(tuples.num_pairs))
         self.degenerate = mean_dist.item() < MEAN_DISTANCE_EPS
@@ -283,19 +282,18 @@ class RelationSide:
     def cosines(self) -> Tensor:
         """Cosine between the legs head[i] and tail[i] of every valid triple.
 
-        Each ordered pair's leg e[pair_v] - e[pair_u] and its length are computed
-        once. While the tuple set's `gram` holds, each middle index's cosines come
-        from one Gram matrix of its n-1 consecutive unit legs. That is every full
-        set and sampled sets up to batch 41; beyond it, the two legs are gathered
-        per triple, because the 16*15*14 sampled triples would fill only a small
-        part of the n*(n-1)*(n-1) Gram cells, whose count grows as n**3.
+        Each leg e[other] - e[middle] of `leg_index` and its length are computed
+        once. Each middle index's cosines come from one Gram matrix of its m
+        consecutive unit legs: n*m*m cells, of which the triples are the
+        n*m*(m-1) off the diagonals.
         """
         if self._cosines is None:
             e, t = self.embeddings, self.tuples
-            legs = sub(gather(e, t.pair_v), gather(e, t.pair_u))
+            middle, other = np.divmod(t.leg_index, t.n)
+            legs = sub(gather(e, other), gather(e, middle))
             lengths = sqrt(reduce_sum(mul(legs, legs), axis=1))
-            k = t.n - 1 if t.gram else None
-            self._cosines = triple_cosines(legs, lengths, t.head[self.valid], t.tail[self.valid], k)
+            head, tail = t.head[self.valid], t.tail[self.valid]
+            self._cosines = triple_cosines(legs, lengths, head, tail, t.legs_per_middle)
         return self._cosines
 
 

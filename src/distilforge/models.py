@@ -173,7 +173,7 @@ def load_checkpoint(path) -> PeerNetwork:
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError and deep nesting
         raise ValueError(f"checkpoint is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"checkpoint root is a {type(doc).__name__}, not an object")

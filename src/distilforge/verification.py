@@ -228,9 +228,9 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
 def op_cases() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
     """(name, op of one tensor, input): one case per engine op form and tensor operand.
 
-    `triple_cosines` is fed from embeddings through `RelationSide.cosines` in
-    both layouts: a full triple set reads the Gram layout, and a capped one of
-    48 rows, past the `TupleSets.gram` bound, the per-triple chain.
+    `triple_cosines` is fed from embeddings through `RelationSide.cosines`,
+    for a full triple set of 5 rows and a sampled one of 48 rows, which
+    keeps m = 8 of each middle index's 47 other rows.
     """
     rng = np.random.default_rng(9)
 
@@ -245,7 +245,7 @@ def op_cases() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
     def cosines(e, tuples):
         return RelationSide(e).measure(tuples).cosines()
 
-    gram, chain = TupleSets.build(5), TupleSets.build(48, rng)
+    full, sampled = TupleSets.build(5), TupleSets.build(48, rng)
     return [
         *operands("add", add, a, b),
         *operands("sub", sub, a, b),
@@ -267,8 +267,8 @@ def op_cases() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
         ("log_softmax_t1", lambda t: log_softmax_with_temperature(t, 1.0), a),
         ("log_softmax_t3", lambda t: log_softmax_with_temperature(t, 3.0), a),
         ("pairwise_l2", pairwise_l2, draw(-1.0, 1.0, 5, 3)),
-        ("triple_cosines_gram", lambda t: cosines(t, gram), draw(-1.0, 1.0, 5, 3)),
-        ("triple_cosines_chain", lambda t: cosines(t, chain), draw(-1.0, 1.0, 48, 3)),
+        ("triple_cosines_gram", lambda t: cosines(t, full), draw(-1.0, 1.0, 5, 3)),
+        ("triple_cosines_sampled", lambda t: cosines(t, sampled), draw(-1.0, 1.0, 48, 3)),
     ]
 
 

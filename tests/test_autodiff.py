@@ -279,11 +279,11 @@ class TestStructuralOps:
     def test_triple_cosines_validation(self):
         legs, lengths = Tensor(np.eye(4)), Tensor(np.ones(4))
         with pytest.raises(ValueError, match="do not match"):
-            triple_cosines(legs, Tensor(np.ones(3)), [0], [1])
+            triple_cosines(legs, Tensor(np.ones(3)), [0], [1], 2)
         with pytest.raises(ValueError, match="equal size"):
-            triple_cosines(legs, lengths, [0, 1], [1])
+            triple_cosines(legs, lengths, [0, 1], [1], 2)
         with pytest.raises(ValueError, match="out of range"):
-            triple_cosines(legs, lengths, [4], [1])
+            triple_cosines(legs, lengths, [4], [1], 2)
         for k in (3, 8, 0, -2, 2.0, True):
             with pytest.raises(ValueError, match="does not divide the 4 legs"):
                 triple_cosines(legs, lengths, [0], [1], k)
@@ -292,7 +292,7 @@ class TestStructuralOps:
         with pytest.raises(ValueError, match="different groups"):
             triple_cosines(legs, lengths, [0, 3], [1, 1], 2)
         with pytest.raises(AutodiffError, match="leg length"):
-            triple_cosines(legs, Tensor([1.0, 0.0, 1.0, 1.0]), [0], [1])
+            triple_cosines(legs, Tensor([1.0, 0.0, 1.0, 1.0]), [0], [1], 2)
 
     def test_pairwise_l2_values(self):
         e = Tensor([[0.0, 0.0], [3.0, 4.0]])
@@ -343,7 +343,7 @@ class TestFiniteness:
         for out in outputs:
             assert np.isfinite(out.data).all()
 
-    @pytest.mark.parametrize("k", [None, 2], ids=["chain", "gram"])
+    @pytest.mark.parametrize("k", [2], ids=["gram"])
     def test_triple_cosines_checks_its_result(self, k):
         # `lengths` is an input of its own: legs far longer than it overflow.
         legs, lengths = Tensor(np.full((2, 3), 1e200)), Tensor(np.ones(2))

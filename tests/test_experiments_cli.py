@@ -502,6 +502,18 @@ class TestCli:
         ), lines
         assert not out.exists()
 
+    def test_nesting_past_the_recursion_limit_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [
+            "error: config: config is not valid JSON: maximum recursion depth exceeded"
+            " while decoding a JSON array from a unicode string"
+        ]
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "dataset, missing",
         [

@@ -13,6 +13,7 @@ from distilforge.autodiff import (
 )
 from distilforge.losses import (
     COINCIDENCE_EPS,
+    TRIPLE_CAP_COUNT,
     LossWeights,
     RelationSide,
     TupleSets,
@@ -20,6 +21,7 @@ from distilforge.losses import (
     kl_softened,
     relation_distill_loss,
     total_loss,
+    _sampled_triples,
 )
 from distilforge.models import ForwardOutput, NetworkConfig, init_network
 from distilforge.verification import (
@@ -59,9 +61,21 @@ FROZEN_DD_E4 = 0.1408572336432885
 FROZEN_AD_E4 = 0.08453028038141203
 
 
+def decode_legs(tuples):
+    """(middle, other) of every leg row, read back from its cell middle*n + other."""
+    return np.divmod(tuples.leg_index, tuples.n)
+
+
 def decode_triples(tuples):
-    """(u, v, w) of every triple, read back through the pair rows (v, u) and (v, w) of its legs."""
-    return tuples.pair_v[tuples.head], tuples.pair_u[tuples.head], tuples.pair_v[tuples.tail]
+    """(u, v, w) of every triple, read back through its legs (v, u) and (v, w)."""
+    middle, other = decode_legs(tuples)
+    return other[tuples.head], middle[tuples.head], other[tuples.tail]
+
+
+def coincide_first_leg(e, tuples):
+    """Move the far end of leg row 0 onto its middle, so some triple loses its angle."""
+    middle, other = decode_legs(tuples)
+    e[other[0]] = e[middle[0]]
 
 
 def one_hot(labels, m):
@@ -116,33 +130,47 @@ class TestTupleSets:
 
     def test_pairs_cover_all_ordered_pairs(self):
         t = TupleSets.build(4)
-        got = set(zip(t.pair_u.tolist(), t.pair_v.tolist()))
-        assert got == {(u, v) for u in range(4) for v in range(4) if u != v}
+        got = list(zip(*(a.tolist() for a in np.divmod(t.pair_index, 4))))
+        assert got == list(itertools.permutations(range(4), 2))
 
     def test_triples_are_distinct_indices(self):
         t = TupleSets.build(5)
         trip = set(zip(*(a.tolist() for a in decode_triples(t))))
         assert trip == set(itertools.permutations(range(5), 3))
 
+    @pytest.mark.parametrize("n", [3, 5, 16])
+    def test_full_sets_keep_their_triple_order(self, n):
+        """Legs are the pair rows, and triples run over (u, v, w) in lexicographic order."""
+        t = TupleSets.build(n)
+        assert t.leg_index is t.pair_index
+        u, v, w = np.array(list(itertools.permutations(range(n), 3))).T
+        np.testing.assert_array_equal(t.head, v * (n - 1) + u - (u > v))
+        np.testing.assert_array_equal(t.tail, v * (n - 1) + w - (w > v))
+
     @pytest.mark.parametrize("n", [5, 16, 17, 32])
     def test_head_and_tail_legs_share_the_middle_index(self, n):
-        """Leg row r starts at r // (n-1), so a triple's two legs share one group of n-1 rows."""
+        """Leg row r starts at r // m, so a triple's two legs share one group of m rows."""
         t = TupleSets.build(n, rng=np.random.default_rng(n))
-        assert t.head.shape == t.tail.shape == (t.num_triples,)
-        np.testing.assert_array_equal(t.pair_u, np.arange(t.num_pairs) // (n - 1))
-        assert (np.diff(t.pair_v.reshape(n, n - 1), axis=1) > 0).all()
+        m = t.legs_per_middle
+        assert m == {5: 4, 16: 15, 17: 14, 32: 10}[n]
+        assert t.leg_index.shape == (n * m,)
+        assert t.head.shape == t.tail.shape == (t.num_triples,) == (n * m * (m - 1),)
+        middle, other = decode_legs(t)
+        np.testing.assert_array_equal(middle, np.arange(n * m) // m)
+        assert (np.diff(other.reshape(n, m), axis=1) > 0).all()
         u, v, w = decode_triples(t)
-        np.testing.assert_array_equal(t.pair_u[t.tail], v)
-        np.testing.assert_array_equal(t.head // (n - 1), v)
-        np.testing.assert_array_equal(t.tail // (n - 1), v)
+        np.testing.assert_array_equal(middle[t.tail], v)
+        np.testing.assert_array_equal(t.head // m, v)
+        np.testing.assert_array_equal(t.tail // m, v)
         assert u.min() >= 0 and max(u.max(), v.max(), w.max()) < n
         assert ((u != v) & (u != w) & (v != w)).all()
+        assert len(set(zip(u.tolist(), v.tolist(), w.tolist()))) == t.num_triples
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 16])
     def test_full_sets_are_built_once_and_read_only(self, n):
         t = TupleSets.build(n)
         assert TupleSets.build(n, rng=np.random.default_rng(1)) is t
-        for array in (t.pair_u, t.pair_v, t.head, t.tail):
+        for array in (t.pair_index, t.leg_index, t.head, t.tail):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
@@ -150,38 +178,64 @@ class TestTupleSets:
     def test_capped_sets_are_built_per_rng(self):
         a = TupleSets.build(17, rng=np.random.default_rng(0))
         b = TupleSets.build(17, rng=np.random.default_rng(0))
-        assert a is not b and a.head is not b.head
-        assert a.head.flags.writeable
-        np.testing.assert_array_equal(a.head, b.head)
+        assert a is not b and a.leg_index is not b.leg_index
+        assert a.leg_index.flags.writeable
+        np.testing.assert_array_equal(a.leg_index, b.leg_index)
 
     def test_large_batch_subsamples(self):
-        t = TupleSets.build(17, rng=np.random.default_rng(0))
-        assert t.capped
-        assert t.num_pairs == 17 * 16
-        assert t.num_triples == 3360
+        """m is the largest value with n*m*(m-1) <= 16*15*14 triples, and at least 2."""
+        rng = np.random.default_rng(0)
+        for n, m in ((17, 14), (20, 13), (32, 10), (64, 7), (128, 5)):
+            t = TupleSets.build(n, rng)
+            assert t.capped
+            assert t.num_pairs == n * (n - 1)
+            assert t.legs_per_middle == m
+            assert t.num_triples == n * m * (m - 1) <= TRIPLE_CAP_COUNT < n * (m + 1) * m
+        assert [_sampled_triples(n)[0] for n in (1680, 1681, 5000)] == [2, 2, 2]
 
     def test_subsample_is_seed_deterministic(self):
         a = TupleSets.build(20, rng=np.random.default_rng(5))
         b = TupleSets.build(20, rng=np.random.default_rng(5))
         c = TupleSets.build(20, rng=np.random.default_rng(6))
-        np.testing.assert_array_equal(a.head, b.head)
-        np.testing.assert_array_equal(a.tail, b.tail)
-        assert not np.array_equal(a.head, c.head)
+        np.testing.assert_array_equal(a.leg_index, b.leg_index)
+        assert not np.array_equal(a.leg_index, c.leg_index)
 
-    def test_gram_layout_is_read_up_to_batch_41(self):
-        """Gram cells n*(n-1)**2 at most GRAM_CELLS_PER_TRIPLE per triple: full sets and n <= 41."""
-        rng = np.random.default_rng(0)
-        sizes = [*range(17), 32, 41, 42, 64, 128]
-        gram = {n: TupleSets.build(n, rng).gram for n in sizes}
-        assert [n for n in sizes if not gram[n]] == [42, 64, 128]
+    @pytest.mark.parametrize("n", [17, 32, 128])
+    def test_sampled_legs_are_distinct_other_rows(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            t = TupleSets.build(n, rng)
+            middle, other = (a.reshape(n, t.legs_per_middle) for a in decode_legs(t))
+            assert (np.diff(other, axis=1) > 0).all()
+            assert (other != middle).all()
+            assert other.min() >= 0 and other.max() < n
+
+    def test_every_ordered_triple_is_drawn_at_the_same_rate(self):
+        """Inclusion rate of each of the 6,840 ordered triples of 20 rows over 4,000 draws.
+
+        With m = 13 legs per middle the rate is m*(m-1) / ((n-1)*(n-2)) = 0.456.
+        A binomial rate over 4,000 draws has a standard deviation of 0.0079;
+        the tolerance 0.05 is about 6.3 of them.
+        """
+        n, draws = 20, 4000
+        rng = np.random.default_rng(2024)
+        counts = np.zeros(n**3)
+        for _ in range(draws):
+            u, v, w = decode_triples(TupleSets.build(n, rng))
+            counts += np.bincount((u * n + v) * n + w, minlength=n**3)
+        u, v, w = np.array(list(itertools.permutations(range(n), 3))).T
+        rates = counts[(u * n + v) * n + w] / draws
+        assert counts.sum() == draws * rates.size * 13 * 12 / (19 * 18)
+        assert np.abs(rates - 13 * 12 / (19 * 18)).max() < 0.05
 
     def test_pair_arrays_are_shared_and_read_only(self):
         a = TupleSets.build(17, rng=np.random.default_rng(0))
         b = TupleSets.build(17, rng=np.random.default_rng(1))
-        for name in ("pair_u", "pair_v", "pair_index"):
+        for name in ("pair_index", "head", "tail"):
             assert getattr(a, name) is getattr(b, name)
             assert not getattr(a, name).flags.writeable
-        np.testing.assert_array_equal(a.pair_index, a.pair_u * 17 + a.pair_v)
+        pairs = [u * 17 + v for u, v in itertools.permutations(range(17), 2)]
+        np.testing.assert_array_equal(a.pair_index, pairs)
 
     def test_large_batch_requires_rng(self):
         with pytest.raises(ValueError, match="rng"):
@@ -319,7 +373,7 @@ class TestDistancePotentials:
             (0, 1): 0.75, (0, 2): 1.5, (1, 0): 0.75,
             (1, 2): 0.75, (2, 0): 1.5, (2, 1): 0.75,
         }
-        for u, v, p in zip(tuples.pair_u, tuples.pair_v, side.potentials.data):
+        for u, v, p in zip(*np.divmod(tuples.pair_index, 3), side.potentials.data):
             assert abs(p - expected[(int(u), int(v))]) < 1e-15
 
     def test_mean_is_one(self):
@@ -369,46 +423,41 @@ class TestAnglePotentials:
             if {int(u), int(v)} == {0, 1}:
                 assert not ok
 
-    @pytest.mark.parametrize("n", [3, 16, 17, 32, 64])
+    @pytest.mark.parametrize("n", [3, 16, 17, 32, 64, 128])
     @pytest.mark.parametrize("coincident", [False, True], ids=["distinct", "coincident"])
     def test_equal_to_per_triple_formula(self, n, coincident):
         rng = np.random.default_rng(n)
         e = rng.standard_normal((n, 5))
-        if coincident:
-            e[n - 1] = e[0]
         tuples = TupleSets.build(n, rng)
+        if coincident:
+            coincide_first_leg(e, tuples)
         assert tuples.capped == (n > 16)
         side = RelationSide(Tensor(e)).measure(tuples)
         vals, valid = side.cosines(), side.valid
         assert valid.all() != coincident
-        rows_u, rows_v = tuples.pair_u, tuples.pair_v
-        head_rows, tail_rows = tuples.head[valid], tuples.tail[valid]
-        head = e[rows_v[head_rows]] - e[rows_u[head_rows]]
-        tail = e[rows_v[tail_rows]] - e[rows_u[tail_rows]]
+        u, v, w = (x[valid] for x in decode_triples(tuples))
+        head, tail = e[u] - e[v], e[w] - e[v]
         norm_head = np.sqrt((head * head).sum(axis=1))
         norm_tail = np.sqrt((tail * tail).sum(axis=1))
         formula = (head * tail).sum(axis=1) / norm_head / norm_tail
-        assert tuples.gram == (n < 64)
-        if tuples.gram:
-            # The Gram layout reads the cosines off a Gram matrix of unit legs.
-            assert np.abs(vals.data - formula).max() <= 4 * np.finfo(float).eps
-        else:
-            assert np.array_equal(vals.data, formula)
+        # The cosines are read off a Gram matrix of unit legs.
+        assert np.abs(vals.data - formula).max() <= 4 * np.finfo(float).eps
 
 
 class TestTripleCosines:
-    @pytest.mark.parametrize("n", [3, 16, 17, 32, 64])
+    @pytest.mark.parametrize("n", [3, 16, 17, 32, 64, 128])
     @pytest.mark.parametrize("coincident", [False, True], ids=["distinct", "coincident"])
     def test_matches_reference_chain(self, n, coincident):
         """Values and gradients against the gather, mul, reduce_sum and div chain."""
         rng = np.random.default_rng(40 + n)
         e = rng.standard_normal((n, 5))
-        if coincident:
-            e[n - 1] = e[0]
         tuples = TupleSets.build(n, rng)
-        legs = e[tuples.pair_v] - e[tuples.pair_u]
+        if coincident:
+            coincide_first_leg(e, tuples)
+        middle, other = decode_legs(tuples)
+        legs = e[other] - e[middle]
         lengths = np.sqrt((legs * legs).sum(axis=1))
-        k = n - 1 if tuples.gram else None
+        k = tuples.legs_per_middle
         head, tail = tuples.head, tuples.tail
         keep = (lengths[head] >= COINCIDENCE_EPS) & (lengths[tail] >= COINCIDENCE_EPS)
         assert keep.all() != coincident
@@ -429,13 +478,9 @@ class TestTripleCosines:
             )
         )
         assert tuples.capped == (n > 16)
-        assert tuples.gram == (n < 64)
         for g, r in zip(got, reference):
             assert g.shape == r.shape
-            if tuples.gram:
-                assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max()
-            else:
-                assert np.array_equal(g, r)
+            assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max()
 
 
 class TestRelationLoss:
@@ -549,14 +594,13 @@ class TestRelationLoss:
         assert skipped > 0
         assert rel.triples_skipped == skipped
 
-    @pytest.mark.parametrize("n", [16, 17, 32, 64])
+    @pytest.mark.parametrize("n", [16, 17, 32, 64, 128])
     def test_gradient_matches_finite_differences(self, n):
         rng = np.random.default_rng(35)
         ea = Tensor(rng.uniform(-1.0, 1.0, (n, 3)), requires_grad=True)
         eb = Tensor(rng.uniform(-1.0, 1.0, (n, 3)))
         tuples = TupleSets.build(n, rng)
         assert tuples.capped == (n > 16)
-        assert tuples.gram == (n < 64)
         err = max_param_grad_error(
             lambda: relation_distill_loss(ea, eb, LossWeights(), tuples).total, [ea]
         )
@@ -592,18 +636,21 @@ def fresh_pair_relation(student, peer, tuples, beta1):
     """
     peer = peer.detach()
 
+    n = tuples.n
+    pairs = [u * n + v for u, v in itertools.permutations(range(n), 2)]
+    middle, other = decode_legs(tuples)
+
     def potentials_and_long_legs(e):
-        n = e.data.shape[0]
         dist = pairwise_l2(e)
         mean = div(reduce_sum(dist), float(tuples.num_pairs))
-        pots = div(gather(reshape(dist, (n * n,)), tuples.pair_u * n + tuples.pair_v), mean)
-        return pots, dist.data[tuples.pair_u, tuples.pair_v] >= COINCIDENCE_EPS
+        pots = div(gather(reshape(dist, (n * n,)), pairs), mean)
+        return pots, dist.data[middle, other] >= COINCIDENCE_EPS
 
     def cosines(e, valid):
-        legs = sub(gather(e, tuples.pair_v), gather(e, tuples.pair_u))
+        legs = sub(gather(e, other), gather(e, middle))
         lengths = sqrt(reduce_sum(mul(legs, legs), axis=1))
         head, tail = tuples.head[valid], tuples.tail[valid]
-        return triple_cosines(legs, lengths, head, tail, tuples.n - 1 if tuples.gram else None)
+        return triple_cosines(legs, lengths, head, tail, tuples.legs_per_middle)
 
     (pots_s, long_s), (pots_p, long_p) = map(potentials_and_long_legs, (student, peer))
     long_leg = long_s & long_p
@@ -614,7 +661,7 @@ def fresh_pair_relation(student, peer, tuples, beta1):
 
 
 class TestRelationSide:
-    @pytest.mark.parametrize("n", [16, 17, 64])
+    @pytest.mark.parametrize("n", [16, 17, 32, 64, 128])
     @pytest.mark.parametrize("coincident", ["none", "peer_only"])
     def test_shared_sides_match_fresh_geometry(self, n, coincident):
         """Each side measured once and read in both roles, as a simultaneous batch does.
@@ -626,9 +673,9 @@ class TestRelationSide:
         """
         rng = np.random.default_rng(60 + n)
         ea, eb = rng.standard_normal((2, n, 5))
-        if coincident == "peer_only":
-            eb[n - 1] = eb[0]
         tuples = TupleSets.build(n, rng)
+        if coincident == "peer_only":
+            coincide_first_leg(eb, tuples)
         assert tuples.capped == (n > 16)
         w = LossWeights()
         a, b = Tensor(ea, requires_grad=True), Tensor(eb, requires_grad=True)

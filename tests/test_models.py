@@ -266,10 +266,12 @@ class TestCheckpoint:
             (lambda doc: b"{not json", "^checkpoint is not valid JSON: Expecting property name"),
             (lambda doc: b'{"config": \xff}',
              "^checkpoint is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+            (lambda doc: b"[" * 200_000 + b"]" * 200_000,
+             "^checkpoint is not valid JSON: maximum recursion depth exceeded"),
         ],
         ids=["root_list", "no_parameters", "unknown_config_key", "hidden_dims_int",
              "input_dim_float", "num_classes_float", "init_seed_float", "init_seed_bool",
-             "hidden_dims_float", "entry_list", "not_json", "not_utf8"],
+             "hidden_dims_float", "entry_list", "not_json", "not_utf8", "deep_nesting"],
     )
     def test_malformed_document_is_a_value_error(self, tmp_path, edit, reason):
         path = tmp_path / "net.json"
