@@ -9,7 +9,9 @@ finite-difference gradient checks stay tight.
 Shape discipline is strict. Binary operations require two tensors of equal
 shape; `mul` and `div` also take a python number as the right operand, and
 `div` a single-element tensor. There is no general broadcasting. Row-vector
-bias addition gets its own operation.
+bias addition gets its own operation. `triple_cosines` takes its cosines from
+one batched Gram matrix of grouped legs, at the cells an (m, k, k) boolean
+mask selects, and scatters its gradient back by the same mask.
 
 Every tensor holds finite values: `Tensor` checks what it wraps, and each op
 checks its result unless finite inputs cannot give a non-finite one. `relu`,
@@ -364,41 +366,37 @@ def _scatter_rows(idx: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
     return np.bincount(flat, weights=g.reshape(-1), minlength=math.prod(shape)).reshape(shape)
 
 
-def triple_cosines(legs: Tensor, lengths: Tensor, head, tail, k) -> Tensor:
-    """Cosine between leg rows head[i] and tail[i] for every i.
+def triple_cosines(legs: Tensor, lengths: Tensor, cells) -> Tensor:
+    """Cosine between two leg rows of one group for every selected cell.
 
-    The value is legs[h] . legs[t] / lengths[h] / lengths[t], where `lengths`
-    holds the row norms of `legs`; both are tape inputs. The group size `k`
-    splits the legs into consecutive groups of k rows, and the two rows of
-    each cosine lie in one group. All cosines come from one batched (m, k, k)
-    Gram matrix of unit legs, within a few ulp of the per-triple gather, mul,
+    `cells` is an (m, k, k) boolean mask over m consecutive groups of k leg
+    rows: cell (v, a, b) selects legs v*k + a and v*k + b, whose cosine is
+    legs[i] . legs[j] / lengths[i] / lengths[j]. `lengths` holds the row
+    norms of `legs`; both are tape inputs. All cosines come from one batched
+    (m, k, k) Gram matrix of unit legs, returned at the selected cells in
+    row-major order, within a few ulp of the per-triple gather, mul,
     reduce_sum and div chain.
     """
     ld, lens = legs.data, lengths.data
     if ld.ndim != 2 or lens.shape != ld.shape[:1]:
         raise ValueError(f"triple_cosines: legs {ld.shape} and lengths {lens.shape} do not match")
-    rows = ld.shape[0]
-    head, tail = np.asarray(head, dtype=np.int64), np.asarray(tail, dtype=np.int64)
-    if head.ndim != 1 or head.shape != tail.shape:
-        raise ValueError("triple_cosines: head and tail must be 1-d and of equal size")
-    if head.size and (min(head.min(), tail.min()) < 0 or max(head.max(), tail.max()) >= rows):
-        raise ValueError(f"triple_cosines: leg index out of range for {rows} legs")
+    cells = np.asarray(cells)
+    m, k = cells.shape[:2] if cells.ndim == 3 else (-1, -1)
+    if cells.dtype != bool or cells.shape != (m, k, k) or m * k != ld.shape[0]:
+        raise ValueError(
+            f"triple_cosines: cells {cells.shape} must be a boolean (m, k, k) mask, m*k = {len(ld)}"
+        )
     short = lens < DIV_GUARD
-    if short.any() and (short[head].any() or short[tail].any()):
+    if short.any() and (short & (cells.any(axis=2) | cells.any(axis=1)).reshape(-1)).any():
         raise AutodiffError(f"triple_cosines: leg length below {DIV_GUARD:g}")
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1 or rows % k:
-        raise ValueError(f"triple_cosines: group size {k!r} does not divide the {rows} legs")
-    m = rows // k
-    if (head // k != tail // k).any():
-        raise ValueError("triple_cosines: a cosine's two legs lie in different groups")
-    cells = head * k + tail % k
     nonzero = (lens > 0.0)[:, None]
     unit = np.divide(ld, lens[:, None], out=np.zeros_like(ld), where=nonzero)
     grouped = unit.reshape(m, k, ld.shape[1])
     gram = grouped @ grouped.transpose(0, 2, 1)
 
     def rule(g):
-        g_gram = np.bincount(cells, weights=g, minlength=m * k * k).reshape(m, k, k)
+        g_gram = np.zeros_like(gram)
+        g_gram[cells] = g
         g_unit = ((g_gram + g_gram.transpose(0, 2, 1)) @ grouped).reshape(ld.shape)
         # Through unit = legs / lengths; legs no cosine reads get zero.
         g_legs = np.divide(g_unit, lens[:, None], out=np.zeros_like(ld), where=nonzero)
@@ -407,7 +405,7 @@ def triple_cosines(legs: Tensor, lengths: Tensor, head, tail, k) -> Tensor:
         )
         return g_legs, g_lens
 
-    return _record(gram.reshape(-1)[cells], "triple_cosines", (legs, lengths), rule)
+    return _record(gram[cells], "triple_cosines", (legs, lengths), rule)
 
 
 def huber_penalty(x: Tensor) -> Tensor:

@@ -139,6 +139,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:
+        # A dataset or network size too large to allocate.
+        print(f"error: config: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_CONFIG
     except (TrainingDivergence, AutodiffError) as exc:
         print(f"error: divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE

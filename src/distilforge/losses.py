@@ -111,9 +111,10 @@ class TupleSets:
     in row-major order, each pair's cell in the (n, n) distance matrix. The
     legs are the n*m rows middle*n + other of `leg_index`, grouped by middle
     index: the m legs that meet at v are the consecutive rows v*m ...
-    v*m+m-1, in increasing other endpoint. A triple (u, v, w) is stored as
-    the rows of its two legs from the middle index: `head` holds (v, u) and
-    `tail` holds (v, w).
+    v*m+m-1, in increasing other endpoint. The triples are the off-diagonal
+    cells (v, a, b) of the (n, m, m) grid of leg pairs, in row-major order:
+    the triple (u, v, w) whose legs (v, u) and (v, w) are rows v*m + a and
+    v*m + b.
 
     Up to batch size 16 a set is full: m = n-1, the legs are the pairs and
     the triples are all n*(n-1)*(n-2) ordered distinct ones. A larger batch
@@ -121,15 +122,13 @@ class TupleSets:
     replacement from the per-batch rng, and keeps every ordered pair of them:
     n*m*(m-1) triples, with m the largest value at most n-1 (and at least 2)
     that keeps them within 16*15*14. Every ordered triple is then included
-    with probability m*(m-1) / ((n-1)*(n-2)). Everything but a sampled set's
-    `leg_index` depends on n alone, and is built once and shared read-only.
+    with probability m*(m-1) / ((n-1)*(n-2)). A full set and a sampled set's
+    `pair_index` depend on n alone, and are built once and shared read-only.
     """
 
     n: int
     pair_index: np.ndarray
     leg_index: np.ndarray
-    head: np.ndarray
-    tail: np.ndarray
 
     @property
     def capped(self) -> bool:
@@ -145,7 +144,7 @@ class TupleSets:
 
     @property
     def num_triples(self) -> int:
-        return int(self.head.size)
+        return self.n * self.legs_per_middle * (self.legs_per_middle - 1)
 
     @classmethod
     def build(cls, n: int, rng: Optional[np.random.Generator] = None) -> "TupleSets":
@@ -159,24 +158,17 @@ class TupleSets:
             raise ValueError(
                 f"batches larger than {TRIPLE_CAP_BATCH} need an rng to sample legs"
             )
-        m, head, tail = _sampled_triples(n)
         # A uniform m-subset of 0..n-2 per middle index, shifted past the middle.
+        m = _legs_per_middle(n)
         other = np.sort(rng.random((n, n - 1)).argsort(axis=1)[:, :m], axis=1)
         middle = np.arange(n)[:, None]
         other += other >= middle
-        return cls(n, _pairs(n), (middle * n + other).reshape(-1), head, tail)
+        return cls(n, _pairs(n), (middle * n + other).reshape(-1))
 
     @classmethod
     @functools.lru_cache(maxsize=TRIPLE_CAP_BATCH + 1)
     def _full(cls, n: int) -> "TupleSets":
-        idx = np.arange(n, dtype=np.int64)
-        tu, tv, tw = (a.reshape(-1) for a in np.meshgrid(idx, idx, idx, indexing="ij"))
-        keep = (tu != tv) & (tu != tw) & (tv != tw)
-        tu, tv, tw = tu[keep], tv[keep], tw[keep]
-        head, tail = (tv * (n - 1) + x - (x > tv) for x in (tu, tw))
-        for array in (head, tail):
-            array.flags.writeable = False
-        return cls(n, _pairs(n), _pairs(n), head, tail)
+        return cls(n, _pairs(n), _pairs(n))
 
 
 @functools.lru_cache(maxsize=8)
@@ -187,22 +179,15 @@ def _pairs(n: int) -> np.ndarray:
     return index
 
 
-@functools.lru_cache(maxsize=8)
-def _sampled_triples(n: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Legs per middle m, and read-only head and tail of a sampled set of n.
+def _legs_per_middle(n: int) -> int:
+    """Legs per middle index of a sampled set of n.
 
-    The triples are every off-diagonal cell (v, a, b) of the (n, m, m) Gram
-    tensor, in row-major order: legs v*m + a and v*m + b.
+    The largest m at most n-1 with n*m*(m-1) <= TRIPLE_CAP_COUNT, and at least 2.
     """
     m = n - 1
     while m > 2 and n * m * (m - 1) > TRIPLE_CAP_COUNT:
         m -= 1
-    v, a, b = (x.reshape(-1) for x in np.indices((n, m, m), dtype=np.int64))
-    keep = a != b
-    head, tail = v[keep] * m + a[keep], v[keep] * m + b[keep]
-    for array in (head, tail):
-        array.flags.writeable = False
-    return m, head, tail
+    return m
 
 
 def cross_entropy(logits: Tensor, one_hot: Tensor) -> Tensor:
@@ -245,11 +230,11 @@ class RelationSide:
 
     `measure` reads one pairwise_l2 matrix into the distance `potentials`,
     one per ordered pair and normalized by their mean, the `degenerate` flag
-    and `valid`, the triples whose two legs are both at least
-    COINCIDENCE_EPS long on this side; `cosines` adds their cosines on first
-    read. A mean pair distance below MEAN_DISTANCE_EPS makes the side
-    degenerate, with constant zero potentials. All of it stays on the
-    embedding's tape, so one side serves as the student, whose loss
+    and `valid`, one flag per triple: whether its two legs are both at least
+    COINCIDENCE_EPS long on this side. `cosines` adds the valid triples'
+    cosines on first read. A mean pair distance below MEAN_DISTANCE_EPS makes
+    the side degenerate, with constant zero potentials. All of it stays on
+    the embedding's tape, so one side serves as the student, whose loss
     backpropagates through it, and as the peer, whose values are read as
     constants. Measuring for another tuple set rebuilds it.
     """
@@ -266,8 +251,12 @@ class RelationSide:
         if tuples.n != n:
             raise ValueError(f"tuple sets built for batch {tuples.n}, embeddings have {n} rows")
         dist = pairwise_l2(e)
-        long_leg = np.take(dist.data, tuples.leg_index) >= COINCIDENCE_EPS
-        self.valid = long_leg[tuples.head] & long_leg[tuples.tail]
+        m = tuples.legs_per_middle
+        long_leg = (np.take(dist.data, tuples.leg_index) >= COINCIDENCE_EPS).reshape(n, m)
+        off_diagonal = ~np.eye(m, dtype=bool)
+        # The (n, m, m) grid of leg pairs; its off-diagonal cells are the triples.
+        self._cells = long_leg[:, :, None] & long_leg[:, None, :] & off_diagonal
+        self.valid = self._cells[:, off_diagonal].reshape(-1)
         mean_dist = div(reduce_sum(dist), float(tuples.num_pairs))
         self.degenerate = mean_dist.item() < MEAN_DISTANCE_EPS
         if self.degenerate:
@@ -280,20 +269,18 @@ class RelationSide:
         return self
 
     def cosines(self) -> Tensor:
-        """Cosine between the legs head[i] and tail[i] of every valid triple.
+        """Cosine at the middle index of every valid triple, in triple order.
 
         Each leg e[other] - e[middle] of `leg_index` and its length are computed
         once. Each middle index's cosines come from one Gram matrix of its m
-        consecutive unit legs: n*m*m cells, of which the triples are the
-        n*m*(m-1) off the diagonals.
+        consecutive unit legs; the valid cells of the grid select them.
         """
         if self._cosines is None:
             e, t = self.embeddings, self.tuples
             middle, other = np.divmod(t.leg_index, t.n)
             legs = sub(gather(e, other), gather(e, middle))
             lengths = sqrt(reduce_sum(mul(legs, legs), axis=1))
-            head, tail = t.head[self.valid], t.tail[self.valid]
-            self._cosines = triple_cosines(legs, lengths, head, tail, t.legs_per_middle)
+            self._cosines = triple_cosines(legs, lengths, self._cells)
         return self._cosines
 
 
@@ -320,8 +307,8 @@ def relation_distill_loss(
     Tensor, measured for this call alone. Gradients reach only the student:
     the peer's potentials and cosines enter as constants. The value is
     symmetric in the two sides. The sides may differ in width but not in
-    row count. Batches below 3 samples skip the angle term; batches below 2
-    samples contribute nothing at all.
+    row count. Batches below 3 samples and beta1 = 0 skip the angle term, which
+    then reads 0; batches below 2 samples contribute nothing at all.
     """
     student, peer = (
         side if isinstance(side, RelationSide) else RelationSide(side) for side in (student, peer)
@@ -343,7 +330,7 @@ def relation_distill_loss(
     # copies of the gradient and adds exact zeros elsewhere.
     valid = student.valid & peer.valid
     skipped = int(tuples.num_triples - valid.sum())
-    if valid.any():
+    if weights.beta1 > 0 and valid.any():
         own = student.cosines()
         if valid.sum() < student.valid.sum():
             own = gather(own, np.flatnonzero(valid[student.valid]))

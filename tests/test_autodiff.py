@@ -278,21 +278,21 @@ class TestStructuralOps:
 
     def test_triple_cosines_validation(self):
         legs, lengths = Tensor(np.eye(4)), Tensor(np.ones(4))
+        # Two groups of two legs, every off-diagonal cell selected.
+        cells = np.broadcast_to(~np.eye(2, dtype=bool), (2, 2, 2))
         with pytest.raises(ValueError, match="do not match"):
-            triple_cosines(legs, Tensor(np.ones(3)), [0], [1], 2)
-        with pytest.raises(ValueError, match="equal size"):
-            triple_cosines(legs, lengths, [0, 1], [1], 2)
-        with pytest.raises(ValueError, match="out of range"):
-            triple_cosines(legs, lengths, [4], [1], 2)
-        for k in (3, 8, 0, -2, 2.0, True):
-            with pytest.raises(ValueError, match="does not divide the 4 legs"):
-                triple_cosines(legs, lengths, [0], [1], k)
-        with pytest.raises(ValueError, match="different groups"):
-            triple_cosines(legs, lengths, [0], [2], 2)
-        with pytest.raises(ValueError, match="different groups"):
-            triple_cosines(legs, lengths, [0, 3], [1, 1], 2)
+            triple_cosines(legs, Tensor(np.ones(3)), cells)
+        bad_masks = [cells.reshape(2, 4), cells.astype(float), np.ones((1, 4, 1), dtype=bool)]
+        bad_masks += [np.ones(shape, dtype=bool) for shape in ((1, 3, 3), (4, 0, 0), (2, 1, 1))]
+        for bad in bad_masks:
+            with pytest.raises(ValueError, match=r"must be a boolean \(m, k, k\) mask, m\*k = 4$"):
+                triple_cosines(legs, lengths, bad)
+        short = Tensor([1.0, 0.0, 1.0, 1.0])
         with pytest.raises(AutodiffError, match="leg length"):
-            triple_cosines(legs, Tensor([1.0, 0.0, 1.0, 1.0]), [0], [1], 2)
+            triple_cosines(legs, short, cells)
+        # A short leg that no selected cell reads is fine.
+        second_group = cells & np.array([False, True])[:, None, None]
+        assert triple_cosines(legs, short, second_group).data.tolist() == [0.0, 0.0]
 
     def test_pairwise_l2_values(self):
         e = Tensor([[0.0, 0.0], [3.0, 4.0]])
@@ -346,10 +346,11 @@ class TestFiniteness:
     @pytest.mark.parametrize("k", [2], ids=["gram"])
     def test_triple_cosines_checks_its_result(self, k):
         # `lengths` is an input of its own: legs far longer than it overflow.
-        legs, lengths = Tensor(np.full((2, 3), 1e200)), Tensor(np.ones(2))
+        legs, lengths = Tensor(np.full((k, 3), 1e200)), Tensor(np.ones(k))
+        cells = ~np.eye(k, dtype=bool)[None]
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(AutodiffError, match="non-finite result from 'triple_cosines'"):
-                triple_cosines(legs, lengths, [0], [1], k)
+                triple_cosines(legs, lengths, cells)
 
 
 class TestOpGradients:

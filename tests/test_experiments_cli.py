@@ -515,6 +515,24 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "section, field, value",
+        [("dataset", "per_class", 10**15), ("network1", "hidden_dims", [10**15, 4])],
+        ids=["per_class", "hidden_width"],
+    )
+    def test_size_too_large_to_allocate_exits_1(self, tmp_path, capsys, section, field, value):
+        # 10**15 rows or columns of float64 need petabytes, past any address
+        # space: the allocation fails at once, before anything is written.
+        doc = base_config_dict()
+        doc[section][field] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: config: Unable to allocate"), lines
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "dataset, missing",
         [
             ({"kind": "blobs", "num_classes": 3, "per_class": 6, "seed": 7}, "dim"),

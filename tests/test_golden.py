@@ -17,7 +17,8 @@ A change that reorders float arithmetic on purpose rewrites the pins with
     PYTHONPATH=src python3 tests/test_golden.py
 
 which prints the largest drift against the old pins, to be reported with
-the change.
+the change. With `--check` it prints the same lines, writes nothing, and
+exits 1 if any pin would change.
 """
 
 from __future__ import annotations
@@ -193,10 +194,14 @@ def test_tolerance_path_on_other_platforms():
     assert max_loss_drift(with_cells(loss_total=repr(loss * 1.5)), pinned) == pytest.approx(0.5)
 
 
-def regenerate(work: Path) -> None:
-    """Rewrite every pin from the current code and print the drift against the old ones."""
+def regenerate(work: Path, check: bool = False) -> bool:
+    """Rerun every pinned run and print its drift against the pins.
+
+    Rewrites the pins unless `check` is set. Returns whether any pin changed.
+    """
     old = json.loads(PINS.read_text()) if PINS.exists() else {"runs": {}}
     pins = {"fingerprint": fingerprint(), "runs": {}}
+    csv_changed = False
     for name in sorted(RUNS):
         csv, digests, list_form = run_pinned(name, work)
         target = GOLDEN / name / "metrics.csv"
@@ -206,22 +211,36 @@ def regenerate(work: Path) -> None:
             def changed(key: str, now: dict) -> int:
                 return sum(before.get(key, {}).get(c) != now[c] for c in CHECKPOINTS)
 
-            print(f"{name}: max loss drift {max_loss_drift(csv, target.read_bytes()):.3e}, "
-                  f"metrics.csv {'unchanged' if csv == target.read_bytes() else 'changed'}, "
+            pinned_csv = target.read_bytes()
+            csv_changed |= csv != pinned_csv
+            print(f"{name}: max loss drift {max_loss_drift(csv, pinned_csv):.3e}, "
+                  f"metrics.csv {'unchanged' if csv == pinned_csv else 'changed'}, "
                   f"{changed('checkpoints', digests)} of {len(CHECKPOINTS)} checkpoint files "
                   f"and {changed('list_form_checkpoints', list_form)} parameter sets changed")
         else:
+            csv_changed = True
             print(f"{name}: new pin")
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(csv)
         pins["runs"][name] = {
             "train_overrides": RUNS[name], "checkpoints": digests, "list_form_checkpoints": list_form,
         }
-    PINS.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
+        if not check:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(csv)
+    if not check:
+        PINS.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
+    return csv_changed or pins != old
 
 
 if __name__ == "__main__":
+    import argparse
+    import sys
     import tempfile
 
+    parser = argparse.ArgumentParser(description="Rewrite the golden pins from the current code.")
+    parser.add_argument(
+        "--check", action="store_true", help="write nothing; exit 1 if any pin would change"
+    )
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        regenerate(Path(tmp))
+        changed = regenerate(Path(tmp), check=args.check)
+    sys.exit(1 if args.check and changed else 0)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from distilforge import losses
 from distilforge.autodiff import (
     Tensor, add, backward, div, gather, huber_penalty, mul, pairwise_l2, reduce_mean,
     reduce_sum, reshape, sqrt, sub, triple_cosines,
@@ -21,7 +22,7 @@ from distilforge.losses import (
     kl_softened,
     relation_distill_loss,
     total_loss,
-    _sampled_triples,
+    _legs_per_middle,
 )
 from distilforge.models import ForwardOutput, NetworkConfig, init_network
 from distilforge.verification import (
@@ -67,9 +68,15 @@ def decode_legs(tuples):
 
 
 def decode_triples(tuples):
-    """(u, v, w) of every triple, read back through its legs (v, u) and (v, w)."""
-    middle, other = decode_legs(tuples)
-    return other[tuples.head], middle[tuples.head], other[tuples.tail]
+    """(u, v, w) of every triple, read off its grid cell (v, a, b).
+
+    The legs of middle v are other[v, 0 .. m-1]; the cell pairs u = other[v, a]
+    with w = other[v, b].
+    """
+    n, m = tuples.n, tuples.legs_per_middle
+    other = decode_legs(tuples)[1].reshape(n, m)
+    v, a, b = np.nonzero(np.broadcast_to(~np.eye(m, dtype=bool), (n, m, m)))
+    return other[v, a], v, other[v, b]
 
 
 def coincide_first_leg(e, tuples):
@@ -139,29 +146,28 @@ class TestTupleSets:
         assert trip == set(itertools.permutations(range(5), 3))
 
     @pytest.mark.parametrize("n", [3, 5, 16])
-    def test_full_sets_keep_their_triple_order(self, n):
-        """Legs are the pair rows, and triples run over (u, v, w) in lexicographic order."""
+    def test_full_sets_order_triples_by_middle_index(self, n):
+        """Legs are the pair rows, and triples run over (v, u, w) in lexicographic order."""
         t = TupleSets.build(n)
         assert t.leg_index is t.pair_index
-        u, v, w = np.array(list(itertools.permutations(range(n), 3))).T
-        np.testing.assert_array_equal(t.head, v * (n - 1) + u - (u > v))
-        np.testing.assert_array_equal(t.tail, v * (n - 1) + w - (w > v))
+        v, u, w = np.array(list(itertools.permutations(range(n), 3))).T
+        for got, expected in zip(decode_triples(t), (u, v, w)):
+            np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("n", [5, 16, 17, 32])
     def test_head_and_tail_legs_share_the_middle_index(self, n):
-        """Leg row r starts at r // m, so a triple's two legs share one group of m rows."""
+        """Leg row r starts at r // m; the grid pairs the legs (v, u) and (v, w) of one group."""
         t = TupleSets.build(n, rng=np.random.default_rng(n))
         m = t.legs_per_middle
         assert m == {5: 4, 16: 15, 17: 14, 32: 10}[n]
         assert t.leg_index.shape == (n * m,)
-        assert t.head.shape == t.tail.shape == (t.num_triples,) == (n * m * (m - 1),)
+        assert t.num_triples == n * m * (m - 1)
         middle, other = decode_legs(t)
         np.testing.assert_array_equal(middle, np.arange(n * m) // m)
         assert (np.diff(other.reshape(n, m), axis=1) > 0).all()
         u, v, w = decode_triples(t)
-        np.testing.assert_array_equal(middle[t.tail], v)
-        np.testing.assert_array_equal(t.head // m, v)
-        np.testing.assert_array_equal(t.tail // m, v)
+        assert u.shape == (t.num_triples,)
+        np.testing.assert_array_equal(v, np.arange(n).repeat(m * (m - 1)))
         assert u.min() >= 0 and max(u.max(), v.max(), w.max()) < n
         assert ((u != v) & (u != w) & (v != w)).all()
         assert len(set(zip(u.tolist(), v.tolist(), w.tolist()))) == t.num_triples
@@ -170,7 +176,7 @@ class TestTupleSets:
     def test_full_sets_are_built_once_and_read_only(self, n):
         t = TupleSets.build(n)
         assert TupleSets.build(n, rng=np.random.default_rng(1)) is t
-        for array in (t.pair_index, t.leg_index, t.head, t.tail):
+        for array in (t.pair_index, t.leg_index):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
@@ -191,7 +197,7 @@ class TestTupleSets:
             assert t.num_pairs == n * (n - 1)
             assert t.legs_per_middle == m
             assert t.num_triples == n * m * (m - 1) <= TRIPLE_CAP_COUNT < n * (m + 1) * m
-        assert [_sampled_triples(n)[0] for n in (1680, 1681, 5000)] == [2, 2, 2]
+        assert [_legs_per_middle(n) for n in (1680, 1681, 5000)] == [2, 2, 2]
 
     def test_subsample_is_seed_deterministic(self):
         a = TupleSets.build(20, rng=np.random.default_rng(5))
@@ -231,9 +237,8 @@ class TestTupleSets:
     def test_pair_arrays_are_shared_and_read_only(self):
         a = TupleSets.build(17, rng=np.random.default_rng(0))
         b = TupleSets.build(17, rng=np.random.default_rng(1))
-        for name in ("pair_index", "head", "tail"):
-            assert getattr(a, name) is getattr(b, name)
-            assert not getattr(a, name).flags.writeable
+        assert a.pair_index is b.pair_index
+        assert not a.pair_index.flags.writeable
         pairs = [u * 17 + v for u, v in itertools.permutations(range(17), 2)]
         np.testing.assert_array_equal(a.pair_index, pairs)
 
@@ -458,10 +463,11 @@ class TestTripleCosines:
         legs = e[other] - e[middle]
         lengths = np.sqrt((legs * legs).sum(axis=1))
         k = tuples.legs_per_middle
-        head, tail = tuples.head, tuples.tail
-        keep = (lengths[head] >= COINCIDENCE_EPS) & (lengths[tail] >= COINCIDENCE_EPS)
-        assert keep.all() != coincident
-        head, tail = head[keep], tail[keep]
+        long_leg = (lengths >= COINCIDENCE_EPS).reshape(n, k)
+        cells = long_leg[:, :, None] & long_leg[:, None, :] & ~np.eye(k, dtype=bool)
+        v, a, b = np.nonzero(cells)
+        head, tail = v * k + a, v * k + b
+        assert (head.size < tuples.num_triples) == coincident
         weights = rng.standard_normal(head.size)
 
         def run(cosines):
@@ -470,7 +476,7 @@ class TestTripleCosines:
             backward(reduce_sum(mul(out, Tensor(weights))))
             return out.data, lt.grad, st.grad
 
-        got = run(lambda lt, st: triple_cosines(lt, st, head, tail, k))
+        got = run(lambda lt, st: triple_cosines(lt, st, cells))
         reference = run(
             lambda lt, st: div(
                 div(reduce_sum(mul(gather(lt, head), gather(lt, tail)), axis=1), gather(st, head)),
@@ -520,6 +526,45 @@ class TestRelationLoss:
             rel = relation_distill_loss(Tensor(ea), Tensor(eb), w, TupleSets.build(n))
             assert abs(rel.distance.item() - oracle_distance_loss(ea, eb)) < 1e-10
             assert abs(rel.angle.item() - oracle_angle_loss(ea, eb)) < 1e-10
+
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_full_sets_match_oracle(self, n):
+        rng = np.random.default_rng(100 + n)
+        ea, eb = rng.uniform(-1.0, 1.0, (2, n, 3))
+        w = LossWeights()
+        rel = relation_distill_loss(Tensor(ea), Tensor(eb), w, TupleSets.build(n))
+        assert abs(rel.total.item() - oracle_relation_loss(ea, eb, w.beta1)) < 1e-10
+
+    @pytest.mark.parametrize("n", [6, 32])
+    def test_zero_beta1_computes_no_cosine(self, n, monkeypatch):
+        """beta1 = 0 computes no cosine: the angle reads 0, the gradient is the distance term's."""
+        rng = np.random.default_rng(38)
+        ea, eb = rng.uniform(-1.0, 1.0, (2, n, 3))
+        tuples = TupleSets.build(n, rng)
+        coincide_first_leg(ea, tuples)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return triple_cosines(*args)
+
+        monkeypatch.setattr(losses, "triple_cosines", spy)
+
+        def relation(weights):
+            student = Tensor(ea, requires_grad=True)
+            return student, relation_distill_loss(student, Tensor(eb), weights, tuples)
+
+        reference, full = relation(LossWeights())
+        backward(full.distance)
+        assert len(calls) == 2
+        calls.clear()
+        student, rel = relation(LossWeights(beta1=0.0))
+        backward(rel.total)
+        assert calls == []
+        assert rel.angle.item() == 0.0
+        assert rel.total.item() == rel.distance.item() == full.distance.item()
+        assert rel.triples_skipped == full.triples_skipped > 0
+        assert np.array_equal(student.grad, reference.grad)
 
     def test_value_symmetric_in_arguments(self):
         rng = np.random.default_rng(29)
@@ -636,7 +681,7 @@ def fresh_pair_relation(student, peer, tuples, beta1):
     """
     peer = peer.detach()
 
-    n = tuples.n
+    n, m = tuples.n, tuples.legs_per_middle
     pairs = [u * n + v for u, v in itertools.permutations(range(n), 2)]
     middle, other = decode_legs(tuples)
 
@@ -646,17 +691,16 @@ def fresh_pair_relation(student, peer, tuples, beta1):
         pots = div(gather(reshape(dist, (n * n,)), pairs), mean)
         return pots, dist.data[middle, other] >= COINCIDENCE_EPS
 
-    def cosines(e, valid):
+    def cosines(e, cells):
         legs = sub(gather(e, other), gather(e, middle))
         lengths = sqrt(reduce_sum(mul(legs, legs), axis=1))
-        head, tail = tuples.head[valid], tuples.tail[valid]
-        return triple_cosines(legs, lengths, head, tail, tuples.legs_per_middle)
+        return triple_cosines(legs, lengths, cells)
 
     (pots_s, long_s), (pots_p, long_p) = map(potentials_and_long_legs, (student, peer))
-    long_leg = long_s & long_p
-    valid = long_leg[tuples.head] & long_leg[tuples.tail]
+    long_leg = (long_s & long_p).reshape(n, m)
+    cells = long_leg[:, :, None] & long_leg[:, None, :] & ~np.eye(m, dtype=bool)
     dd = reduce_mean(huber_penalty(sub(pots_s, pots_p)))
-    ad = reduce_mean(huber_penalty(sub(cosines(student, valid), cosines(peer, valid))))
+    ad = reduce_mean(huber_penalty(sub(cosines(student, cells), cosines(peer, cells))))
     return dd, ad, add(dd, mul(ad, beta1))
 
 
