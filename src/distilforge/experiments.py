@@ -33,7 +33,6 @@ from .trainer import (
     evaluate_top1,
     metrics_to_csv,
     train_pair,
-    variant_weights,
 )
 
 __all__ = [
@@ -358,30 +357,26 @@ def run_ablation(config: ExperimentConfig, out_dir=None, overwrite: bool = False
     Writes one sub-directory per variant, an ablation.csv comparison table
     (one row per variant and net) and an ablation_report.json that flags
     whether removing the self term (variant B) cost the most accuracy. Every
-    variant's objective is checked before any training. Like
+    variant's config, with its objective, is checked before any output. Like
     `run_experiment`'s, the outputs reach `out` only when every variant
     succeeded.
     """
-    for variant in VARIANTS:
-        try:
-            variant_weights(config.train.weights, variant)
-        except ValueError as exc:
-            raise ConfigError(f"train: {exc}") from exc
+    try:
+        trains = [dataclasses.replace(config.train, variant=v) for v in VARIANTS]
+    except ValueError as exc:
+        raise ConfigError(f"train: {exc}") from exc
     out = _resolve_out_dir(config, out_dir)
     _guard_overwrite(out, _ABLATION_OUTPUTS, overwrite)
     with _staged_output(out, _ABLATION_OUTPUTS) as stage:
-        return _run_variants(config, stage)
+        return _run_variants(config, trains, stage)
 
 
-def _run_variants(config: ExperimentConfig, out: Path) -> dict:
+def _run_variants(config: ExperimentConfig, trains: list[TrainConfig], out: Path) -> dict:
     summaries: dict[str, dict] = {}
     rows = [ABLATION_CSV_HEADER]
-    for variant in VARIANTS:
-        vconfig = dataclasses.replace(
-            config,
-            train=dataclasses.replace(config.train, variant=variant),
-            output_dir=None,
-        )
+    for train in trains:
+        variant = train.variant
+        vconfig = dataclasses.replace(config, train=train, output_dir=None)
         summary = run_experiment(vconfig, out / f"variant_{variant}")
         summaries[variant] = summary
         for net in ("net1", "net2"):

@@ -46,7 +46,6 @@ from .models import ForwardOutput, _number
 __all__ = [
     "COINCIDENCE_EPS",
     "MEAN_DISTANCE_EPS",
-    "TRIPLE_CAP_BATCH",
     "TRIPLE_CAP_COUNT",
     "LossWeights",
     "TupleSets",
@@ -67,9 +66,8 @@ COINCIDENCE_EPS = 1e-8
 # potentials (and their gradients) are defined as zero.
 MEAN_DISTANCE_EPS = 1e-8
 
-# Batches larger than this sample their legs: at most this many triples, unless
-# even two legs per middle index give more.
-TRIPLE_CAP_BATCH = 16
+# A set holds at most this many triples, unless even two legs per middle index
+# give more: batches whose n*(n-1)*(n-2) triples exceed it sample their legs.
 TRIPLE_CAP_COUNT = 16 * 15 * 14
 
 
@@ -105,34 +103,37 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class TupleSets:
-    """Ordered index pairs and triples over one batch.
+    """Ordered index pairs and triples over one batch: n and its legs.
 
-    `pair_index` holds u*n + v for all n*(n-1) ordered distinct pairs (u, v)
-    in row-major order, each pair's cell in the (n, n) distance matrix. The
-    legs are the n*m rows middle*n + other of `leg_index`, grouped by middle
-    index: the m legs that meet at v are the consecutive rows v*m ...
-    v*m+m-1, in increasing other endpoint. The triples are the off-diagonal
-    cells (v, a, b) of the (n, m, m) grid of leg pairs, in row-major order:
-    the triple (u, v, w) whose legs (v, u) and (v, w) are rows v*m + a and
-    v*m + b.
+    The legs are the n*m rows middle*n + other of `leg_index`, each leg's
+    cell in the (n, n) distance matrix, grouped by middle index: the m legs
+    that meet at v are the consecutive rows v*m ... v*m+m-1, in increasing
+    other endpoint. The triples are the off-diagonal cells (v, a, b) of the
+    (n, m, m) grid of leg pairs, in row-major order: the triple (u, v, w)
+    whose legs (v, u) and (v, w) are rows v*m + a and v*m + b. `pair_index`
+    holds u*n + v for all n*(n-1) ordered distinct pairs (u, v) in row-major
+    order, for the distance term; it depends on n alone.
 
-    Up to batch size 16 a set is full: m = n-1, the legs are the pairs and
-    the triples are all n*(n-1)*(n-2) ordered distinct ones. A larger batch
-    (`capped`) draws, for each middle index, m of its n-1 other rows without
-    replacement from the per-batch rng, and keeps every ordered pair of them:
-    n*m*(m-1) triples, with m the largest value at most n-1 (and at least 2)
-    that keeps them within 16*15*14. Every ordered triple is then included
-    with probability m*(m-1) / ((n-1)*(n-2)). A full set and a sampled set's
-    `pair_index` depend on n alone, and are built once and shared read-only.
+    m is `_legs_per_middle(n)`. When that is n-1 (up to batch size 16) the
+    set is full: the legs are the pairs and the triples are all
+    n*(n-1)*(n-2) ordered distinct ones. Otherwise the set is `capped`: it
+    draws, for each middle index, m of its n-1 other rows without
+    replacement from the per-batch rng, and keeps every ordered pair of
+    them. Every ordered triple is then included with probability
+    m*(m-1) / ((n-1)*(n-2)). The pair arrays, which a full set also uses as
+    its legs, are built once per n and shared read-only.
     """
 
     n: int
-    pair_index: np.ndarray
     leg_index: np.ndarray
 
     @property
+    def pair_index(self) -> np.ndarray:
+        return _pairs(self.n)
+
+    @property
     def capped(self) -> bool:
-        return self.n > TRIPLE_CAP_BATCH
+        return self.legs_per_middle < self.n - 1
 
     @property
     def legs_per_middle(self) -> int:
@@ -140,7 +141,7 @@ class TupleSets:
 
     @property
     def num_pairs(self) -> int:
-        return int(self.pair_index.size)
+        return self.n * (self.n - 1)
 
     @property
     def num_triples(self) -> int:
@@ -148,27 +149,20 @@ class TupleSets:
 
     @classmethod
     def build(cls, n: int, rng: Optional[np.random.Generator] = None) -> "TupleSets":
-        """Tuple sets for a batch of n; `rng` draws the legs of batches over 16."""
+        """Tuple sets for a batch of n; `rng` draws the legs of a capped set."""
         n = int(n)
         if n < 0:
             raise ValueError("batch size must be non-negative")
-        if n <= TRIPLE_CAP_BATCH:
-            return cls._full(n)
-        if rng is None:
-            raise ValueError(
-                f"batches larger than {TRIPLE_CAP_BATCH} need an rng to sample legs"
-            )
-        # A uniform m-subset of 0..n-2 per middle index, shifted past the middle.
         m = _legs_per_middle(n)
+        if m == n - 1:
+            return cls(n, _pairs(n))
+        if rng is None:
+            raise ValueError(f"a batch of {n} samples its legs and needs an rng")
+        # A uniform m-subset of 0..n-2 per middle index, shifted past the middle.
         other = np.sort(rng.random((n, n - 1)).argsort(axis=1)[:, :m], axis=1)
         middle = np.arange(n)[:, None]
         other += other >= middle
-        return cls(n, _pairs(n), (middle * n + other).reshape(-1))
-
-    @classmethod
-    @functools.lru_cache(maxsize=TRIPLE_CAP_BATCH + 1)
-    def _full(cls, n: int) -> "TupleSets":
-        return cls(n, _pairs(n), _pairs(n))
+        return cls(n, (middle * n + other).reshape(-1))
 
 
 @functools.lru_cache(maxsize=8)
@@ -180,9 +174,10 @@ def _pairs(n: int) -> np.ndarray:
 
 
 def _legs_per_middle(n: int) -> int:
-    """Legs per middle index of a sampled set of n.
+    """Legs per middle index of a tuple set of n: all n-1 for n up to 16.
 
-    The largest m at most n-1 with n*m*(m-1) <= TRIPLE_CAP_COUNT, and at least 2.
+    The largest m at most n-1 with n*m*(m-1) <= TRIPLE_CAP_COUNT, and at
+    least 2 from n = 3 on.
     """
     m = n - 1
     while m > 2 and n * m * (m - 1) > TRIPLE_CAP_COUNT:

@@ -274,7 +274,8 @@ def _train_epochs(
     whichever rows share the call; OpenBLAS does not for small products such
     as a narrow output layer at batch size (README, Determinism). Stage 2's
     shuffling continues stage 1's epoch numbers, so the batch stream never
-    repeats across stages.
+    repeats across stages. A batch whose tuple set holds no triple logs, at
+    debug level, that its angle term is skipped.
     """
     epochs = config.stage2_epochs if stage == 2 else config.stage1_epochs
     epoch_offset = config.stage1_epochs if stage == 2 else 0
@@ -298,7 +299,7 @@ def _train_epochs(
                 if need_tuples:
                     rng = np.random.default_rng([config.seed, shuffle_epoch, batch_index])
                     tuples = TupleSets.build(b, rng=rng)
-                    if b < 3:
+                    if tuples.num_triples == 0:
                         logger.debug(
                             "stage %d epoch %d batch %d: %d samples, angle term skipped",
                             stage, epoch, batch_index, b,

@@ -174,8 +174,10 @@ class TestTupleSets:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 16])
     def test_full_sets_are_built_once_and_read_only(self, n):
+        """A full set's legs are its pairs: one array per n, built once and shared read-only."""
         t = TupleSets.build(n)
-        assert TupleSets.build(n, rng=np.random.default_rng(1)) is t
+        again = TupleSets.build(n, rng=np.random.default_rng(1))
+        assert t.leg_index is t.pair_index is again.leg_index is losses._pairs(n)
         for array in (t.pair_index, t.leg_index):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -245,6 +247,20 @@ class TestTupleSets:
     def test_large_batch_requires_rng(self):
         with pytest.raises(ValueError, match="rng"):
             TupleSets.build(17)
+
+    def test_the_triple_budget_alone_decides_full_or_sampled(self):
+        """Capped exactly past 16 rows, where n*(n-1)*(n-2) first exceeds TRIPLE_CAP_COUNT."""
+        for n in range(41):
+            t = TupleSets.build(n, rng=np.random.default_rng(n))
+            assert t.capped == (n > 16)
+            # A batch of 0 has no legs, not -1 per middle index.
+            assert (t.legs_per_middle == max(n - 1, 0)) == (not t.capped)
+            assert (t.num_triples == 0) == (n < 3)
+            assert (n * (n - 1) * (n - 2) > TRIPLE_CAP_COUNT) == t.capped
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert TupleSets.build(16, rng).leg_index is TupleSets.build(16).leg_index
+        assert rng.bit_generator.state == state
 
 
 class TestHuber:
@@ -588,7 +604,7 @@ class TestRelationLoss:
         rng = np.random.default_rng(31)
         ea = Tensor(rng.uniform(-1.0, 1.0, (4, 3)), requires_grad=True)
         eb = Tensor(rng.uniform(-1.0, 1.0, (4, 3)), requires_grad=True)
-        rel = relation_distill_loss(ea, eb.detach(), LossWeights(), TupleSets.build(4))
+        rel = relation_distill_loss(ea, Tensor(eb.data.copy()), LossWeights(), TupleSets.build(4))
         backward(rel.total)
         assert ea.grad is not None
         assert eb.grad is None
@@ -679,7 +695,7 @@ def fresh_pair_relation(student, peer, tuples, beta1):
     The reference composition: the peer is detached, and each side's
     cosines are computed for the pair's valid triples only, not for its own.
     """
-    peer = peer.detach()
+    peer = Tensor(peer.data.copy())
 
     n, m = tuples.n, tuples.legs_per_middle
     pairs = [u * n + v for u, v in itertools.permutations(range(n), 2)]
@@ -779,7 +795,9 @@ class TestMutualLoss:
         a, b = self._outputs(34), self._outputs(35)
         w = self.MUTUAL_ONLY
         tl = self._mutual(a, b, TupleSets.build(4))
-        rel = relation_distill_loss(a.embedding, b.embedding.detach(), w, TupleSets.build(4))
+        rel = relation_distill_loss(
+            a.embedding, Tensor(b.embedding.data.copy()), w, TupleSets.build(4)
+        )
         assert tl.loss_kl_mutual == kl_softened(a.logits, b.logits, 1.0).item()
         expected = w.beta * (rel.total.item() + w.beta2 * tl.loss_kl_mutual)
         assert abs(tl.total.item() - expected) < 1e-12
@@ -789,7 +807,9 @@ class TestMutualLoss:
         a, b = self._outputs(36), self._outputs(37)
         w = dataclasses.replace(self.MUTUAL_ONLY, beta2=0.0)
         tl = self._mutual(a, b, TupleSets.build(4), w)
-        rel = relation_distill_loss(a.embedding, b.embedding.detach(), w, TupleSets.build(4))
+        rel = relation_distill_loss(
+            a.embedding, Tensor(b.embedding.data.copy()), w, TupleSets.build(4)
+        )
         assert tl.loss_kl_mutual == 0.0
         assert tl.total.data == mul(rel.total, w.beta).data
 
@@ -853,7 +873,7 @@ class TestTotalLoss:
         tl = total_loss(out, pout, sout.logits, labels, w, tuples)
         assert tl.loss_ce == cross_entropy(out.logits, labels).item()
         assert tl.loss_kl_mutual == kl_softened(out.logits, pout.logits, 1.0).item()
-        rel = relation_distill_loss(out.embedding, pout.embedding.detach(), w, tuples)
+        rel = relation_distill_loss(out.embedding, Tensor(pout.embedding.data.copy()), w, tuples)
         assert tl.loss_dd == rel.distance.item()
         assert tl.loss_ad == rel.angle.item()
         assert tl.loss_sd == kl_softened(out.logits, sout.logits, w.temperature).item()

@@ -1,5 +1,7 @@
 """Optimizer, schedule, metrics, and the two-stage training loop."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -569,6 +571,23 @@ class TestBatchSizes:
         result = train_pair(fresh_pair(), train, test, config)
         assert [r.stage for r in result.records] == [1, 1, 2, 2, 2, 2]
         assert _finite_losses(result.records)
+
+    @pytest.mark.parametrize("batch_size, skipped_epochs", [(11, [0, 1]), (7, [])])
+    def test_batch_without_triples_logs_angle_term_skipped(
+        self, caplog, batch_size, skipped_epochs
+    ):
+        # 24 samples: batches of 11 end in a batch of 2 rows, batches of 7 in one of 3.
+        train, test = tiny_datasets()
+        nets = fresh_pair()
+        snapshots = [net.snapshot() for net in nets]
+        config = small_config(batch_size=batch_size)
+        with caplog.at_level(logging.DEBUG, logger=trainer.__name__):
+            train_stage2(nets, snapshots, train, test, config)
+        skipped = [r.getMessage() for r in caplog.records if "angle term" in r.getMessage()]
+        assert skipped == [
+            f"stage 2 epoch {epoch} batch 2: 2 samples, angle term skipped"
+            for epoch in skipped_epochs
+        ]
 
     @settings(max_examples=30, deadline=None)
     @given(
