@@ -9,17 +9,19 @@ finite-difference gradient checks stay tight.
 Shape discipline is strict. Binary operations require two tensors of equal
 shape; `mul` and `div` also take a python number as the right operand, and
 `div` a single-element tensor. There is no general broadcasting. Row-vector
-bias addition gets its own operation. `triple_cosines` takes its cosines from
-one batched Gram matrix of grouped legs, at the cells an (m, k, k) boolean
-mask selects, and scatters its gradient back by the same mask.
+bias addition gets its own operation. `legs` takes the difference rows of
+grouped cells of a row set in one record. `triple_cosines` takes its cosines
+from one batched Gram matrix of grouped legs, at the cells an (m, k, k)
+boolean mask selects, and scatters its gradient back by the same mask.
 
 Every tensor holds finite values: `Tensor` checks what it wraps, and each op
 checks its result unless finite inputs cannot give a non-finite one. `relu`,
 `sqrt`, `gather`, `reshape` and `huber_penalty` skip the check (each op
-states why); every other op can overflow, `triple_cosines` too, since its
-`lengths` is an input of its own and may be far shorter than the legs. A
-record whose inputs all are constants keeps neither its inputs nor its
-gradient rule, so evaluation forwards hold no references to their inputs.
+states why); every other op can overflow, `legs` and `triple_cosines` too,
+the latter since its `lengths` is an input of its own and may be far
+shorter than the legs. A record whose inputs all are constants keeps
+neither its inputs nor its gradient rule, so evaluation forwards hold no
+references to their inputs.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
     "add_bias",
     "reshape",
     "gather",
+    "legs",
     "triple_cosines",
     "huber_penalty",
     "softmax_rows",
@@ -75,7 +78,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if arr.size and not np.isfinite(arr).all():
+        if not _all_finite(arr):
             raise AutodiffError("tensor holds non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -145,6 +148,12 @@ class Tape:
                     parent.grad = pg if held is None else held + pg
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every value of a float64 array is finite; true for an empty one."""
+    # A scalar skips numpy's ufunc machinery, which costs ten times as much.
+    return np.count_nonzero(np.isfinite(a)) == a.size if a.ndim else math.isfinite(a)
+
+
 def _no_inputs(g) -> tuple:
     """Gradient rule of a record built from constants: it has no inputs to feed."""
     return ()
@@ -154,7 +163,7 @@ def _record(
     data, op: str, parents: tuple[Tensor, ...], rule: Callable, checked: bool = True
 ) -> Tensor:
     data = np.asarray(data, dtype=np.float64)
-    if checked and not (np.isfinite(data).all() if data.ndim else math.isfinite(data)):
+    if checked and not _all_finite(data):
         raise AutodiffError(f"non-finite result from '{op}'")
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -362,6 +371,39 @@ def _scatter_rows(idx: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
     return np.bincount(flat, weights=g.reshape(-1), minlength=math.prod(shape)).reshape(shape)
 
 
+def legs(x: Tensor, index, k: int) -> Tensor:
+    """Leg rows x[other] - x[middle] of the cells middle*n + other in `index`.
+
+    x is (n, d) and `index` holds n*k cells of the (n, n) grid of its rows,
+    grouped by middle row in order: rows v*k ... v*k+k-1 are the legs that
+    meet at v. One record with the values and the gradient of
+    sub(gather(x, other), gather(x, middle)). x is listed twice as an input,
+    so its gradient takes the rows of g scattered at `other`, then minus the
+    sum of each middle's k rows of g, in the order that chain gives them.
+    """
+    xd = x.data
+    if xd.ndim != 2:
+        raise ValueError(f"legs expects a 2-d tensor, got shape {xd.shape}")
+    n, d = xd.shape
+    idx = np.asarray(index, dtype=np.int64)
+    if idx.shape != (n * k,):
+        raise ValueError(f"legs: index of shape {idx.shape} does not hold {n * k} cells")
+    middle, other = np.divmod(idx, n)
+    # Every middle row in range makes every cell so.
+    if not np.array_equal(middle, np.arange(n).repeat(k)):
+        raise ValueError(f"legs: index does not hold {k} cells of each of {n} rows in order")
+    out = xd[other]
+    grouped = out.reshape(n, k, d)
+    grouped -= xd[:, None, :]
+
+    def rule(g):
+        # With at least 2 columns the sum adds each middle's rows in order, as
+        # the scatter does, so both gradients equal the chain's bit for bit.
+        return _scatter_rows(other, g, xd.shape), -g.reshape(n, k, d).sum(axis=1, initial=0.0)
+
+    return _record(out, "legs", (x, x), rule)
+
+
 def triple_cosines(legs: Tensor, lengths: Tensor, cells) -> Tensor:
     """Cosine between two leg rows of one group for every selected cell.
 
@@ -385,8 +427,9 @@ def triple_cosines(legs: Tensor, lengths: Tensor, cells) -> Tensor:
     short = lens < DIV_GUARD
     if short.any() and (short & (cells.any(axis=2) | cells.any(axis=1)).reshape(-1)).any():
         raise AutodiffError(f"triple_cosines: leg length below {DIV_GUARD:g}")
-    nonzero = (lens > 0.0)[:, None]
-    unit = np.divide(ld, lens[:, None], out=np.zeros_like(ld), where=nonzero)
+    # Legs no selected cell reads may be 0 long; any divisor serves them.
+    safe = np.where(lens > 0.0, lens, 1.0)
+    unit = ld / safe[:, None]
     grouped = unit.reshape(m, k, ld.shape[1])
     gram = grouped @ grouped.transpose(0, 2, 1)
 
@@ -394,12 +437,9 @@ def triple_cosines(legs: Tensor, lengths: Tensor, cells) -> Tensor:
         g_gram = np.zeros_like(gram)
         g_gram[cells] = g
         g_unit = ((g_gram + g_gram.transpose(0, 2, 1)) @ grouped).reshape(ld.shape)
-        # Through unit = legs / lengths; legs no cosine reads get zero.
-        g_legs = np.divide(g_unit, lens[:, None], out=np.zeros_like(ld), where=nonzero)
-        g_lens = np.divide(
-            -(g_unit * unit).sum(axis=1), lens, out=np.zeros_like(lens), where=nonzero[:, 0]
-        )
-        return g_legs, g_lens
+        # Through unit = legs / lengths; the g_unit row of a leg no cosine
+        # reads is zero.
+        return g_unit / safe[:, None], -(g_unit * unit).sum(axis=1) / safe
 
     return _record(gram[cells], "triple_cosines", (legs, lengths), rule)
 
@@ -411,8 +451,9 @@ def huber_penalty(x: Tensor) -> Tensor:
     """
     xd = x.data
     c = np.clip(xd, -1.0, 1.0)
+    a = np.abs(xd)
     # Unchecked: each output is at most 0.5 or |x| - 0.5; c is x where it is picked.
-    out = np.where(np.abs(xd) <= 1.0, 0.5 * c * c, np.abs(xd) - 0.5)
+    out = np.where(a <= 1.0, 0.5 * c * c, a - 0.5)
     rule = lambda g: (g * c,)
     return _record(out, "huber_penalty", (x,), rule, checked=False)
 
@@ -459,8 +500,8 @@ def pairwise_l2(e: Tensor) -> Tensor:
     if ed.shape[0] < 2:
         raise ValueError("pairwise_l2 needs at least 2 rows")
     diff = ed[:, None, :] - ed[None, :, :]
-    d2 = (diff * diff).sum(axis=-1)
-    dist = np.sqrt(d2)
+    dist = np.multiply(diff, diff, out=diff).sum(axis=-1)
+    np.sqrt(dist, out=dist)
     np.fill_diagonal(dist, 0.0)
 
     def rule(g):

@@ -30,6 +30,7 @@ from .autodiff import (
     div,
     gather,
     huber_penalty,
+    legs,
     log_softmax_with_temperature,
     mul,
     pairwise_l2,
@@ -168,9 +169,17 @@ class TupleSets:
 @functools.lru_cache(maxsize=8)
 def _pairs(n: int) -> np.ndarray:
     """Read-only u*n + v of the ordered distinct pairs (u, v) of n, in row-major order."""
-    index = np.flatnonzero(~np.eye(n, dtype=bool))
+    index = np.flatnonzero(_off_diagonal(n))
     index.flags.writeable = False
     return index
+
+
+@functools.lru_cache(maxsize=8)
+def _off_diagonal(m: int) -> np.ndarray:
+    """Read-only (m, m) mask of the cells off the diagonal."""
+    mask = ~np.eye(m, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def _legs_per_middle(n: int) -> int:
@@ -225,13 +234,15 @@ class RelationSide:
 
     `measure` reads one pairwise_l2 matrix into the distance `potentials`,
     one per ordered pair and normalized by their mean, the `degenerate` flag
-    and `valid`, one flag per triple: whether its two legs are both at least
-    COINCIDENCE_EPS long on this side. `cosines` adds the valid triples'
-    cosines on first read. A mean pair distance below MEAN_DISTANCE_EPS makes
-    the side degenerate, with constant zero potentials. All of it stays on
-    the embedding's tape, so one side serves as the student, whose loss
-    backpropagates through it, and as the peer, whose values are read as
-    constants. Measuring for another tuple set rebuilds it.
+    and the side's cells: the triples of the (n, m, m) grid whose two legs
+    are both at least COINCIDENCE_EPS long on this side, kept as one mask
+    and its count. `valid` reads the mask as one flag per triple. `cosines`
+    adds the valid triples' cosines on first read. A mean pair distance
+    below MEAN_DISTANCE_EPS makes the side degenerate, with constant zero
+    potentials. All of it stays on the embedding's tape, so one side serves
+    as the student, whose loss backpropagates through it, and as the peer,
+    whose values are read as constants. Measuring for another tuple set
+    rebuilds it.
     """
 
     def __init__(self, embeddings: Tensor):
@@ -248,10 +259,9 @@ class RelationSide:
         dist = pairwise_l2(e)
         m = tuples.legs_per_middle
         long_leg = (np.take(dist.data, tuples.leg_index) >= COINCIDENCE_EPS).reshape(n, m)
-        off_diagonal = ~np.eye(m, dtype=bool)
         # The (n, m, m) grid of leg pairs; its off-diagonal cells are the triples.
-        self._cells = long_leg[:, :, None] & long_leg[:, None, :] & off_diagonal
-        self.valid = self._cells[:, off_diagonal].reshape(-1)
+        self._cells = long_leg[:, :, None] & long_leg[:, None, :] & _off_diagonal(m)
+        self._num_cells = np.count_nonzero(self._cells)
         mean_dist = div(reduce_sum(dist), float(tuples.num_pairs))
         self.degenerate = mean_dist.item() < MEAN_DISTANCE_EPS
         if self.degenerate:
@@ -263,19 +273,24 @@ class RelationSide:
         self.tuples = tuples
         return self
 
+    @property
+    def valid(self) -> np.ndarray:
+        """One flag per triple of the measured set: whether both its legs are long."""
+        return self._cells[:, _off_diagonal(self.tuples.legs_per_middle)].reshape(-1)
+
     def cosines(self) -> Tensor:
         """Cosine at the middle index of every valid triple, in triple order.
 
         Each leg e[other] - e[middle] of `leg_index` and its length are computed
-        once. Each middle index's cosines come from one Gram matrix of its m
-        consecutive unit legs; the valid cells of the grid select them.
+        once, the legs by one `legs` record. Each middle index's cosines come
+        from one Gram matrix of its m consecutive unit legs; the valid cells
+        of the grid select them.
         """
         if self._cosines is None:
-            e, t = self.embeddings, self.tuples
-            middle, other = np.divmod(t.leg_index, t.n)
-            legs = sub(gather(e, other), gather(e, middle))
-            lengths = sqrt(reduce_sum(mul(legs, legs), axis=1))
-            self._cosines = triple_cosines(legs, lengths, self._cells)
+            t = self.tuples
+            rows = legs(self.embeddings, t.leg_index, t.legs_per_middle)
+            lengths = sqrt(reduce_sum(mul(rows, rows), axis=1))
+            self._cosines = triple_cosines(rows, lengths, self._cells)
         return self._cosines
 
 
@@ -319,17 +334,20 @@ def relation_distill_loss(
     collapses = int(student.degenerate) + int(peer.degenerate)
 
     ad = Tensor(0.0)
-    # The pair's valid triples are a subset of each side's own; `cosines`
-    # holds one value per own valid triple, so each side is narrowed to the
+    # The pair's cells are a subset of each side's own; `cosines` holds one
+    # value per own cell, so a side with more cells is narrowed to the
     # pair's by position. The student's gather backward scatters exact
     # copies of the gradient and adds exact zeros elsewhere.
-    valid = student.valid & peer.valid
-    skipped = int(tuples.num_triples - valid.sum())
-    if weights.beta1 > 0 and valid.any():
+    cells = student._cells & peer._cells
+    used = int(np.count_nonzero(cells))
+    skipped = tuples.num_triples - used
+    if weights.beta1 > 0 and used:
         own = student.cosines()
-        if valid.sum() < student.valid.sum():
-            own = gather(own, np.flatnonzero(valid[student.valid]))
-        other = peer.cosines().data[np.flatnonzero(valid[peer.valid])]
+        if used < student._num_cells:
+            own = gather(own, np.flatnonzero(cells[student._cells]))
+        other = peer.cosines().data
+        if used < peer._num_cells:
+            other = other[cells[peer._cells]]
         ad = reduce_mean(huber_penalty(sub(own, _constant(other))))
     total = add(dd, mul(ad, weights.beta1))
     return RelationLoss(total, dd, ad, collapses, skipped)

@@ -26,6 +26,7 @@ from .autodiff import (
     div,
     gather,
     huber_penalty,
+    legs,
     log_softmax_with_temperature,
     matmul,
     mul,
@@ -230,7 +231,8 @@ def op_cases() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
 
     `triple_cosines` is fed from embeddings through `RelationSide.cosines`,
     for a full triple set of 5 rows and a sampled one of 48 rows, which
-    keeps m = 8 of each middle index's 47 other rows.
+    keeps m = 8 of each middle index's 47 other rows. `legs` reads the
+    sampled set's legs, where other rows repeat.
     """
     rng = np.random.default_rng(9)
 
@@ -246,6 +248,7 @@ def op_cases() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
         return RelationSide(e).measure(tuples).cosines()
 
     full, sampled = TupleSets.build(5), TupleSets.build(48, rng)
+    m = sampled.legs_per_middle
     return [
         *operands("add", add, a, b),
         *operands("sub", sub, a, b),
@@ -269,6 +272,7 @@ def op_cases() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
         ("pairwise_l2", pairwise_l2, draw(-1.0, 1.0, 5, 3)),
         ("triple_cosines_gram", lambda t: cosines(t, full), draw(-1.0, 1.0, 5, 3)),
         ("triple_cosines_sampled", lambda t: cosines(t, sampled), draw(-1.0, 1.0, 48, 3)),
+        ("legs", lambda t: legs(t, sampled.leg_index, m), draw(-1.0, 1.0, 48, 3)),
     ]
 
 

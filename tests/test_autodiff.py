@@ -17,6 +17,7 @@ from distilforge.autodiff import (
     div,
     gather,
     huber_penalty,
+    legs,
     log_softmax_with_temperature,
     matmul,
     mul,
@@ -30,7 +31,7 @@ from distilforge.autodiff import (
     sub,
     triple_cosines,
 )
-from distilforge.losses import cross_entropy
+from distilforge.losses import TupleSets, cross_entropy
 from distilforge.models import NetworkConfig, init_network
 from distilforge.verification import grad_check, op_cases, op_gradient_error
 
@@ -287,6 +288,85 @@ class TestStructuralOps:
         second_group = cells & np.array([False, True])[:, None, None]
         assert triple_cosines(legs, short, second_group).data.tolist() == [0.0, 0.0]
 
+    @pytest.mark.parametrize("n", [3, 16, 17, 32, 128])
+    @pytest.mark.parametrize("d", [2, 3, 16, 64])
+    def test_legs_equal_the_gather_sub_chain(self, n, d):
+        """Values and gradient bit for bit, with the rows also read by pairwise_l2.
+
+        The second reader makes the rows an interior node whose gradient adds
+        up three contributions, so a change in their order shows.
+        """
+        rng = np.random.default_rng(100 * n + d)
+        tuples = TupleSets.build(n, rng)
+        middle, other = np.divmod(tuples.leg_index, n)
+        x = rng.standard_normal((n, d))
+        leg_weights = Tensor(rng.standard_normal((tuples.leg_index.size, d)))
+        dist_weights = Tensor(rng.standard_normal((n, n)))
+
+        def run(make_legs):
+            leaf = Tensor(x, requires_grad=True)
+            e = mul(leaf, 1.0)
+            out = make_legs(e)
+            backward(add(
+                reduce_sum(mul(out, leg_weights)), reduce_sum(mul(pairwise_l2(e), dist_weights))
+            ))
+            return out.data, leaf.grad
+
+        got = run(lambda e: legs(e, tuples.leg_index, tuples.legs_per_middle))
+        chain = run(lambda e: sub(gather(e, other), gather(e, middle)))
+        for g, c in zip(got, chain):
+            assert g.shape == c.shape and g.tobytes() == c.tobytes()
+
+    def test_legs_validation(self):
+        x = Tensor(np.arange(6.0).reshape(3, 2))
+        cells = TupleSets.build(3).leg_index
+        np.testing.assert_array_equal(
+            legs(x, cells, 2).data, x.data[[1, 2, 0, 2, 0, 1]] - x.data[[0, 0, 1, 1, 2, 2]]
+        )
+        with pytest.raises(ValueError, match="2-d"):
+            legs(Tensor(np.arange(3.0)), cells, 2)
+        with pytest.raises(ValueError, match=r"index of shape \(5,\) does not hold 6 cells"):
+            legs(x, cells[:-1], 2)
+        # Out of order, past the last row, and before the first.
+        for bad in ([3, 2, 1, 5, 6, 7], [1, 2, 3, 5, 6, 9], [-1, 2, 3, 5, 6, 7]):
+            with pytest.raises(ValueError, match="2 cells of each of 3 rows in order"):
+                legs(x, bad, 2)
+
+    @pytest.mark.parametrize("apart", [0.0, 1e-170], ids=["zero", "underflowing"])
+    def test_triple_cosines_divides_unread_short_legs_safely(self, apart):
+        """Legs no selected cell reads may be 0 long: results equal the masked division's.
+
+        Rows 1 and 3 coincide or lie 1e-170 apart, so the legs between them
+        have length 0 (the squares underflow), though the second pair's legs
+        are not zero. Values and leg gradients are equal bit for bit. The
+        length gradient of a 0-long leg is -0.0 where the masked division
+        wrote +0.0; `sqrt`'s backward, which reads it in `RelationSide`,
+        discards it. A read leg that short still raises.
+        """
+        rng = np.random.default_rng(11)
+        e = rng.standard_normal((5, 3))
+        e[1] = 0.0
+        e[3] = [apart, -apart, 0.0]
+        tuples = TupleSets.build(5)
+        middle, other = np.divmod(tuples.leg_index, 5)
+        ld = e[other] - e[middle]
+        lens = np.sqrt((ld * ld).sum(axis=1))
+        assert np.count_nonzero(lens == 0.0) == 2
+        assert ld[lens == 0.0].any() == (apart > 0.0)
+        off_diagonal = ~np.eye(4, dtype=bool)
+        long_leg = (lens > 0.0).reshape(5, 4)
+        cells = long_leg[:, :, None] & long_leg[:, None, :] & off_diagonal
+        weights = rng.standard_normal(np.count_nonzero(cells))
+        lt, st = Tensor(ld, requires_grad=True), Tensor(lens, requires_grad=True)
+        out = triple_cosines(lt, st, cells)
+        backward(reduce_sum(mul(out, Tensor(weights))))
+        reference = masked_division_cosines(ld, lens, cells, weights)
+        for got, want in zip((out.data, lt.grad), reference):
+            assert got.tobytes() == want.tobytes()
+        assert np.array_equal(st.grad, reference[2])
+        with pytest.raises(AutodiffError, match="leg length below"):
+            triple_cosines(lt, st, cells | off_diagonal)
+
     def test_pairwise_l2_values(self):
         e = Tensor([[0.0, 0.0], [3.0, 4.0]])
         d = pairwise_l2(e).data
@@ -312,6 +392,27 @@ class TestStructuralOps:
             pairwise_l2(Tensor([[1.0, 2.0]]))
 
 
+def masked_division_cosines(ld, lens, cells, weights):
+    """triple_cosines' values and both gradients under upstream `weights`.
+
+    The reference divides by the nonzero lengths only and writes zeros
+    elsewhere.
+    """
+    m, k = cells.shape[:2]
+    nonzero = (lens > 0.0)[:, None]
+    unit = np.divide(ld, lens[:, None], out=np.zeros_like(ld), where=nonzero)
+    grouped = unit.reshape(m, k, ld.shape[1])
+    gram = grouped @ grouped.transpose(0, 2, 1)
+    g_gram = np.zeros_like(gram)
+    g_gram[cells] = weights
+    g_unit = ((g_gram + g_gram.transpose(0, 2, 1)) @ grouped).reshape(ld.shape)
+    g_legs = np.divide(g_unit, lens[:, None], out=np.zeros_like(ld), where=nonzero)
+    g_lens = np.divide(
+        -(g_unit * unit).sum(axis=1), lens, out=np.zeros_like(lens), where=nonzero[:, 0]
+    )
+    return gram[cells], g_legs, g_lens
+
+
 # Every finite float64, up to the largest magnitudes.
 FINITE = st.floats(-1.7e308, 1.7e308, allow_nan=False, allow_infinity=False)
 
@@ -335,6 +436,12 @@ class TestFiniteness:
         ]
         for out in outputs:
             assert np.isfinite(out.data).all()
+
+    def test_legs_checks_its_result(self):
+        x = Tensor([[1.7e308], [-1.7e308], [0.0]])
+        with np.errstate(over="ignore"):
+            with pytest.raises(AutodiffError, match="non-finite result from 'legs'"):
+                legs(x, TupleSets.build(3).leg_index, 2)
 
     @pytest.mark.parametrize("k", [2], ids=["gram"])
     def test_triple_cosines_checks_its_result(self, k):

@@ -1,16 +1,17 @@
-"""Golden trajectory gate: three pinned runs must replay exactly.
+"""Golden trajectory gate: four pinned runs must replay exactly.
 
 Each run starts from the shipped `configs/demo_blobs.json` with a few train
-fields overridden, and is pinned by its `metrics.csv` and the sha256 of its
-four checkpoints under `tests/golden/`. Each checkpoint is also pinned in a
-form that depends only on its config and parameter values: the sha256 of
-the earlier text encoding, one round-trip decimal per value
-(`list_form_digest`), which did not change when the file format did. When
-this machine's fingerprint (python, numpy, BLAS name and version, machine)
-matches the one recorded with the pins, the outputs must be byte-identical.
-Otherwise float arithmetic may legitimately differ in the last bits: loss
-columns must then agree within a relative 1e-9 (never tighter than the ninth
-significant digit that `metrics.csv` prints), and every other column exactly.
+fields, and for one run dataset fields, overridden, and is pinned by its
+`metrics.csv` and the sha256 of its four checkpoints under `tests/golden/`.
+Each checkpoint is also pinned in a form that depends only on its config
+and parameter values: the sha256 of the earlier text encoding, one
+round-trip decimal per value (`list_form_digest`), which did not change
+when the file format did. When this machine's fingerprint (python, numpy,
+BLAS name and version, machine) matches the one recorded with the pins, the
+outputs must be byte-identical. Otherwise float arithmetic may legitimately
+differ in the last bits: loss columns must then agree within a relative
+1e-9 (never tighter than the ninth significant digit that `metrics.csv`
+prints), and every other column exactly.
 
 A change that reorders float arithmetic on purpose rewrites the pins with
 
@@ -41,13 +42,19 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 PINS = GOLDEN / "pins.json"
 DEMO_CONFIG = ROOT / "configs" / "demo_blobs.json"
 
-# Train-field overrides of the demo config, one entry per pinned run.
+# Overrides of the demo config by section, one entry per pinned run.
 RUNS = {
     "demo": {},
-    "variant_d": {"variant": "D"},
-    "simultaneous_b16": {
+    "variant_d": {"train": {"variant": "D"}},
+    "simultaneous_b16": {"train": {
         "batch_size": 16, "update_order": "simultaneous",
         "stage1_epochs": 2, "stage2_epochs": 2, "lr_milestones": [1],
+    }},
+    # Spread 0 puts each class on one point: sampled legs of length 0 and
+    # skipped triples in every batch.
+    "coincident_b17": {
+        "dataset": {"spread": 0},
+        "train": {"batch_size": 17, "stage1_epochs": 1, "stage2_epochs": 2, "lr_milestones": [1]},
     },
 }
 CHECKPOINTS = ("net1_stage1.json", "net1_stage2.json", "net2_stage1.json", "net2_stage2.json")
@@ -90,7 +97,8 @@ def run_pinned(name: str, work: Path) -> tuple[bytes, dict, dict]:
     each checkpoint's `list_form_digest`.
     """
     doc = json.loads(DEMO_CONFIG.read_text())
-    doc["train"].update(RUNS[name])
+    for section, fields in RUNS[name].items():
+        doc[section].update(fields)
     path = work / f"{name}.json"
     path.write_text(json.dumps(doc))
     out = work / name
@@ -221,8 +229,11 @@ def regenerate(work: Path, check: bool = False) -> bool:
             csv_changed = True
             print(f"{name}: new pin")
         pins["runs"][name] = {
-            "train_overrides": RUNS[name], "checkpoints": digests, "list_form_checkpoints": list_form,
+            "train_overrides": RUNS[name].get("train", {}),
+            "checkpoints": digests, "list_form_checkpoints": list_form,
         }
+        if "dataset" in RUNS[name]:
+            pins["runs"][name]["dataset_overrides"] = RUNS[name]["dataset"]
         if not check:
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_bytes(csv)

@@ -85,6 +85,12 @@ def coincide_first_leg(e, tuples):
     e[other[0]] = e[middle[0]]
 
 
+def coincide_last_leg(e, tuples):
+    """Move the far end of the last leg row onto its middle."""
+    middle, other = decode_legs(tuples)
+    e[other[-1]] = e[middle[-1]]
+
+
 def one_hot(labels, m):
     out = np.zeros((len(labels), m))
     out[np.arange(len(labels)), labels] = 1.0
@@ -722,20 +728,23 @@ def fresh_pair_relation(student, peer, tuples, beta1):
 
 class TestRelationSide:
     @pytest.mark.parametrize("n", [16, 17, 32, 64, 128])
-    @pytest.mark.parametrize("coincident", ["none", "peer_only"])
+    @pytest.mark.parametrize("coincident", ["none", "peer_only", "both"])
     def test_shared_sides_match_fresh_geometry(self, n, coincident):
         """Each side measured once and read in both roles, as a simultaneous batch does.
 
         Values and student gradients are bit-equal to geometry built fresh
         per call. With rows coinciding in b alone, the pair's valid triples
         are a strict subset of a's own, so a's cosines are narrowed as the
-        student and b's read whole.
+        student and b's read whole. With other rows coinciding in each side,
+        both sides are narrowed in both roles.
         """
         rng = np.random.default_rng(60 + n)
         ea, eb = rng.standard_normal((2, n, 5))
         tuples = TupleSets.build(n, rng)
-        if coincident == "peer_only":
+        if coincident != "none":
             coincide_first_leg(eb, tuples)
+        if coincident == "both":
+            coincide_last_leg(ea, tuples)
         assert tuples.capped == (n > 16)
         w = LossWeights()
         a, b = Tensor(ea, requires_grad=True), Tensor(eb, requires_grad=True)
@@ -744,8 +753,9 @@ class TestRelationSide:
         backward(shared_ab.total)
         shared_ba = relation_distill_loss(side_b, side_a, w, tuples)
         backward(shared_ba.total)
-        narrowed = (side_a.valid & side_b.valid) != side_a.valid
-        assert narrowed.any() == (coincident == "peer_only")
+        pair = side_a.valid & side_b.valid
+        assert (pair != side_a.valid).any() == (coincident != "none")
+        assert (pair != side_b.valid).any() == (coincident == "both")
         assert side_b.valid.all() == (coincident == "none")
 
         roles = ((ea, eb, shared_ab, a.grad), (eb, ea, shared_ba, b.grad))
@@ -757,6 +767,31 @@ class TestRelationSide:
             assert np.array_equal(shared.angle.data, ad.data)
             assert np.array_equal(shared.total.data, total.data)
             assert np.array_equal(grad, fresh.grad)
+
+    @pytest.mark.parametrize("n", [4, 17, 32])
+    def test_valid_matches_per_triple_flags(self, n):
+        """`valid`, read off the cell mask, is one flag per triple in triple order.
+
+        A triple's flag says both its legs are long; the skipped count is
+        the triples whose pair of flags is not both set.
+        """
+        rng = np.random.default_rng(63 + n)
+        ea, eb = rng.standard_normal((2, n, 3))
+        tuples = TupleSets.build(n, rng)
+        coincide_first_leg(ea, tuples)
+        coincide_last_leg(eb, tuples)
+        u, v, w = decode_triples(tuples)
+
+        def flags(e):
+            return ((np.linalg.norm(e[u] - e[v], axis=1) >= COINCIDENCE_EPS)
+                    & (np.linalg.norm(e[w] - e[v], axis=1) >= COINCIDENCE_EPS))
+
+        side_a, side_b = (RelationSide(Tensor(e)).measure(tuples) for e in (ea, eb))
+        flags_a, flags_b = flags(ea), flags(eb)
+        assert not flags_a.all() and not flags_b.all() and (flags_a != flags_b).any()
+        assert np.array_equal(side_a.valid, flags_a) and np.array_equal(side_b.valid, flags_b)
+        rel = relation_distill_loss(side_a, side_b, LossWeights(), tuples)
+        assert rel.triples_skipped == tuples.num_triples - np.count_nonzero(flags_a & flags_b)
 
     def test_peer_side_gets_no_gradient(self):
         rng = np.random.default_rng(61)

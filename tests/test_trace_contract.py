@@ -16,7 +16,15 @@ log-softmax call counts are pinned by formula, so a frozen snapshot
 forwarded per batch, or a KL teacher put back on the tape, fails here.
 Each run's `autodiff.tape_nodes`, the records summed over every backward
 tape, is pinned too: a record of constants that lands on a tape, or a
-record that goes missing, changes it.
+record that goes missing, changes it. A student side's legs are one `legs`
+record where a gather, a gather and a sub were three, so each loss that
+backpropagates through cosines has two records fewer: 218 - 2 * 2 = 214 for
+the demo-like run (two losses on its 17-row batch; the 1-row batch has no
+angle term) and 830 - 2 * 6 = 818 for the ablation (two losses on the
+16-row batch in each of variants A, B and C). Variant D (172) has no
+relation term. With no side degenerate and none narrowed, the only
+`gather` left is each measured side's potentials gather, one per
+`pairwise_l2` call.
 """
 
 from __future__ import annotations
@@ -64,7 +72,8 @@ def test_traced_demo_like_run_keeps_the_layer_contract(tmp_path):
     calls = collections.Counter(trace["names"][span[0]] for span in trace["spans"])
     assert calls["losses.relation"] == 2 * 2, calls
     assert calls["autodiff.op.pairwise_l2"] == 3 * 1, calls
-    assert trace["counters"]["autodiff.tape_nodes"] == 218
+    assert calls["autodiff.op.gather"] == calls["autodiff.op.pairwise_l2"], calls
+    assert trace["counters"]["autodiff.tape_nodes"] == 214
 
 
 def test_traced_full_triple_ablation_keeps_the_layer_contract(tmp_path):
@@ -75,7 +84,8 @@ def test_traced_full_triple_ablation_keeps_the_layer_contract(tmp_path):
     calls = collections.Counter(trace["names"][span[0]] for span in trace["spans"])
     assert calls["losses.relation"] > 0
     assert calls["autodiff.op.pairwise_l2"] == calls["losses.relation"], calls
-    assert trace["counters"]["autodiff.tape_nodes"] == 830
+    assert calls["autodiff.op.gather"] == calls["autodiff.op.pairwise_l2"], calls
+    assert trace["counters"]["autodiff.tape_nodes"] == 818
 
 
 def test_traced_variant_d_run_keeps_the_relation_layers_idle(tmp_path):
