@@ -9,9 +9,9 @@ finite-difference gradient checks stay tight.
 Shape discipline is strict. Binary operations require two tensors of equal
 shape; `mul` and `div` also take a python number as the right operand, and
 `div` a single-element tensor. There is no general broadcasting. Row-vector
-bias addition gets its own operation. `legs` takes the difference rows of
-grouped cells of a row set in one record. `triple_cosines` takes its cosines
-from one batched Gram matrix of grouped legs, at the cells an (m, k, k)
+bias addition gets its own operation. `legs` takes the (n, m, d) legs from
+n rows to their m other endpoints in one record. `triple_cosines` takes its
+cosines from one batched Gram matrix of those legs, at the cells an (n, m, m)
 boolean mask selects, and scatters its gradient back by the same mask.
 
 Every tensor holds finite values: `Tensor` checks what it wraps, and each op
@@ -361,85 +361,78 @@ def gather(x: Tensor, indices) -> Tensor:
 
 
 def _scatter_rows(idx: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum the rows of g into a zero array of `shape` at first-axis positions idx."""
+    """Sum the rows of g into a zero array of `shape` at the first-axis positions in idx."""
     if len(shape) == 1:
         return np.bincount(idx, weights=g, minlength=shape[0])
     # One bincount over flat (row, column) positions: repeated rows add up
     # in index order, the same order on every run.
     width = math.prod(shape[1:])
-    flat = (idx[:, None] * width + np.arange(width)).reshape(-1)
+    flat = (idx[..., None] * width + np.arange(width)).reshape(-1)
     return np.bincount(flat, weights=g.reshape(-1), minlength=math.prod(shape)).reshape(shape)
 
 
-def legs(x: Tensor, index, k: int) -> Tensor:
-    """Leg rows x[other] - x[middle] of the cells middle*n + other in `index`.
+def legs(x: Tensor, other) -> Tensor:
+    """Legs x[other[v, a]] - x[v] from each row v of an (n, d) x, as (n, m, d).
 
-    x is (n, d) and `index` holds n*k cells of the (n, n) grid of its rows,
-    grouped by middle row in order: rows v*k ... v*k+k-1 are the legs that
-    meet at v. One record with the values and the gradient of
-    sub(gather(x, other), gather(x, middle)). x is listed twice as an input,
-    so its gradient takes the rows of g scattered at `other`, then minus the
-    sum of each middle's k rows of g, in the order that chain gives them.
+    Row v of the (n, m) integer array `other` holds the other endpoints of
+    the m legs that meet at v. One record with the values and the gradient
+    of sub(gather(x, other), gather(x, middle)) over the flat legs. x is
+    listed twice as an input: its gradient takes g scattered at `other`,
+    then minus the sum of g over each middle's m legs, in that chain's order.
     """
     xd = x.data
     if xd.ndim != 2:
         raise ValueError(f"legs expects a 2-d tensor, got shape {xd.shape}")
-    n, d = xd.shape
-    idx = np.asarray(index, dtype=np.int64)
-    if idx.shape != (n * k,):
-        raise ValueError(f"legs: index of shape {idx.shape} does not hold {n * k} cells")
-    middle, other = np.divmod(idx, n)
-    # Every middle row in range makes every cell so.
-    if not np.array_equal(middle, np.arange(n).repeat(k)):
-        raise ValueError(f"legs: index does not hold {k} cells of each of {n} rows in order")
+    n = xd.shape[0]
+    other = np.asarray(other, dtype=np.int64)
+    if other.ndim != 2 or other.shape[0] != n:
+        raise ValueError(f"legs: other of shape {other.shape} is not ({n}, m)")
+    if other.size and (other.min() < 0 or other.max() >= n):
+        raise ValueError(f"legs: other endpoint out of range for {n} rows")
     out = xd[other]
-    grouped = out.reshape(n, k, d)
-    grouped -= xd[:, None, :]
+    out -= xd[:, None, :]
 
     def rule(g):
-        # With at least 2 columns the sum adds each middle's rows in order, as
+        # With at least 2 columns the sum adds each middle's legs in order, as
         # the scatter does, so both gradients equal the chain's bit for bit.
-        return _scatter_rows(other, g, xd.shape), -g.reshape(n, k, d).sum(axis=1, initial=0.0)
+        return _scatter_rows(other, g, xd.shape), -g.sum(axis=1, initial=0.0)
 
     return _record(out, "legs", (x, x), rule)
 
 
 def triple_cosines(legs: Tensor, lengths: Tensor, cells) -> Tensor:
-    """Cosine between two leg rows of one group for every selected cell.
+    """Cosine between two legs that meet at one row for every selected cell.
 
-    `cells` is an (m, k, k) boolean mask over m consecutive groups of k leg
-    rows: cell (v, a, b) selects legs v*k + a and v*k + b, whose cosine is
-    legs[i] . legs[j] / lengths[i] / lengths[j]. `lengths` holds the row
-    norms of `legs`; both are tape inputs. All cosines come from one batched
-    (m, k, k) Gram matrix of unit legs, returned at the selected cells in
-    row-major order, within a few ulp of the per-triple gather, mul,
-    reduce_sum and div chain.
+    `legs` is (n, m, d): the m legs that meet at each of n rows. `lengths`
+    (n, m) holds their norms; both are tape inputs. `cells` is an (n, m, m)
+    boolean mask: cell (v, a, b) selects legs[v, a] and legs[v, b], whose
+    cosine is their dot product over both lengths. All cosines come from
+    one batched (n, m, m) Gram matrix of unit legs, returned at the
+    selected cells in row-major order, within a few ulp of the per-triple
+    gather, mul, reduce_sum and div chain.
     """
     ld, lens = legs.data, lengths.data
-    if ld.ndim != 2 or lens.shape != ld.shape[:1]:
+    if ld.ndim != 3 or lens.shape != ld.shape[:2]:
         raise ValueError(f"triple_cosines: legs {ld.shape} and lengths {lens.shape} do not match")
     cells = np.asarray(cells)
-    m, k = cells.shape[:2] if cells.ndim == 3 else (-1, -1)
-    if cells.dtype != bool or cells.shape != (m, k, k) or m * k != ld.shape[0]:
-        raise ValueError(
-            f"triple_cosines: cells {cells.shape} must be a boolean (m, k, k) mask, m*k = {len(ld)}"
-        )
+    n, m = lens.shape
+    if cells.dtype != bool or cells.shape != (n, m, m):
+        raise ValueError(f"triple_cosines: cells {cells.shape} must be a boolean {(n, m, m)} mask")
     short = lens < DIV_GUARD
-    if short.any() and (short & (cells.any(axis=2) | cells.any(axis=1)).reshape(-1)).any():
+    if short.any() and (short & (cells.any(axis=2) | cells.any(axis=1))).any():
         raise AutodiffError(f"triple_cosines: leg length below {DIV_GUARD:g}")
     # Legs no selected cell reads may be 0 long; any divisor serves them.
     safe = np.where(lens > 0.0, lens, 1.0)
-    unit = ld / safe[:, None]
-    grouped = unit.reshape(m, k, ld.shape[1])
-    gram = grouped @ grouped.transpose(0, 2, 1)
+    unit = ld / safe[..., None]
+    gram = unit @ unit.transpose(0, 2, 1)
 
     def rule(g):
         g_gram = np.zeros_like(gram)
         g_gram[cells] = g
-        g_unit = ((g_gram + g_gram.transpose(0, 2, 1)) @ grouped).reshape(ld.shape)
+        g_unit = (g_gram + g_gram.transpose(0, 2, 1)) @ unit
         # Through unit = legs / lengths; the g_unit row of a leg no cosine
         # reads is zero.
-        return g_unit / safe[:, None], -(g_unit * unit).sum(axis=1) / safe
+        return g_unit / safe[..., None], -(g_unit * unit).sum(axis=2) / safe
 
     return _record(gram[cells], "triple_cosines", (legs, lengths), rule)
 

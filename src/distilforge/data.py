@@ -158,6 +158,8 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
         if len(row) < 2:
             raise ValueError(f"{path}:{lineno}: need at least one feature and a label")
         try:
+            if any("_" in x for x in row):  # float() reads "1_5" as 15.0
+                raise ValueError
             values = [float(x) for x in row]
         except ValueError:
             raise ValueError(f"{path}:{lineno}: non-numeric value") from None

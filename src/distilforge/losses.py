@@ -104,15 +104,14 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class TupleSets:
-    """Ordered index pairs and triples over one batch: n and its legs.
+    """Ordered index pairs and triples over one batch: the legs of its rows.
 
-    The legs are the n*m rows middle*n + other of `leg_index`, each leg's
-    cell in the (n, n) distance matrix, grouped by middle index: the m legs
-    that meet at v are the consecutive rows v*m ... v*m+m-1, in increasing
-    other endpoint. The triples are the off-diagonal cells (v, a, b) of the
-    (n, m, m) grid of leg pairs, in row-major order: the triple (u, v, w)
-    whose legs (v, u) and (v, w) are rows v*m + a and v*m + b. `pair_index`
-    holds u*n + v for all n*(n-1) ordered distinct pairs (u, v) in row-major
+    `other` is an (n, m) integer array: row v holds the other endpoints of
+    the m legs that meet at v, in increasing order. n and m are its shape.
+    The triples are the off-diagonal cells (v, a, b) of the (n, m, m) grid
+    of leg pairs, in row-major order: the triple (u, v, w) whose legs (v, u)
+    and (v, w) are other[v, a] = u and other[v, b] = w. `pair_index` holds
+    u*n + v for all n*(n-1) ordered distinct pairs (u, v) in row-major
     order, for the distance term; it depends on n alone.
 
     m is `_legs_per_middle(n)`. When that is n-1 (up to batch size 16) the
@@ -121,24 +120,27 @@ class TupleSets:
     draws, for each middle index, m of its n-1 other rows without
     replacement from the per-batch rng, and keeps every ordered pair of
     them. Every ordered triple is then included with probability
-    m*(m-1) / ((n-1)*(n-2)). The pair arrays, which a full set also uses as
-    its legs, are built once per n and shared read-only.
+    m*(m-1) / ((n-1)*(n-2)). The pair arrays, whose endpoints a full set
+    also uses as its legs, are built once per n and shared read-only.
     """
 
-    n: int
-    leg_index: np.ndarray
+    other: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.other.shape[0]
+
+    @property
+    def legs_per_middle(self) -> int:
+        return self.other.shape[1]
 
     @property
     def pair_index(self) -> np.ndarray:
-        return _pairs(self.n)
+        return _pairs(self.n)[0]
 
     @property
     def capped(self) -> bool:
         return self.legs_per_middle < self.n - 1
-
-    @property
-    def legs_per_middle(self) -> int:
-        return self.leg_index.size // self.n if self.n else 0
 
     @property
     def num_pairs(self) -> int:
@@ -156,22 +158,22 @@ class TupleSets:
             raise ValueError("batch size must be non-negative")
         m = _legs_per_middle(n)
         if m == n - 1:
-            return cls(n, _pairs(n))
+            return cls(_pairs(n)[1])
         if rng is None:
             raise ValueError(f"a batch of {n} samples its legs and needs an rng")
         # A uniform m-subset of 0..n-2 per middle index, shifted past the middle.
         other = np.sort(rng.random((n, n - 1)).argsort(axis=1)[:, :m], axis=1)
-        middle = np.arange(n)[:, None]
-        other += other >= middle
-        return cls(n, (middle * n + other).reshape(-1))
+        other += other >= np.arange(n)[:, None]
+        return cls(other)
 
 
 @functools.lru_cache(maxsize=8)
-def _pairs(n: int) -> np.ndarray:
-    """Read-only u*n + v of the ordered distinct pairs (u, v) of n, in row-major order."""
-    index = np.flatnonzero(_off_diagonal(n))
-    index.flags.writeable = False
-    return index
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only u*n + v of the ordered distinct pairs (u, v) of n, and v as a full set's legs."""
+    u, v = np.nonzero(_off_diagonal(n))
+    index, other = u * n + v, v.reshape(n, max(n - 1, 0))
+    index.flags.writeable = other.flags.writeable = False
+    return index, other
 
 
 @functools.lru_cache(maxsize=8)
@@ -234,15 +236,15 @@ class RelationSide:
 
     `measure` reads one pairwise_l2 matrix into the distance `potentials`,
     one per ordered pair and normalized by their mean, the `degenerate` flag
-    and the side's cells: the triples of the (n, m, m) grid whose two legs
-    are both at least COINCIDENCE_EPS long on this side, kept as one mask
-    and its count. `valid` reads the mask as one flag per triple. `cosines`
-    adds the valid triples' cosines on first read. A mean pair distance
-    below MEAN_DISTANCE_EPS makes the side degenerate, with constant zero
-    potentials. All of it stays on the embedding's tape, so one side serves
-    as the student, whose loss backpropagates through it, and as the peer,
-    whose values are read as constants. Measuring for another tuple set
-    rebuilds it.
+    and the side's cells: the triples of the (n, m, m) grid whose two legs,
+    read at the `other` grid, are both at least COINCIDENCE_EPS long on this
+    side, kept as one mask and its count. `valid` reads the mask as one flag
+    per triple. `cosines` adds the valid triples' cosines on first read. A
+    mean pair distance below MEAN_DISTANCE_EPS makes the side degenerate,
+    with constant zero potentials. All of it stays on the embedding's tape,
+    so one side serves as the student, whose loss backpropagates through it,
+    and as the peer, whose values are read as constants. Measuring for
+    another tuple set rebuilds it.
     """
 
     def __init__(self, embeddings: Tensor):
@@ -258,7 +260,7 @@ class RelationSide:
             raise ValueError(f"tuple sets built for batch {tuples.n}, embeddings have {n} rows")
         dist = pairwise_l2(e)
         m = tuples.legs_per_middle
-        long_leg = (np.take(dist.data, tuples.leg_index) >= COINCIDENCE_EPS).reshape(n, m)
+        long_leg = np.take_along_axis(dist.data, tuples.other, 1) >= COINCIDENCE_EPS
         # The (n, m, m) grid of leg pairs; its off-diagonal cells are the triples.
         self._cells = long_leg[:, :, None] & long_leg[:, None, :] & _off_diagonal(m)
         self._num_cells = np.count_nonzero(self._cells)
@@ -281,15 +283,14 @@ class RelationSide:
     def cosines(self) -> Tensor:
         """Cosine at the middle index of every valid triple, in triple order.
 
-        Each leg e[other] - e[middle] of `leg_index` and its length are computed
-        once, the legs by one `legs` record. Each middle index's cosines come
-        from one Gram matrix of its m consecutive unit legs; the valid cells
-        of the grid select them.
+        The (n, m, d) legs e[other] - e[middle] of the tuple set come from one
+        `legs` record, and their lengths are computed once. Each middle
+        index's cosines come from one Gram matrix of its m unit legs; the
+        valid cells of the grid select them.
         """
         if self._cosines is None:
-            t = self.tuples
-            rows = legs(self.embeddings, t.leg_index, t.legs_per_middle)
-            lengths = sqrt(reduce_sum(mul(rows, rows), axis=1))
+            rows = legs(self.embeddings, self.tuples.other)
+            lengths = sqrt(reduce_sum(mul(rows, rows), axis=2))
             self._cosines = triple_cosines(rows, lengths, self._cells)
         return self._cosines
 

@@ -199,7 +199,8 @@ def load_checkpoint(path) -> PeerNetwork:
         entry = stored[name]
         if not isinstance(entry, dict):
             raise ValueError(f"checkpoint parameter '{name}': not an object")
-        if entry.get("shape") != shape:
+        # JSON integers only: 2.0 == 2 and True == 1 as well.
+        if entry.get("shape") != shape or not all(type(s) is int for s in entry["shape"]):
             raise ValueError(
                 f"checkpoint parameter '{name}': shape {entry.get('shape')}, config needs {shape}"
             )

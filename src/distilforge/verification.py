@@ -248,7 +248,6 @@ def op_cases() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
         return RelationSide(e).measure(tuples).cosines()
 
     full, sampled = TupleSets.build(5), TupleSets.build(48, rng)
-    m = sampled.legs_per_middle
     return [
         *operands("add", add, a, b),
         *operands("sub", sub, a, b),
@@ -272,7 +271,7 @@ def op_cases() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
         ("pairwise_l2", pairwise_l2, draw(-1.0, 1.0, 5, 3)),
         ("triple_cosines_gram", lambda t: cosines(t, full), draw(-1.0, 1.0, 5, 3)),
         ("triple_cosines_sampled", lambda t: cosines(t, sampled), draw(-1.0, 1.0, 48, 3)),
-        ("legs", lambda t: legs(t, sampled.leg_index, m), draw(-1.0, 1.0, 48, 3)),
+        ("legs", lambda t: legs(t, sampled.other), draw(-1.0, 1.0, 48, 3)),
     ]
 
 

@@ -271,17 +271,20 @@ class TestStructuralOps:
             gather(x, np.array([[0]]))
 
     def test_triple_cosines_validation(self):
-        legs, lengths = Tensor(np.eye(4)), Tensor(np.ones(4))
-        # Two groups of two legs, every off-diagonal cell selected.
+        legs, lengths = Tensor(np.eye(4).reshape(2, 2, 4)), Tensor(np.ones((2, 2)))
+        # Two rows with two legs each, every off-diagonal cell selected.
         cells = np.broadcast_to(~np.eye(2, dtype=bool), (2, 2, 2))
-        with pytest.raises(ValueError, match="do not match"):
-            triple_cosines(legs, Tensor(np.ones(3)), cells)
+        for bad_legs, bad_lengths in ((legs, Tensor(np.ones(4))), (Tensor(np.eye(4)), lengths)):
+            with pytest.raises(ValueError, match="do not match"):
+                triple_cosines(bad_legs, bad_lengths, cells)
         bad_masks = [cells.reshape(2, 4), cells.astype(float), np.ones((1, 4, 1), dtype=bool)]
         bad_masks += [np.ones(shape, dtype=bool) for shape in ((1, 3, 3), (4, 0, 0), (2, 1, 1))]
+        # A mask of the wrong shape and one that is not boolean.
+        bad_masks += [np.ones((2, 2, 3), dtype=bool), cells.astype(np.int8)]
         for bad in bad_masks:
-            with pytest.raises(ValueError, match=r"must be a boolean \(m, k, k\) mask, m\*k = 4$"):
+            with pytest.raises(ValueError, match=r"must be a boolean \(2, 2, 2\) mask$"):
                 triple_cosines(legs, lengths, bad)
-        short = Tensor([1.0, 0.0, 1.0, 1.0])
+        short = Tensor([[1.0, 0.0], [1.0, 1.0]])
         with pytest.raises(AutodiffError, match="leg length"):
             triple_cosines(legs, short, cells)
         # A short leg that no selected cell reads is fine.
@@ -298,9 +301,10 @@ class TestStructuralOps:
         """
         rng = np.random.default_rng(100 * n + d)
         tuples = TupleSets.build(n, rng)
-        middle, other = np.divmod(tuples.leg_index, n)
+        other = tuples.other
+        middle = np.arange(n).repeat(other.shape[1])
         x = rng.standard_normal((n, d))
-        leg_weights = Tensor(rng.standard_normal((tuples.leg_index.size, d)))
+        leg_weights = Tensor(rng.standard_normal(other.shape + (d,)))
         dist_weights = Tensor(rng.standard_normal((n, n)))
 
         def run(make_legs):
@@ -312,25 +316,31 @@ class TestStructuralOps:
             ))
             return out.data, leaf.grad
 
-        got = run(lambda e: legs(e, tuples.leg_index, tuples.legs_per_middle))
-        chain = run(lambda e: sub(gather(e, other), gather(e, middle)))
+        got = run(lambda e: legs(e, other))
+        chain = run(lambda e: reshape(
+            sub(gather(e, other.reshape(-1)), gather(e, middle)), leg_weights.data.shape
+        ))
         for g, c in zip(got, chain):
             assert g.shape == c.shape and g.tobytes() == c.tobytes()
 
     def test_legs_validation(self):
         x = Tensor(np.arange(6.0).reshape(3, 2))
-        cells = TupleSets.build(3).leg_index
+        other = TupleSets.build(3).other
         np.testing.assert_array_equal(
-            legs(x, cells, 2).data, x.data[[1, 2, 0, 2, 0, 1]] - x.data[[0, 0, 1, 1, 2, 2]]
+            legs(x, other).data,
+            (x.data[[1, 2, 0, 2, 0, 1]] - x.data[[0, 0, 1, 1, 2, 2]]).reshape(3, 2, 2),
         )
         with pytest.raises(ValueError, match="2-d"):
-            legs(Tensor(np.arange(3.0)), cells, 2)
-        with pytest.raises(ValueError, match=r"index of shape \(5,\) does not hold 6 cells"):
-            legs(x, cells[:-1], 2)
-        # Out of order, past the last row, and before the first.
-        for bad in ([3, 2, 1, 5, 6, 7], [1, 2, 3, 5, 6, 9], [-1, 2, 3, 5, 6, 7]):
-            with pytest.raises(ValueError, match="2 cells of each of 3 rows in order"):
-                legs(x, bad, 2)
+            legs(Tensor(np.arange(3.0)), other)
+        # A 1-d `other` and one with a row too few.
+        with pytest.raises(ValueError, match=r"other of shape \(6,\) is not \(3, m\)"):
+            legs(x, other.reshape(-1))
+        with pytest.raises(ValueError, match=r"other of shape \(2, 2\) is not \(3, m\)"):
+            legs(x, other[:-1])
+        # Before the first row and past the last.
+        for bad in ([[1, 2], [0, 2], [-1, 1]], [[1, 3], [0, 2], [0, 1]]):
+            with pytest.raises(ValueError, match="other endpoint out of range for 3 rows"):
+                legs(x, bad)
 
     @pytest.mark.parametrize("apart", [0.0, 1e-170], ids=["zero", "underflowing"])
     def test_triple_cosines_divides_unread_short_legs_safely(self, apart):
@@ -348,13 +358,12 @@ class TestStructuralOps:
         e[1] = 0.0
         e[3] = [apart, -apart, 0.0]
         tuples = TupleSets.build(5)
-        middle, other = np.divmod(tuples.leg_index, 5)
-        ld = e[other] - e[middle]
-        lens = np.sqrt((ld * ld).sum(axis=1))
+        ld = e[tuples.other] - e[:, None, :]
+        lens = np.sqrt((ld * ld).sum(axis=2))
         assert np.count_nonzero(lens == 0.0) == 2
         assert ld[lens == 0.0].any() == (apart > 0.0)
         off_diagonal = ~np.eye(4, dtype=bool)
-        long_leg = (lens > 0.0).reshape(5, 4)
+        long_leg = lens > 0.0
         cells = long_leg[:, :, None] & long_leg[:, None, :] & off_diagonal
         weights = rng.standard_normal(np.count_nonzero(cells))
         lt, st = Tensor(ld, requires_grad=True), Tensor(lens, requires_grad=True)
@@ -398,17 +407,15 @@ def masked_division_cosines(ld, lens, cells, weights):
     The reference divides by the nonzero lengths only and writes zeros
     elsewhere.
     """
-    m, k = cells.shape[:2]
-    nonzero = (lens > 0.0)[:, None]
-    unit = np.divide(ld, lens[:, None], out=np.zeros_like(ld), where=nonzero)
-    grouped = unit.reshape(m, k, ld.shape[1])
-    gram = grouped @ grouped.transpose(0, 2, 1)
+    nonzero = (lens > 0.0)[..., None]
+    unit = np.divide(ld, lens[..., None], out=np.zeros_like(ld), where=nonzero)
+    gram = unit @ unit.transpose(0, 2, 1)
     g_gram = np.zeros_like(gram)
     g_gram[cells] = weights
-    g_unit = ((g_gram + g_gram.transpose(0, 2, 1)) @ grouped).reshape(ld.shape)
-    g_legs = np.divide(g_unit, lens[:, None], out=np.zeros_like(ld), where=nonzero)
+    g_unit = (g_gram + g_gram.transpose(0, 2, 1)) @ unit
+    g_legs = np.divide(g_unit, lens[..., None], out=np.zeros_like(ld), where=nonzero)
     g_lens = np.divide(
-        -(g_unit * unit).sum(axis=1), lens, out=np.zeros_like(lens), where=nonzero[:, 0]
+        -(g_unit * unit).sum(axis=2), lens, out=np.zeros_like(lens), where=nonzero[..., 0]
     )
     return gram[cells], g_legs, g_lens
 
@@ -441,12 +448,12 @@ class TestFiniteness:
         x = Tensor([[1.7e308], [-1.7e308], [0.0]])
         with np.errstate(over="ignore"):
             with pytest.raises(AutodiffError, match="non-finite result from 'legs'"):
-                legs(x, TupleSets.build(3).leg_index, 2)
+                legs(x, TupleSets.build(3).other)
 
     @pytest.mark.parametrize("k", [2], ids=["gram"])
     def test_triple_cosines_checks_its_result(self, k):
         # `lengths` is an input of its own: legs far longer than it overflow.
-        legs, lengths = Tensor(np.full((k, 3), 1e200)), Tensor(np.ones(k))
+        legs, lengths = Tensor(np.full((1, k, 3), 1e200)), Tensor(np.ones((1, k)))
         cells = ~np.eye(k, dtype=bool)[None]
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(AutodiffError, match="non-finite result from 'triple_cosines'"):

@@ -310,6 +310,15 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="inconsistent"):
             load_csv(ragged)
 
+    @pytest.mark.parametrize("row", ["1_5,1", "1.5,1_0"], ids=["feature", "label"])
+    def test_digit_group_underscores_rejected(self, tmp_path, row):
+        """float() reads "1_5" as 15.0; a CSV cell with an underscore is not a number."""
+        path = tmp_path / "data.csv"
+        path.write_text(f"f0,label\n1.0,0\n{row}\n")
+        message = f"{path}:3: non-numeric value"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_csv(path)
+
     @pytest.mark.parametrize("label", ["inf", "-inf", "nan", "1e300", "9223372036854775808"])
     def test_label_beyond_int64_rejected(self, tmp_path, label):
         path = tmp_path / "labels.csv"

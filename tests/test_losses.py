@@ -62,9 +62,10 @@ FROZEN_DD_E4 = 0.1408572336432885
 FROZEN_AD_E4 = 0.08453028038141203
 
 
-def decode_legs(tuples):
-    """(middle, other) of every leg row, read back from its cell middle*n + other."""
-    return np.divmod(tuples.leg_index, tuples.n)
+def leg_ends(tuples):
+    """(middle, other) of every leg as (n, m) grids: the legs in row v meet at v."""
+    other = tuples.other
+    return np.broadcast_to(np.arange(tuples.n)[:, None], other.shape), other
 
 
 def decode_triples(tuples):
@@ -73,22 +74,19 @@ def decode_triples(tuples):
     The legs of middle v are other[v, 0 .. m-1]; the cell pairs u = other[v, a]
     with w = other[v, b].
     """
-    n, m = tuples.n, tuples.legs_per_middle
-    other = decode_legs(tuples)[1].reshape(n, m)
+    n, m = tuples.other.shape
     v, a, b = np.nonzero(np.broadcast_to(~np.eye(m, dtype=bool), (n, m, m)))
-    return other[v, a], v, other[v, b]
+    return tuples.other[v, a], v, tuples.other[v, b]
 
 
 def coincide_first_leg(e, tuples):
-    """Move the far end of leg row 0 onto its middle, so some triple loses its angle."""
-    middle, other = decode_legs(tuples)
-    e[other[0]] = e[middle[0]]
+    """Move the far end of row 0's first leg onto row 0, so some triple loses its angle."""
+    e[tuples.other[0, 0]] = e[0]
 
 
 def coincide_last_leg(e, tuples):
-    """Move the far end of the last leg row onto its middle."""
-    middle, other = decode_legs(tuples)
-    e[other[-1]] = e[middle[-1]]
+    """Move the far end of the last row's last leg onto that row."""
+    e[tuples.other[-1, -1]] = e[-1]
 
 
 def one_hot(labels, m):
@@ -153,24 +151,24 @@ class TestTupleSets:
 
     @pytest.mark.parametrize("n", [3, 5, 16])
     def test_full_sets_order_triples_by_middle_index(self, n):
-        """Legs are the pair rows, and triples run over (v, u, w) in lexicographic order."""
+        """Legs are the pairs, and triples run over (v, u, w) in lexicographic order."""
         t = TupleSets.build(n)
-        assert t.leg_index is t.pair_index
+        np.testing.assert_array_equal(t.other, t.pair_index.reshape(n, n - 1) % n)
         v, u, w = np.array(list(itertools.permutations(range(n), 3))).T
         for got, expected in zip(decode_triples(t), (u, v, w)):
             np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("n", [5, 16, 17, 32])
     def test_head_and_tail_legs_share_the_middle_index(self, n):
-        """Leg row r starts at r // m; the grid pairs the legs (v, u) and (v, w) of one group."""
+        """Row v of `other` holds v's legs; the grid pairs the legs (v, u) and (v, w) of one row."""
         t = TupleSets.build(n, rng=np.random.default_rng(n))
         m = t.legs_per_middle
         assert m == {5: 4, 16: 15, 17: 14, 32: 10}[n]
-        assert t.leg_index.shape == (n * m,)
+        assert t.other.shape == (n, m) and t.n == n
         assert t.num_triples == n * m * (m - 1)
-        middle, other = decode_legs(t)
-        np.testing.assert_array_equal(middle, np.arange(n * m) // m)
-        assert (np.diff(other.reshape(n, m), axis=1) > 0).all()
+        middle, other = leg_ends(t)
+        assert (other != middle).all()
+        assert (np.diff(other, axis=1) > 0).all()
         u, v, w = decode_triples(t)
         assert u.shape == (t.num_triples,)
         np.testing.assert_array_equal(v, np.arange(n).repeat(m * (m - 1)))
@@ -183,8 +181,10 @@ class TestTupleSets:
         """A full set's legs are its pairs: one array per n, built once and shared read-only."""
         t = TupleSets.build(n)
         again = TupleSets.build(n, rng=np.random.default_rng(1))
-        assert t.leg_index is t.pair_index is again.leg_index is losses._pairs(n)
-        for array in (t.pair_index, t.leg_index):
+        assert t.pair_index is losses._pairs(n)[0] and t.other is losses._pairs(n)[1]
+        assert t.other is again.other and t.pair_index is again.pair_index
+        assert t.other.shape == (n, max(n - 1, 0)) and t.n == n
+        for array in (t.pair_index, t.other):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
@@ -192,9 +192,9 @@ class TestTupleSets:
     def test_capped_sets_are_built_per_rng(self):
         a = TupleSets.build(17, rng=np.random.default_rng(0))
         b = TupleSets.build(17, rng=np.random.default_rng(0))
-        assert a is not b and a.leg_index is not b.leg_index
-        assert a.leg_index.flags.writeable
-        np.testing.assert_array_equal(a.leg_index, b.leg_index)
+        assert a is not b and a.other is not b.other
+        assert a.other.flags.writeable
+        np.testing.assert_array_equal(a.other, b.other)
 
     def test_large_batch_subsamples(self):
         """m is the largest value with n*m*(m-1) <= 16*15*14 triples, and at least 2."""
@@ -211,15 +211,15 @@ class TestTupleSets:
         a = TupleSets.build(20, rng=np.random.default_rng(5))
         b = TupleSets.build(20, rng=np.random.default_rng(5))
         c = TupleSets.build(20, rng=np.random.default_rng(6))
-        np.testing.assert_array_equal(a.leg_index, b.leg_index)
-        assert not np.array_equal(a.leg_index, c.leg_index)
+        np.testing.assert_array_equal(a.other, b.other)
+        assert not np.array_equal(a.other, c.other)
 
     @pytest.mark.parametrize("n", [17, 32, 128])
     def test_sampled_legs_are_distinct_other_rows(self, n):
         rng = np.random.default_rng(n)
         for _ in range(20):
             t = TupleSets.build(n, rng)
-            middle, other = (a.reshape(n, t.legs_per_middle) for a in decode_legs(t))
+            middle, other = leg_ends(t)
             assert (np.diff(other, axis=1) > 0).all()
             assert (other != middle).all()
             assert other.min() >= 0 and other.max() < n
@@ -265,7 +265,7 @@ class TestTupleSets:
             assert (n * (n - 1) * (n - 2) > TRIPLE_CAP_COUNT) == t.capped
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        assert TupleSets.build(16, rng).leg_index is TupleSets.build(16).leg_index
+        assert TupleSets.build(16, rng).other is TupleSets.build(16).other
         assert rng.bit_generator.state == state
 
 
@@ -481,12 +481,13 @@ class TestTripleCosines:
         tuples = TupleSets.build(n, rng)
         if coincident:
             coincide_first_leg(e, tuples)
-        middle, other = decode_legs(tuples)
+        middle, other = leg_ends(tuples)
         legs = e[other] - e[middle]
-        lengths = np.sqrt((legs * legs).sum(axis=1))
+        lengths = np.sqrt((legs * legs).sum(axis=2))
         k = tuples.legs_per_middle
-        long_leg = (lengths >= COINCIDENCE_EPS).reshape(n, k)
+        long_leg = lengths >= COINCIDENCE_EPS
         cells = long_leg[:, :, None] & long_leg[:, None, :] & ~np.eye(k, dtype=bool)
+        # The reference chain reads the legs as n*k flat rows.
         v, a, b = np.nonzero(cells)
         head, tail = v * k + a, v * k + b
         assert (head.size < tuples.num_triples) == coincident
@@ -499,12 +500,12 @@ class TestTripleCosines:
             return out.data, lt.grad, st.grad
 
         got = run(lambda lt, st: triple_cosines(lt, st, cells))
-        reference = run(
-            lambda lt, st: div(
-                div(reduce_sum(mul(gather(lt, head), gather(lt, tail)), axis=1), gather(st, head)),
-                gather(st, tail),
-            )
-        )
+        def chain(lt, st):
+            lt, st = reshape(lt, (n * k, 5)), reshape(st, (n * k,))
+            dots = reduce_sum(mul(gather(lt, head), gather(lt, tail)), axis=1)
+            return div(div(dots, gather(st, head)), gather(st, tail))
+
+        reference = run(chain)
         assert tuples.capped == (n > 16)
         for g, r in zip(got, reference):
             assert g.shape == r.shape
@@ -705,7 +706,7 @@ def fresh_pair_relation(student, peer, tuples, beta1):
 
     n, m = tuples.n, tuples.legs_per_middle
     pairs = [u * n + v for u, v in itertools.permutations(range(n), 2)]
-    middle, other = decode_legs(tuples)
+    middle, other = leg_ends(tuples)
 
     def potentials_and_long_legs(e):
         dist = pairwise_l2(e)
@@ -714,12 +715,13 @@ def fresh_pair_relation(student, peer, tuples, beta1):
         return pots, dist.data[middle, other] >= COINCIDENCE_EPS
 
     def cosines(e, cells):
-        legs = sub(gather(e, other), gather(e, middle))
-        lengths = sqrt(reduce_sum(mul(legs, legs), axis=1))
+        flat = sub(gather(e, other.reshape(-1)), gather(e, middle.reshape(-1)))
+        legs = reshape(flat, (n, m, e.data.shape[1]))
+        lengths = sqrt(reduce_sum(mul(legs, legs), axis=2))
         return triple_cosines(legs, lengths, cells)
 
     (pots_s, long_s), (pots_p, long_p) = map(potentials_and_long_legs, (student, peer))
-    long_leg = (long_s & long_p).reshape(n, m)
+    long_leg = long_s & long_p
     cells = long_leg[:, :, None] & long_leg[:, None, :] & ~np.eye(m, dtype=bool)
     dd = reduce_mean(huber_penalty(sub(pots_s, pots_p)))
     ad = reduce_mean(huber_penalty(sub(cosines(student, cells), cosines(peer, cells))))

@@ -3,6 +3,7 @@
 import base64
 import json
 import math
+import re
 import struct
 from dataclasses import asdict
 
@@ -239,6 +240,18 @@ class TestCheckpoint:
         edit(doc["parameters"])
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"parameter '{name}': .*{reason}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("stored", [[1.0, 2], [True, 2]], ids=["float", "bool"])
+    def test_shape_needs_json_integers(self, tmp_path, stored):
+        """1.0 and True equal 1 in Python; a shape, like the config, takes JSON integers only."""
+        path = tmp_path / "net.json"
+        save_checkpoint(init_network(NetworkConfig(1, (2,), 2, init_seed=0)), path)
+        doc = json.loads(path.read_text())
+        doc["parameters"]["w0"]["shape"] = stored
+        path.write_text(json.dumps(doc))
+        message = f"checkpoint parameter 'w0': shape {stored}, config needs [1, 2]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
