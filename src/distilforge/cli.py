@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import logging
 import os
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -60,6 +61,8 @@ def _seed_override() -> Optional[int]:
     if raw is None:
         return None
     try:
+        if not re.fullmatch(r"-?[0-9]+", raw):  # int() also takes '1_0', ' 7 ', '+7'
+            raise ValueError(raw)
         seed = int(raw)
     except ValueError:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")

@@ -100,16 +100,11 @@ class PeerNetwork:
                 f"got {features.data.shape}"
             )
         h = features
-        for i in range(len(self.config.hidden_dims)):
-            h = relu(add_bias(matmul(h, self.parameters[f"w{i}"]), self.parameters[f"b{i}"]))
-        return ForwardOutput(embedding=h, logits=self.head(h))
-
-    def head(self, embedding: Tensor) -> Tensor:
-        """Logits from embeddings: the output layer alone."""
         n_hidden = len(self.config.hidden_dims)
-        return add_bias(
-            matmul(embedding, self.parameters[f"w{n_hidden}"]), self.parameters[f"b{n_hidden}"]
-        )
+        for i in range(n_hidden):
+            h = relu(add_bias(matmul(h, self.parameters[f"w{i}"]), self.parameters[f"b{i}"]))
+        w, b = self.parameters[f"w{n_hidden}"], self.parameters[f"b{n_hidden}"]
+        return ForwardOutput(embedding=h, logits=add_bias(matmul(h, w), b))
 
     def snapshot(self) -> "PeerNetwork":
         """Frozen deep copy; later training of the source leaves it untouched."""

@@ -249,7 +249,7 @@ def _require_pair(nets) -> None:
 
 def _train_epochs(
     nets: Sequence[PeerNetwork],
-    snapshots: Optional[Sequence[PeerNetwork]],
+    teacher_logits: Optional[Sequence[np.ndarray]],
     train_ds: Dataset,
     test_ds: Dataset,
     config: TrainConfig,
@@ -267,12 +267,9 @@ def _train_epochs(
     first peer's updated outputs; in simultaneous order both step after both
     backward passes, so both losses see pre-step outputs. A peer's forward
     output, with the relation geometry `total_loss` keeps on it, is reused
-    until that peer steps. Each frozen snapshot's embedding is computed
-    once, over the whole training split, and each batch applies the
-    snapshot's output layer to its rows at the batch's own shape. This
-    relies on BLAS giving each row of a hidden layer's product the same bits
-    whichever rows share the call; OpenBLAS does not for small products such
-    as a narrow output layer at batch size (README, Determinism). Stage 2's
+    until that peer steps. `teacher_logits`, when given, holds one
+    (rows, classes) table per peer over the training split; each batch's
+    self-teacher is that table's rows at the batch's indices. Stage 2's
     shuffling continues stage 1's epoch numbers, so the batch stream never
     repeats across stages. A batch whose tuple set holds no triple logs, at
     debug level, that its angle term is skipped.
@@ -283,9 +280,6 @@ def _train_epochs(
     sequential = config.update_order == "sequential"
     velocities = [{name: np.zeros_like(p.data) for name, p in net.parameters.items()}
                   for net in nets]
-    teacher_embeddings = None
-    if weights.gamma > 0 and epochs:
-        teacher_embeddings = [s.forward(train_ds.features).embedding.data for s in snapshots]
     records: list[MetricsRecord] = []
     for epoch in range(epochs):
         lr = lr_at(epoch, config) if stage == 2 else config.lr
@@ -315,8 +309,8 @@ def _train_epochs(
                     result = total_loss(
                         forward(k),
                         forward(1 - k) if weights.beta > 0 else None,
-                        None if teacher_embeddings is None
-                        else snapshots[k].head(Tensor(teacher_embeddings[k][batch.indices])),
+                        None if teacher_logits is None
+                        else Tensor(teacher_logits[k][batch.indices]),
                         batch.one_hot_labels,
                         weights,
                         tuples,
@@ -386,14 +380,19 @@ def train_stage2(
     """Joint training under the configured variant's objective and update order.
 
     The learning rate follows `lr_at`; batch shuffling continues the stage-1
-    epoch numbering.
+    epoch numbering. With the self term active, each frozen snapshot's
+    logits over the training split are computed once and read per batch.
     """
     _require_pair(nets)
     weights, include_relation = variant_weights(config.weights, config.variant)
-    if weights.gamma > 0 and (snapshots is None or len(snapshots) != 2):
-        raise ValueError("snapshots of both peers are required when the self term is active")
+    teacher_logits = None
+    if weights.gamma > 0:
+        if snapshots is None or len(snapshots) != 2:
+            raise ValueError("snapshots of both peers are required when the self term is active")
+        if config.stage2_epochs:
+            teacher_logits = [s.forward(train_ds.features).logits.data for s in snapshots]
     return _train_epochs(
-        nets, snapshots, train_ds, test_ds, config,
+        nets, teacher_logits, train_ds, test_ds, config,
         stage=2,
         weights=weights,
         include_relation=include_relation,

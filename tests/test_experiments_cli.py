@@ -900,12 +900,13 @@ class TestCli:
         assert env_csv == (out_explicit / "rep0" / "metrics.csv").read_bytes()
         assert env_csv != (out_plain / "rep0" / "metrics.csv").read_bytes()
 
-    @pytest.mark.parametrize("value", ["abc", "-3"])
+    @pytest.mark.parametrize("value", ["abc", "-3", "1_0", " 7 ", "7\n", "+7", "\u0667"])
     def test_bad_seed_env_exits_1(self, tmp_path, monkeypatch, capsys, value):
         path = write_config(tmp_path)
         monkeypatch.setenv(cli.SEED_ENV_VAR, value)
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
-        assert "DISTILFORGE_SEED" in capsys.readouterr().err
+        reason = "non-negative, got -3" if value == "-3" else f"an integer, got {value!r}"
+        assert capsys.readouterr().err == f"error: config: DISTILFORGE_SEED must be {reason}\n"
 
     def test_verify_pass_path(self, monkeypatch, capsys):
         monkeypatch.setattr(verification, "CHECKS", [("stub_ok", lambda: None)])

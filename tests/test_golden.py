@@ -216,15 +216,17 @@ def regenerate(work: Path, check: bool = False) -> bool:
         if target.exists():
             before = old["runs"].get(name, {})
 
-            def changed(key: str, now: dict) -> int:
-                return sum(before.get(key, {}).get(c) != now[c] for c in CHECKPOINTS)
+            def changed(key: str, now: dict) -> list:
+                return [c for c in CHECKPOINTS if before.get(key, {}).get(c) != now[c]]
 
             pinned_csv = target.read_bytes()
             csv_changed |= csv != pinned_csv
+            files = changed("checkpoints", digests)
             print(f"{name}: max loss drift {max_loss_drift(csv, pinned_csv):.3e}, "
                   f"metrics.csv {'unchanged' if csv == pinned_csv else 'changed'}, "
-                  f"{changed('checkpoints', digests)} of {len(CHECKPOINTS)} checkpoint files "
-                  f"and {changed('list_form_checkpoints', list_form)} parameter sets changed")
+                  f"{len(files)} of {len(CHECKPOINTS)} checkpoint files changed"
+                  f"{' (' + ', '.join(files) + ')' if files else ''}, "
+                  f"{len(changed('list_form_checkpoints', list_form))} parameter sets changed")
         else:
             csv_changed = True
             print(f"{name}: new pin")

@@ -481,24 +481,35 @@ class TestStage2:
 
 
 class TestSelfTeacher:
-    def test_wide_snapshot_rows_match_per_batch_forwards(self):
-        """One pass over the split, then the output layer per batch, gives
-        each batch's forward logits bit for bit: 784 -> [256, 64] -> 10 at
-        batch 128, ragged last batch of 80 included."""
-        from distilforge.data import Dataset, batch_iterator
+    def test_self_teacher_rows_come_from_one_full_split_forward(self, monkeypatch):
+        """Every stage-2 loss reads its snapshot's logits at the batch's rows
+        of one forward over the whole training split, bit for bit: 24 rows at
+        batch 10, ragged last batch of 4 included."""
+        train, test = tiny_datasets()
+        nets = fresh_pair()
+        config = small_config(batch_size=10)
+        snapshots, _ = pretrain_stage1(nets, train, test, config)
+        tables = [s.forward(train.features).logits.data for s in snapshots]
+        batches, teachers = [], []
+        iterate, loss = trainer.batch_iterator, trainer.total_loss
 
-        rng = np.random.default_rng(11)
-        train = Dataset(Tensor(rng.standard_normal((2000, 784))), rng.integers(0, 10, 2000), 10)
-        snapshot = init_network(NetworkConfig(784, (256, 64), 10, init_seed=1)).snapshot()
-        embeddings = snapshot.forward(train.features).embedding.data
-        sizes = []
-        for batch in batch_iterator(train, 128, shuffle_seed=0, epoch=0):
-            sizes.append(len(batch))
-            expected = snapshot.forward(batch.features)
-            rows = embeddings[batch.indices]
-            assert np.array_equal(rows, expected.embedding.data)
-            assert np.array_equal(snapshot.head(Tensor(rows)).data, expected.logits.data)
-        assert sizes == [128] * 15 + [80]
+        def batch_iterator(*args):
+            for batch in iterate(*args):
+                batches.append(batch)
+                yield batch
+
+        def total_loss(outputs, peer_outputs, snapshot_logits, *rest):
+            teachers.append(snapshot_logits.data)
+            return loss(outputs, peer_outputs, snapshot_logits, *rest)
+
+        monkeypatch.setattr(trainer, "batch_iterator", batch_iterator)
+        monkeypatch.setattr(trainer, "total_loss", total_loss)
+        train_stage2(nets, snapshots, train, test, config)
+        assert [len(batch) for batch in batches] == [10, 10, 4] * config.stage2_epochs
+        assert len(teachers) == 2 * len(batches)
+        for i, batch in enumerate(batches):
+            for k in (0, 1):
+                assert np.array_equal(teachers[2 * i + k], tables[k][batch.indices])
 
     @pytest.mark.parametrize("stage2_epochs", [0, 2])
     def test_each_snapshot_forwards_once_per_stage(self, stage2_epochs):
