@@ -20,8 +20,11 @@ checks its result unless finite inputs cannot give a non-finite one. `relu`,
 states why); every other op can overflow, `legs` and `triple_cosines` too,
 the latter since its `lengths` is an input of its own and may be far
 shorter than the legs. A record whose inputs all are constants keeps
-neither its inputs nor its gradient rule, so evaluation forwards hold no
-references to their inputs.
+neither its inputs nor its gradient rule, so evaluation forwards, which run
+over constant views of the weights, hold no references to their inputs.
+The two-tensor rules of `sub`, `mul`, `div` and `matmul` give a constant
+operand (the input batch, a frozen weight, the peer side of a relation gap)
+`None` instead of a gradient that would be thrown away.
 """
 
 from __future__ import annotations
@@ -218,7 +221,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_shape("sub", a, b)
-    return _record(a.data - b.data, "sub", (a, b), lambda g: (g, -g))
+    rule = lambda g: (g if a.requires_grad else None, -g if b.requires_grad else None)
+    return _record(a.data - b.data, "sub", (a, b), rule)
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -228,7 +232,8 @@ def mul(a: Tensor, b) -> Tensor:
         return _record(ad * bv, "mul", (a,), lambda g: (g * bv,))
     _same_shape("mul", a, b)
     bd = b.data
-    return _record(ad * bd, "mul", (a, b), lambda g: (g * bd, g * ad))
+    rule = lambda g: (g * bd if a.requires_grad else None, g * ad if b.requires_grad else None)
+    return _record(ad * bd, "mul", (a, b), rule)
 
 
 def div(a: Tensor, b) -> Tensor:
@@ -243,21 +248,18 @@ def div(a: Tensor, b) -> Tensor:
     if bd.size and np.abs(bd).min() < DIV_GUARD:
         raise AutodiffError(f"div: divisor magnitude below {DIV_GUARD:g}")
     if bd.shape == ad.shape:
-        return _record(
-            ad / bd,
-            "div",
-            (a, b),
-            lambda g: (g / bd, -g * ad / (bd * bd)),
+        rule = lambda g: (
+            g / bd if a.requires_grad else None,
+            -g * ad / (bd * bd) if b.requires_grad else None,
         )
+        return _record(ad / bd, "div", (a, b), rule)
     if bd.size == 1:
         bv = float(bd.reshape(()))
-        bshape = bd.shape
-        return _record(
-            ad / bv,
-            "div",
-            (a, b),
-            lambda g: (g / bv, np.asarray(-(g * ad).sum() / (bv * bv)).reshape(bshape)),
+        rule = lambda g: (
+            g / bv if a.requires_grad else None,
+            np.asarray(-(g * ad).sum() / (bv * bv)).reshape(bd.shape) if b.requires_grad else None,
         )
+        return _record(ad / bv, "div", (a, b), rule)
     raise ValueError(f"div: shape mismatch {ad.shape} vs {bd.shape}")
 
 

@@ -21,7 +21,6 @@ import numpy as np
 from .autodiff import AutodiffError
 from .experiments import ConfigError, load_experiment_config, run_ablation, run_experiment
 from .trainer import TrainingDivergence
-from .verification import run_checks
 
 SEED_ENV_VAR = "DISTILFORGE_SEED"
 
@@ -104,6 +103,9 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify() -> int:
+    # Imported here: `run` and `ablate` never load the check suite.
+    from .verification import run_checks
+
     results = run_checks()
     width = max(len(r.name) for r in results)
     for r in results:

@@ -221,30 +221,32 @@ def mean_std_normalize(train: Dataset, others: Sequence[Dataset] = ()) -> list[D
 
     Returns [normalized train, normalized others...]. Standard deviations
     are population (not sample) values, floored at STD_FLOOR. Raises
-    ValueError if a normalized feature, a mean or a standard deviation is
-    not finite.
+    ValueError if a mean or a standard deviation is not finite, checked
+    before any split is standardized, or if a normalized feature is not.
+    Each standardized split is one new array; the inputs are left as they are.
     """
     x = train.features.data
     mean = x.mean(axis=0)
     std = np.maximum(x.std(axis=0), STD_FLOOR)
-
-    def apply(ds: Dataset) -> Dataset:
-        return Dataset(
-            _feature_tensor((ds.features.data - mean) / std, f"normalized {ds.name or 'dataset'}"),
-            ds.labels.copy(),
-            ds.num_classes,
-            name=ds.name,
-        )
-
-    normalized = [apply(train)] + [apply(ds) for ds in others]
-    # An infinite standard deviation alone passes the feature check above:
-    # it maps every value of its feature to 0.
+    # An infinite standard deviation alone would pass the feature check
+    # below: it maps every value of its feature to 0.
     if not (np.isfinite(mean).all() and np.isfinite(std).all()):
         raise ValueError(
             f"normalizing {train.name or 'dataset'}: a feature's mean or standard deviation "
             "is not finite"
         )
-    return normalized
+
+    def apply(ds: Dataset) -> Dataset:
+        out = ds.features.data - mean
+        out /= std
+        return Dataset(
+            _feature_tensor(out, f"normalized {ds.name or 'dataset'}"),
+            ds.labels.copy(),
+            ds.num_classes,
+            name=ds.name,
+        )
+
+    return [apply(train)] + [apply(ds) for ds in others]
 
 
 def batch_iterator(

@@ -142,7 +142,9 @@ def sgd_step(
     alone; a non-finite one raises before its parameter or velocity changes.
     A tape recorded before the step reads the new weights, so it must not be
     backpropagated afterwards: the trainer reuses a peer's forward output
-    only until that peer steps.
+    only until that peer steps. Each gradient is released (`grad = None`)
+    once its step has applied it, so a net's gradients never outlive the
+    step into the evaluations that follow.
     """
     for name, p in parameters.items():
         g = p.grad
@@ -156,6 +158,7 @@ def sgd_step(
         v += step
         np.multiply(v, lr, out=step)
         p.data -= step
+        p.grad = None
 
 
 def lr_at(epoch: int, config: TrainConfig) -> float:
@@ -165,8 +168,14 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
 
 
 def evaluate_top1(net: PeerNetwork, dataset: Dataset) -> float:
-    """Top-1 accuracy; argmax ties resolve to the lowest class index."""
-    logits = net.forward(dataset.features).logits.data
+    """Top-1 accuracy; argmax ties resolve to the lowest class index.
+
+    The split is forwarded through constant views of `net`'s weights, not
+    copies, so no record keeps its inputs: at most two activations of the
+    split are alive at once, and the logits' bits are those of `net.forward`.
+    """
+    frozen = PeerNetwork(net.config, {name: Tensor(p.data) for name, p in net.parameters.items()})
+    logits = frozen.forward(dataset.features).logits.data
     predictions = logits.argmax(axis=1)
     return float((predictions == dataset.labels).mean())
 

@@ -116,9 +116,15 @@ def _reduction_fixture():
 
 
 def _reference_stage2(nets, snapshots, train_ds, config, weights, use_self_term):
-    """Per-batch loop mirroring stage 2 with all peer coupling removed."""
+    """Per-batch loop mirroring stage 2 with all peer coupling removed.
+
+    Each batch's self-teacher rows come from one full-split forward of each
+    snapshot, as in stage 2: a per-batch forward of the snapshot is another
+    BLAS shape and may differ in the last bits.
+    """
     velocities = [{name: np.zeros_like(p.data) for name, p in net.parameters.items()}
                   for net in nets]
+    tables = [s.forward(train_ds.features).logits.data for s in snapshots]
     for epoch in range(config.stage2_epochs):
         lr = lr_at(epoch, config)
         shuffle_epoch = config.stage1_epochs + epoch
@@ -127,7 +133,7 @@ def _reference_stage2(nets, snapshots, train_ds, config, weights, use_self_term)
                 logits = nets[k].forward(batch.features).logits
                 loss = mul(cross_entropy(logits, batch.one_hot_labels), weights.alpha)
                 if use_self_term:
-                    snap_logits = snapshots[k].forward(batch.features).logits
+                    snap_logits = Tensor(tables[k][batch.indices])
                     self_term = kl_softened(logits, snap_logits, weights.temperature)
                     loss = add(loss, mul(self_term, weights.gamma))
                 nets[k].zero_grads()
@@ -137,33 +143,41 @@ def _reference_stage2(nets, snapshots, train_ds, config, weights, use_self_term)
                 )
 
 
-def _fresh_reduction_pair():
+def _fresh_reduction_pair(hidden):
     return [
-        init_network(NetworkConfig(2, (8, 4), 3, init_seed=60)),
-        init_network(NetworkConfig(2, (8, 4), 3, init_seed=61)),
+        init_network(NetworkConfig(2, hidden, 3, init_seed=60)),
+        init_network(NetworkConfig(2, hidden, 3, init_seed=61)),
     ]
 
 
 @pytest.mark.parametrize(
-    "weights, use_self_term, label",
+    "weights, use_self_term, hidden, batch_size, label",
     [
-        (LossWeights(alpha=1.0, beta=0.0, gamma=0.0), False, "independent cross-entropy"),
-        (LossWeights(alpha=0.4, beta=0.0, gamma=0.6), True, "self-distillation only"),
+        (LossWeights(alpha=1.0, beta=0.0, gamma=0.0), False, (8, 4), 8,
+         "independent cross-entropy"),
+        (LossWeights(alpha=0.4, beta=0.0, gamma=0.6), True, (8, 4), 8,
+         "self-distillation only"),
+        # The demo widths at batch 17, where a per-batch snapshot forward and
+        # the full-split one differ in the last bits.
+        (LossWeights(alpha=0.4, beta=0.0, gamma=0.6), True, (32, 16), 17,
+         "self-distillation only, demo widths at batch 17"),
     ],
-    ids=["beta_gamma_zero", "beta_zero"],
+    ids=["beta_gamma_zero", "beta_zero", "beta_zero_demo_b17"],
 )
-def test_criterion_5_degenerate_weight_reductions(weights, use_self_term, label):
+def test_criterion_5_degenerate_weight_reductions(
+    weights, use_self_term, hidden, batch_size, label
+):
     """Zeroed weights reproduce the simpler scheme bit-for-bit over 3 epochs."""
     train, test = _reduction_fixture()
     for horizon in (1, 2, 3):
         config = TrainConfig(
-            stage1_epochs=1, stage2_epochs=horizon, batch_size=8, lr=0.05,
+            stage1_epochs=1, stage2_epochs=horizon, batch_size=batch_size, lr=0.05,
             lr_milestones=(), momentum=0.9, weight_decay=5e-4, seed=3,
             weights=weights, variant="A",
         )
-        trained = train_pair(_fresh_reduction_pair(), train, test, config)
+        trained = train_pair(_fresh_reduction_pair(hidden), train, test, config)
 
-        reference = _fresh_reduction_pair()
+        reference = _fresh_reduction_pair(hidden)
         snapshots, _ = pretrain_stage1(reference, train, test, config)
         _reference_stage2(reference, snapshots, train, config, weights, use_self_term)
 

@@ -135,6 +135,31 @@ class TestMatmul:
             assert np.array_equal(grad_a, g @ b.data.T)
             assert np.array_equal(a.grad, g @ b.data.T)
 
+
+class TestConstantOperandGating:
+    """The two-tensor rules of sub, mul and div give a constant operand None."""
+
+    RULES = {
+        "sub": (sub, (3, 2)),
+        "mul": (mul, (3, 2)),
+        "div": (div, (3, 2)),
+        "div_by_size_one": (div, (1,)),
+    }
+
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    @pytest.mark.parametrize("constant", [0, 1], ids=["a", "b"])
+    def test_constant_operand_gets_none(self, rule, constant):
+        op, shape_b = self.RULES[rule]
+        rng = np.random.default_rng(11)
+        a_data, b_data = rng.uniform(1.0, 2.0, (3, 2)), rng.uniform(1.0, 2.0, shape_b)
+        g = rng.uniform(-1.0, 1.0, (3, 2))
+        a = Tensor(a_data, requires_grad=constant != 0)
+        b = Tensor(b_data, requires_grad=constant != 1)
+        gated = op(a, b)._rule(g)
+        tracked = op(Tensor(a_data, requires_grad=True), Tensor(b_data, requires_grad=True))
+        assert gated[constant] is None
+        assert np.array_equal(gated[1 - constant], tracked._rule(g)[1 - constant])
+
 class TestReductions:
     def test_values(self):
         x = Tensor([[1.0, 2.0], [3.0, 4.0]])

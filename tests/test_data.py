@@ -200,6 +200,27 @@ class TestNormalize:
         with pytest.raises(ValueError, match="normalizing wide: .* not finite"):
             mean_std_normalize(train)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_overflowing_mean_rejected_before_standardizing(self):
+        # The column sum overflows, so the mean is inf: the statistics line,
+        # not the normalized-feature line of a full-size pass.
+        features = np.array([[1e308, 1.0], [1e308, 2.0]])
+        train = Dataset(Tensor(features), np.array([0, 1]), 2, name="huge")
+        with pytest.raises(
+            ValueError,
+            match="^normalizing huge: a feature's mean or standard deviation is not finite$",
+        ):
+            mean_std_normalize(train)
+
+    def test_inputs_left_unchanged(self):
+        train = synth_blobs(3, 10, 3, 1.5, seed=6)
+        test = synth_blobs(3, 4, 3, 1.5, seed=7)
+        before = [train.features.data.copy(), test.features.data.copy()]
+        ntrain, ntest = mean_std_normalize(train, [test])
+        for ds, norm, raw in zip((train, test), (ntrain, ntest), before):
+            assert np.array_equal(ds.features.data, raw)
+            assert not np.shares_memory(norm.features.data, ds.features.data)
+
     def test_labels_and_metadata_survive(self):
         ds = synth_blobs(2, 3, 2, 0.5, seed=5)
         (norm,) = mean_std_normalize(ds)

@@ -283,11 +283,13 @@ class TestBuildDatasets:
     def test_features_that_overflow_when_normalized_rejected(self, tmp_path):
         train_path = tmp_path / "train.csv"
         test_path = tmp_path / "test.csv"
-        train_path.write_text("f0,y\n1.7e308,0\n1.7e308,1\n-1.7e308,0\n")
-        test_path.write_text("f0,y\n0.0,1\n")
+        # Finite training statistics (mean 1, std floored at 1e-8) that blow
+        # a test feature past the float range: (1e301 - 1) / 1e-8.
+        train_path.write_text("f0,y\n1.0,0\n1.0,1\n1.0,0\n")
+        test_path.write_text("f0,y\n1e301,1\n")
         source = CsvSource(train=str(train_path), test=str(test_path))
         with np.errstate(all="ignore"), pytest.raises(
-            ConfigError, match="dataset: normalized train: features hold non-finite values"
+            ConfigError, match="dataset: normalized test: features hold non-finite values"
         ):
             build_datasets(source)
 
