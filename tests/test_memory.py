@@ -1,4 +1,4 @@
-"""Peak memory of the phases that touch a whole split, measured with tracemalloc.
+"""Peak memory of the phases that touch a whole split or parameter, by tracemalloc.
 
 numpy reports its array buffers to tracemalloc, so a traced peak counts every
 float64 array a phase holds at once. Each bound sits between what the phase
@@ -13,7 +13,8 @@ import pytest
 from distilforge.autodiff import Tensor
 from distilforge.data import Dataset, mean_std_normalize
 from distilforge.models import NetworkConfig, init_network
-from distilforge.trainer import TrainConfig, evaluate_top1, train_pair
+from distilforge import trainer
+from distilforge.trainer import TrainConfig, evaluate_top1, sgd_step, train_pair
 
 ROWS, TEST_ROWS, DIM, WIDE = 2000, 500, 64, 256
 
@@ -59,6 +60,19 @@ def test_standardization_builds_each_split_once():
     ratio = _traced_peak(lambda: mean_std_normalize(train, [test])) / features
     print(f"mean_std_normalize peak: {ratio:.2f}x the bytes of both splits")
     assert ratio <= 1.25
+
+
+def test_sgd_step_holds_at_most_about_a_block_of_scratch():
+    rng = np.random.default_rng(8)
+    p = Tensor(rng.standard_normal((784, 256)), requires_grad=True)
+    velocity = np.zeros_like(p.data)
+    p.grad = rng.standard_normal(p.data.shape)
+    block = trainer._SGD_BLOCK * 8
+    peak = _traced_peak(lambda: sgd_step({"w": p}, {"w": velocity}, 0.1, 0.9, 5e-4))
+    print(f"sgd_step peak: {peak / block:.2f} blocks, {peak / p.data.nbytes:.3f} of the parameter")
+    # The finiteness check's boolean mask (one byte per element, 1.58
+    # blocks here) is freed before the one-block scratch is made.
+    assert peak <= 2 * block
 
 
 @pytest.mark.parametrize("update_order", ["sequential", "simultaneous"])

@@ -13,9 +13,10 @@ simultaneous batch (one per relation call) and three per sequential one
 Variant D at batch 17 has no relation term and must leave every relation
 layer idle, as the `wide_idx` workload does; its forward, `matmul` and
 log-softmax call counts are pinned by formula, so a frozen snapshot
-forwarded or partly forwarded per batch, or a KL teacher put back on the
-tape, fails here. The self-teacher's logits table holds constants that never
-reach a tape.
+forwarded or partly forwarded per batch, a snapshot forwarded again after
+stage 1's last train-split evaluation (whose logits are its self-teacher
+table), or a KL teacher put back on the tape, fails here. The
+self-teacher's logits table holds constants that never reach a tape.
 Each run's `autodiff.tape_nodes`, the records summed over every backward
 tape, is pinned too: a record of constants that lands on a tape, or a
 record that goes missing, changes it. A student side's legs are one `legs`
@@ -101,15 +102,15 @@ def test_traced_variant_d_run_keeps_the_relation_layers_idle(tmp_path):
     assert run.layer_activity_errors(traced, contract) == []
 
     # Forward passes: one per net per stage-1 batch; three per sequential
-    # stage-2 batch (net1, net2, then net1 again after its step); one per
-    # frozen snapshot per stage 2, whose logits every batch then reads;
-    # train and test evaluation per net per epoch; the final test
-    # evaluation per net. The demo nets have 3 layers, one `matmul` each.
+    # stage-2 batch (net1, net2, then net1 again after its step); train and
+    # test evaluation per net per epoch; the final test evaluation per net.
+    # Stage 1 ran, so no frozen snapshot is forwarded: each self-teacher
+    # table is the logits of stage 1's last train-split evaluation. The
+    # demo nets have 3 layers, one `matmul` each.
     trace = traced.result["trace"]
     calls = collections.Counter(trace["names"][span[0]] for span in trace["spans"])
     batches, epochs1, epochs2, layers = math.ceil(18 / 17), 1, 1, 3
-    forwards = (2 * batches * epochs1 + 3 * batches * epochs2 + 2
-                + 2 * 2 * (epochs1 + epochs2) + 2)
+    forwards = 2 * batches * epochs1 + 3 * batches * epochs2 + 2 * 2 * (epochs1 + epochs2) + 2
     assert calls["models.forward"] == forwards, calls
     assert calls["autodiff.op.matmul"] == layers * forwards, calls
     # One loss per net per batch. Each takes a log-softmax for its CE term,

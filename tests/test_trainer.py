@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from distilforge import trainer
 from distilforge.autodiff import Tensor
-from distilforge.data import synth_blobs, mean_std_normalize
+from distilforge.data import Dataset, synth_blobs, mean_std_normalize
 from distilforge.losses import LossWeights
 from distilforge.models import NetworkConfig, PeerNetwork, init_network
 from distilforge.trainer import (
@@ -222,6 +222,52 @@ class TestSgdStep:
         assert params["b0"].data.tolist() == [3.0]
         assert velocities["b0"].tolist() == [0.25]
 
+    def test_blocked_update_has_the_out_of_place_bits(self):
+        """Parameters of several blocks with a ragged tail, and a transposed
+        one, step with the out-of-place formula's bits, gradient-free steps
+        included."""
+        block = trainer._SGD_BLOCK
+        rng = np.random.default_rng(11)
+        lr, momentum, wd = 0.05, 0.9, 5e-4
+        data = {
+            "w0": rng.standard_normal((784, 256)),
+            "w1": rng.standard_normal(block + 1),
+            "w2": rng.standard_normal((300, 200)).T,
+            "b0": rng.standard_normal(256),
+        }
+        params = {n: Tensor(d.copy() if n != "w2" else d, requires_grad=True)
+                  for n, d in data.items()}
+        velocities = {n: np.zeros_like(p.data) for n, p in params.items()}
+        arrays = {n: p.data for n, p in params.items()}
+        ref_w = {n: d.copy() for n, d in data.items()}
+        ref_v = {n: np.zeros(d.shape) for n, d in data.items()}
+        for step in range(4):
+            for n, p in params.items():
+                p.grad = None if (n, step) in {("w0", 1), ("w1", 2)} else rng.standard_normal(p.data.shape)
+            grads = {n: p.grad for n, p in params.items()}
+            sgd_step(params, velocities, lr, momentum, wd)
+            for n, p in params.items():
+                g = np.zeros(p.data.shape) if grads[n] is None else grads[n]
+                g = g + wd * ref_w[n]
+                ref_v[n] = momentum * ref_v[n] + g
+                ref_w[n] = ref_w[n] - lr * ref_v[n]
+                assert p.data is arrays[n] and p.grad is None
+                assert np.array_equal(p.data, ref_w[n]), (n, step)
+                assert np.array_equal(velocities[n], ref_v[n]), (n, step)
+
+    def test_non_finite_gradient_in_the_last_block_leaves_its_parameter(self):
+        rng = np.random.default_rng(12)
+        shape = (trainer._SGD_BLOCK * 3 + 5,)
+        p = Tensor(rng.standard_normal(shape), requires_grad=True)
+        velocity = rng.standard_normal(shape)
+        before_w, before_v = p.data.copy(), velocity.copy()
+        p.grad = rng.standard_normal(shape)
+        p.grad[-1] = float("nan")
+        with pytest.raises(TrainingDivergence, match="'w0'"):
+            sgd_step({"w0": p}, {"w0": velocity}, lr=0.1, momentum=0.9, weight_decay=0.1)
+        assert np.array_equal(p.data, before_w)
+        assert np.array_equal(velocity, before_v)
+
 
 class TestLrSchedule:
     def test_piecewise_constant_decay(self):
@@ -349,6 +395,15 @@ class TestStage1:
             np.testing.assert_array_equal(
                 nets[0].parameters[name].data, nets[1].parameters[name].data
             )
+
+    def test_divergence_in_evaluation_names_stage_and_epoch(self):
+        # One batch per epoch; the step at lr 1e308 leaves finite weights
+        # whose epoch-end evaluation overflows.
+        train, test = tiny_datasets()
+        config = small_config(batch_size=64, lr=1e308, momentum=0.0)
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDivergence, match="^stage 1 epoch 0: "):
+                pretrain_stage1(fresh_pair(), train, test, config)
 
     def test_requires_two_networks(self):
         train, test = tiny_datasets()
@@ -512,19 +567,70 @@ class TestSelfTeacher:
                 assert np.array_equal(teachers[2 * i + k], tables[k][batch.indices])
 
     @pytest.mark.parametrize("stage2_epochs", [0, 2])
-    def test_each_snapshot_forwards_once_per_stage(self, stage2_epochs):
+    def test_each_snapshot_forwards_once_per_stage(self, stage2_epochs, monkeypatch):
+        """A snapshot is forwarded once by a stage 2 that has no table for it
+        (a direct call, or `train_pair` after zero stage-1 epochs) and never
+        by `train_pair` after a stage 1 of at least one epoch."""
         train, test = tiny_datasets()
-        nets = fresh_pair()
-        config = small_config(stage2_epochs=stage2_epochs)
-        snapshots, _ = pretrain_stage1(nets, train, test, config)
-        calls = [0, 0]
-        for k, snapshot in enumerate(snapshots):
-            def counted(features, k=k, forward=snapshot.forward):
+        calls = []
+        snapshot = PeerNetwork.snapshot
+
+        def counted_snapshot(net):
+            frozen = snapshot(net)
+            k = len(calls)
+            calls.append(0)
+
+            def counted(features, forward=frozen.forward):
                 calls[k] += 1
                 return forward(features)
-            snapshot.forward = counted
+
+            frozen.forward = counted
+            return frozen
+
+        monkeypatch.setattr(PeerNetwork, "snapshot", counted_snapshot)
+        once = min(stage2_epochs, 1)
+        config = small_config(stage2_epochs=stage2_epochs)
+        nets = fresh_pair()
+        snapshots, _ = pretrain_stage1(nets, train, test, config)
         train_stage2(nets, snapshots, train, test, config)
-        assert calls == [min(stage2_epochs, 1)] * 2
+        assert calls == [once] * 2
+        calls.clear()
+        train_pair(fresh_pair(), train, test, config)
+        assert calls == [0] * 2
+        calls.clear()
+        train_pair(fresh_pair(), train, test, small_config(stage1_epochs=0, stage2_epochs=stage2_epochs))
+        assert calls == [once] * 2
+
+    @pytest.mark.parametrize("widths", [(2, (8, 4), 3), (64, (256, 64), 10)])
+    def test_train_pair_tables_are_the_snapshots_logits(self, widths, monkeypatch):
+        """The tables `train_pair` hands to stage 2 are bit-equal to one
+        forward of each snapshot over the training split."""
+        dim, hidden, classes = widths
+        rng = np.random.default_rng(13)
+        train = Dataset(Tensor(rng.standard_normal((150, dim))), rng.integers(0, classes, 150), classes)
+        test = Dataset(Tensor(rng.standard_normal((20, dim))), rng.integers(0, classes, 20), classes)
+        nets = [init_network(NetworkConfig(dim, hidden, classes, init_seed=s)) for s in (1, 2)]
+        seen = []
+        stage2 = trainer.train_stage2
+
+        def spy(*args, teacher_logits=None, **kwargs):
+            seen.append(teacher_logits)
+            return stage2(*args, teacher_logits=teacher_logits, **kwargs)
+
+        monkeypatch.setattr(trainer, "train_stage2", spy)
+        result = train_pair(nets, train, test, small_config(batch_size=64, stage2_epochs=1))
+        [tables] = seen
+        assert len(tables) == 2
+        for table, snapshot in zip(tables, result.snapshots):
+            assert np.array_equal(table, snapshot.forward(train.features).logits.data)
+
+    def test_table_shapes_are_checked(self):
+        train, test = tiny_datasets()
+        nets = fresh_pair()
+        snapshots = [net.snapshot() for net in nets]
+        with pytest.raises(ValueError, match="teacher_logits"):
+            train_stage2(nets, snapshots, train, test, small_config(),
+                         teacher_logits=[np.zeros((len(train) - 1, 3))] * 2)
 
 
 class TestTrainPair:
