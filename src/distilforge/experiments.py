@@ -336,10 +336,14 @@ def _run_repetitions(
         ]
         result = train_pair(nets, train_ds, test_ds, train_config)
         (rep_dir / "metrics.csv").write_text(metrics_to_csv(result.records))
+        # The last epoch's records hold each final net's test accuracy.
+        last = result.records[-2:]
         for k in (0, 1):
             save_checkpoint(result.snapshots[k], rep_dir / f"net{k + 1}_stage1.json")
             save_checkpoint(result.nets[k], rep_dir / f"net{k + 1}_stage2.json")
-            finals[f"net{k + 1}"].append(evaluate_top1(result.nets[k], test_ds))
+            finals[f"net{k + 1}"].append(
+                last[k].test_top1 if last else evaluate_top1(result.nets[k], test_ds)[0]
+            )
 
     summary = {
         "seed_repetitions": config.seed_repetitions,

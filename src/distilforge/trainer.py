@@ -1,14 +1,14 @@
 """Two-stage collaborative training of a pair of peer networks.
 
-Stage 1 trains each peer independently with plain cross-entropy and freezes
-a snapshot of each as its self-teacher. Stage 2 trains the peers jointly:
-for every batch each network minimizes a weighted sum of cross-entropy,
-a mutual term against the other peer (response KL plus distance/angle
-relation penalties, peer side held constant) and a softened KL against its
-own frozen snapshot, whose logits over the training split are one table
-kept from stage 1's last evaluation of that split. Updates are plain SGD
-with momentum and weight decay under a step-drop learning-rate schedule,
-applied to large parameters in cache-sized blocks.
+Stage 1 trains each peer independently with plain cross-entropy, freezes a
+snapshot of each as its self-teacher and returns the snapshot's logits over
+the training split as one table, kept from its last evaluation of that
+split. Stage 2 takes those tables and trains the peers jointly: for every
+batch each network minimizes a weighted sum of cross-entropy, a mutual term
+against the other peer (response KL plus distance/angle relation penalties,
+peer side held constant) and a softened KL against its own table's rows.
+Updates are plain SGD with momentum and weight decay under a step-drop
+learning-rate schedule, applied to large parameters in cache-sized blocks.
 
 Everything is deterministic: identical configs, datasets and seeds replay
 bit-identical parameter and metric trajectories on the same platform.
@@ -200,20 +200,16 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
     return config.lr * config.lr_factor ** drops
 
 
-def evaluate_top1(
-    net: PeerNetwork, dataset: Dataset, return_logits: bool = False
-) -> float | tuple[float, np.ndarray]:
-    """Top-1 accuracy; argmax ties resolve to the lowest class index.
+def evaluate_top1(net: PeerNetwork, dataset: Dataset) -> tuple[float, np.ndarray]:
+    """Top-1 accuracy and the split's logits; argmax ties resolve to the lowest class.
 
     The split is forwarded through constant views of `net`'s weights, not
     copies, so no record keeps its inputs: at most two activations of the
     split are alive at once, and the logits' bits are those of `net.forward`.
-    With `return_logits`, returns (accuracy, the split's logits array).
     """
     frozen = PeerNetwork(net.config, {name: Tensor(p.data) for name, p in net.parameters.items()})
     logits = frozen.forward(dataset.features).logits.data
-    top1 = float((logits.argmax(axis=1) == dataset.labels).mean())
-    return (top1, logits) if return_logits else top1
+    return float((logits.argmax(axis=1) == dataset.labels).mean()), logits
 
 
 @dataclass
@@ -301,8 +297,7 @@ def _train_epochs(
     stage: int,
     weights: LossWeights,
     include_relation: bool,
-    train_logits: Optional[list] = None,
-) -> list[MetricsRecord]:
+) -> tuple[list[MetricsRecord], Optional[list[np.ndarray]]]:
     """The stage's epochs, training both peers on `weights`' objective.
 
     Stage 1 runs `stage1_epochs` epochs at the constant `lr`; stage 2 runs
@@ -318,10 +313,12 @@ def _train_epochs(
     self-teacher is that table's rows at the batch's indices. Stage 2's
     shuffling continues stage 1's epoch numbers, so the batch stream never
     repeats across stages. A batch whose tuple set holds no triple logs, at
-    debug level, that its angle term is skipped. `train_logits`, when given,
-    receives each peer's logits over the training split from the last
-    epoch's evaluation. Divergence in an epoch's batches or its evaluation
-    raises `TrainingDivergence` naming the stage and epoch.
+    debug level, that its angle term is skipped. Divergence in an epoch's
+    batches or its evaluation raises `TrainingDivergence` naming the stage
+    and epoch.
+
+    Returns (records, each peer's logits over the training split from the
+    last epoch's evaluation); the logits are None when no epoch ran.
     """
     epochs = config.stage2_epochs if stage == 2 else config.stage1_epochs
     epoch_offset = config.stage1_epochs if stage == 2 else 0
@@ -330,11 +327,11 @@ def _train_epochs(
     velocities = [{name: np.zeros_like(p.data) for name, p in net.parameters.items()}
                   for net in nets]
     records: list[MetricsRecord] = []
+    epoch_logits = None
     for epoch in range(epochs):
         lr = lr_at(epoch, config) if stage == 2 else config.lr
         shuffle_epoch = epoch_offset + epoch
         stats = [_EpochStats(), _EpochStats()]
-        keep = train_logits if epoch == epochs - 1 else None
         try:
             batches = batch_iterator(train_ds, config.batch_size, config.seed, shuffle_epoch)
             for batch_index, batch in enumerate(batches):
@@ -373,12 +370,10 @@ def _train_epochs(
                             sgd_step(nets[j].parameters, velocities[j], lr, config.momentum,
                                      config.weight_decay)
                             outputs[j] = None
+            # Drop the previous epoch's logits first, so no evaluation runs beside them.
+            epoch_logits = [None, None]
             for k in (0, 1):
-                if keep is None:
-                    train_top1 = evaluate_top1(nets[k], train_ds)
-                else:
-                    train_top1, logits = evaluate_top1(nets[k], train_ds, return_logits=True)
-                    keep.append(logits)
+                train_top1, epoch_logits[k] = evaluate_top1(nets[k], train_ds)
                 records.append(
                     stats[k].record(
                         epoch=epoch,
@@ -386,12 +381,12 @@ def _train_epochs(
                         net=k + 1,
                         lr=lr,
                         train_top1=train_top1,
-                        test_top1=evaluate_top1(nets[k], test_ds),
+                        test_top1=evaluate_top1(nets[k], test_ds)[0],
                     )
                 )
         except AutodiffError as exc:
             raise TrainingDivergence(f"stage {stage} epoch {epoch}: {exc}") from exc
-    return records
+    return records, epoch_logits
 
 
 def pretrain_stage1(
@@ -399,25 +394,22 @@ def pretrain_stage1(
     train_ds: Dataset,
     test_ds: Dataset,
     config: TrainConfig,
-    *,
-    teacher_logits: Optional[list] = None,
-) -> tuple[list[PeerNetwork], list[MetricsRecord]]:
+) -> tuple[list[PeerNetwork], list[np.ndarray], list[MetricsRecord]]:
     """Independent cross-entropy training of both peers, then freeze snapshots.
 
     Both peers see the same batch sequence; they differ only through their
-    initialization. Returns (frozen snapshots, per-epoch metric records).
-    `teacher_logits`, when given, receives each snapshot's logits over
-    `train_ds`: the last epoch's train-split evaluation forwards the
-    snapshot's weights, so these are the bits `snapshot.forward` gives. It
-    stays empty when stage 1 runs no epoch.
+    initialization. Returns (frozen snapshots, each snapshot's logits table
+    over `train_ds`, per-epoch metric records). The tables are the last
+    epoch's train-split evaluation, which forwards the snapshot's weights,
+    so they are the bits `snapshot.forward` gives; only a stage 1 of zero
+    epochs forwards each snapshot for them.
     """
     _require_pair(nets)
-    records = _train_epochs(
+    records, tables = _train_epochs(
         nets, None, train_ds, test_ds, config,
         stage=1,
         weights=LossWeights(alpha=1.0, beta=0.0, gamma=0.0),
         include_relation=False,
-        train_logits=teacher_logits,
     )
     if records:
         first = [r.loss_ce for r in records[:2]]
@@ -429,44 +421,41 @@ def pretrain_stage1(
         if any(f >= s for f, s in zip(final, first)) and config.stage1_epochs > 1:
             logger.warning("stage 1 cross-entropy did not decrease within its epoch budget")
     snapshots = [net.snapshot() for net in nets]
-    return snapshots, records
+    if tables is None:
+        tables = [s.forward(train_ds.features).logits.data for s in snapshots]
+    return snapshots, tables, records
 
 
 def train_stage2(
     nets: Sequence[PeerNetwork],
-    snapshots: Optional[Sequence[PeerNetwork]],
+    teacher_logits: Optional[Sequence[np.ndarray]],
     train_ds: Dataset,
     test_ds: Dataset,
     config: TrainConfig,
-    *,
-    teacher_logits: Optional[Sequence[np.ndarray]] = None,
 ) -> list[MetricsRecord]:
     """Joint training under the configured variant's objective and update order.
 
     The learning rate follows `lr_at`; batch shuffling continues the stage-1
-    epoch numbering. With the self term active, each frozen snapshot's
-    logits over the training split form one table that every batch reads:
-    `teacher_logits` when given (the tables `pretrain_stage1` fills), else
-    one forward of each snapshot.
+    epoch numbering. With the self term active, `teacher_logits` holds each
+    peer's frozen snapshot's logits over the training split, one
+    (rows, classes) table per peer as `pretrain_stage1` returns them, and
+    every batch reads the rows at its indices. Without the self term
+    (variant B, or `gamma` 0) they are ignored and may be None.
     """
     _require_pair(nets)
     weights, include_relation = variant_weights(config.weights, config.variant)
-    tables = None
-    if weights.gamma > 0:
-        if snapshots is None or len(snapshots) != 2:
-            raise ValueError("snapshots of both peers are required when the self term is active")
-        if teacher_logits is not None and [t.shape for t in teacher_logits] != [
-            (len(train_ds), s.config.num_classes) for s in snapshots
-        ]:
-            raise ValueError("teacher_logits must hold one (rows, classes) table per snapshot")
-        if config.stage2_epochs:
-            tables = teacher_logits or [s.forward(train_ds.features).logits.data for s in snapshots]
+    if weights.gamma <= 0:
+        teacher_logits = None
+    elif teacher_logits is None or [np.shape(t) for t in teacher_logits] != [
+        (len(train_ds), net.config.num_classes) for net in nets
+    ]:
+        raise ValueError("the self term needs one (rows, classes) teacher_logits table per peer")
     return _train_epochs(
-        nets, tables, train_ds, test_ds, config,
+        nets, teacher_logits, train_ds, test_ds, config,
         stage=2,
         weights=weights,
         include_relation=include_relation,
-    )
+    )[0]
 
 
 @dataclass
@@ -484,17 +473,7 @@ def train_pair(
     test_ds: Dataset,
     config: TrainConfig,
 ) -> TrainResult:
-    """Run stage 1 then stage 2 and collect all metric records.
-
-    With the self term active, stage 2's self-teacher tables are the logits
-    of stage 1's last train-split evaluation, so no snapshot is forwarded
-    again.
-    """
-    tables = [] if variant_weights(config.weights, config.variant)[0].gamma > 0 else None
-    snapshots, stage1_records = pretrain_stage1(
-        nets, train_ds, test_ds, config, teacher_logits=tables
-    )
-    stage2_records = train_stage2(
-        nets, snapshots, train_ds, test_ds, config, teacher_logits=tables or None
-    )
+    """Run stage 1 then stage 2, with stage 1's tables as the self-teachers."""
+    snapshots, tables, stage1_records = pretrain_stage1(nets, train_ds, test_ds, config)
+    stage2_records = train_stage2(nets, tables, train_ds, test_ds, config)
     return TrainResult(nets=list(nets), snapshots=snapshots, records=stage1_records + stage2_records)

@@ -115,16 +115,15 @@ def _reduction_fixture():
     return train, test
 
 
-def _reference_stage2(nets, snapshots, train_ds, config, weights, use_self_term):
+def _reference_stage2(nets, tables, train_ds, config, weights, use_self_term):
     """Per-batch loop mirroring stage 2 with all peer coupling removed.
 
-    Each batch's self-teacher rows come from one full-split forward of each
-    snapshot, as in stage 2: a per-batch forward of the snapshot is another
-    BLAS shape and may differ in the last bits.
+    Each batch's self-teacher rows come from the snapshot's full-split logits
+    table that `pretrain_stage1` returns, as in stage 2: a per-batch forward
+    of the snapshot is another BLAS shape and may differ in the last bits.
     """
     velocities = [{name: np.zeros_like(p.data) for name, p in net.parameters.items()}
                   for net in nets]
-    tables = [s.forward(train_ds.features).logits.data for s in snapshots]
     for epoch in range(config.stage2_epochs):
         lr = lr_at(epoch, config)
         shuffle_epoch = config.stage1_epochs + epoch
@@ -178,8 +177,8 @@ def test_criterion_5_degenerate_weight_reductions(
         trained = train_pair(_fresh_reduction_pair(hidden), train, test, config)
 
         reference = _fresh_reduction_pair(hidden)
-        snapshots, _ = pretrain_stage1(reference, train, test, config)
-        _reference_stage2(reference, snapshots, train, config, weights, use_self_term)
+        _, tables, _ = pretrain_stage1(reference, train, test, config)
+        _reference_stage2(reference, tables, train, config, weights, use_self_term)
 
         for net_t, net_r in zip(trained.nets, reference):
             for name in net_t.parameters:

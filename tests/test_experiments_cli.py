@@ -1,6 +1,7 @@
 """Experiment configs, orchestration outputs, and the command line."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import shutil
@@ -23,6 +24,7 @@ from distilforge.experiments import (
     run_ablation,
     run_experiment,
 )
+from distilforge.models import init_network
 from distilforge.trainer import CSV_HEADER
 from distilforge.verification import VerificationFailure
 
@@ -347,6 +349,47 @@ class TestRunExperiment:
         values = summary["final_test_top1"]["net2"]
         assert summary["mean_test_top1"]["net2"] == pytest.approx(np.mean(values))
         assert summary["stddev_test_top1"]["net2"] == pytest.approx(np.std(values, ddof=0))
+
+    @pytest.mark.parametrize("stage1_epochs, stage2_epochs", [(1, 2), (2, 0), (0, 0)])
+    def test_final_accuracy_is_not_evaluated_again(
+        self, tmp_path, monkeypatch, stage1_epochs, stage2_epochs
+    ):
+        """Each final net's test accuracy in the summary is its last record's;
+        only a run of no epoch at all evaluates the (initial) nets itself."""
+        doc = base_config_dict(seed_repetitions=2)
+        doc["train"].update(stage1_epochs=stage1_epochs, stage2_epochs=stage2_epochs)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        config = load_experiment_config(path)
+        train_pair, evaluate_top1 = experiments.train_pair, experiments.evaluate_top1
+        trained, evaluated = [], []
+
+        def spy_train_pair(*args):
+            trained.append(train_pair(*args))
+            return trained[-1]
+
+        def spy_evaluate_top1(net, dataset):
+            evaluated.append(net)
+            return evaluate_top1(net, dataset)
+
+        monkeypatch.setattr(experiments, "train_pair", spy_train_pair)
+        monkeypatch.setattr(experiments, "evaluate_top1", spy_evaluate_top1)
+        summary = run_experiment(config, out_dir=tmp_path / "out")
+        assert len(trained) == 2
+        if stage1_epochs or stage2_epochs:
+            assert evaluated == []
+        else:
+            assert evaluated == [net for result in trained for net in result.nets]
+        _, test = build_datasets(config.dataset)
+        for k, network in enumerate((config.network1, config.network2)):
+            finals = summary["final_test_top1"][f"net{k + 1}"]
+            assert finals == [evaluate_top1(result.nets[k], test)[0] for result in trained]
+            if not (stage1_epochs or stage2_epochs):
+                initial = [
+                    init_network(dataclasses.replace(network, init_seed=network.init_seed + rep))
+                    for rep in (0, 1)
+                ]
+                assert finals == [evaluate_top1(net, test)[0] for net in initial]
 
     def test_metrics_csv_shape(self, tmp_path):
         config = load_experiment_config(write_config(tmp_path))

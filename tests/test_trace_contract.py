@@ -103,14 +103,15 @@ def test_traced_variant_d_run_keeps_the_relation_layers_idle(tmp_path):
 
     # Forward passes: one per net per stage-1 batch; three per sequential
     # stage-2 batch (net1, net2, then net1 again after its step); train and
-    # test evaluation per net per epoch; the final test evaluation per net.
+    # test evaluation per net per epoch. The summary reads each final net's
+    # test accuracy from its last record, so no net is evaluated again.
     # Stage 1 ran, so no frozen snapshot is forwarded: each self-teacher
     # table is the logits of stage 1's last train-split evaluation. The
     # demo nets have 3 layers, one `matmul` each.
     trace = traced.result["trace"]
     calls = collections.Counter(trace["names"][span[0]] for span in trace["spans"])
     batches, epochs1, epochs2, layers = math.ceil(18 / 17), 1, 1, 3
-    forwards = 2 * batches * epochs1 + 3 * batches * epochs2 + 2 * 2 * (epochs1 + epochs2) + 2
+    forwards = 2 * batches * epochs1 + 3 * batches * epochs2 + 2 * 2 * (epochs1 + epochs2)
     assert calls["models.forward"] == forwards, calls
     assert calls["autodiff.op.matmul"] == layers * forwards, calls
     # One loss per net per batch. Each takes a log-softmax for its CE term,

@@ -293,7 +293,9 @@ class TestEvaluateTop1:
         features = np.array([[5.0, 1.0], [1.0, 5.0], [4.0, 2.0], [2.0, 4.0]])
         ds = Dataset(Tensor(features), np.array([0, 1, 1, 1]), 2)
         # Predictions are 0, 1, 0, 1: three of four match.
-        assert evaluate_top1(net, ds) == 0.75
+        top1, logits = evaluate_top1(net, ds)
+        assert top1 == 0.75
+        assert np.array_equal(logits, features)
 
     def test_tie_goes_to_lowest_class(self):
         from distilforge.data import Dataset
@@ -301,8 +303,8 @@ class TestEvaluateTop1:
         net = identity_net()
         ds0 = Dataset(Tensor(np.array([[2.0, 2.0]])), np.array([0]), 2)
         ds1 = Dataset(Tensor(np.array([[2.0, 2.0]])), np.array([1]), 2)
-        assert evaluate_top1(net, ds0) == 1.0
-        assert evaluate_top1(net, ds1) == 0.0
+        assert evaluate_top1(net, ds0)[0] == 1.0
+        assert evaluate_top1(net, ds1)[0] == 0.0
 
 
 class TestMetricsCsv:
@@ -341,7 +343,7 @@ class TestStage1:
         train, test = tiny_datasets()
         nets = fresh_pair()
         config = small_config(stage1_epochs=3)
-        snapshots, records = pretrain_stage1(nets, train, test, config)
+        _, _, records = pretrain_stage1(nets, train, test, config)
         assert len(records) == 6
         assert [r.net for r in records] == [1, 2, 1, 2, 1, 2]
         assert all(r.stage == 1 for r in records)
@@ -353,7 +355,7 @@ class TestStage1:
     def test_loss_decreases_on_easy_data(self):
         train, test = tiny_datasets(per_class=20)
         nets = fresh_pair()
-        _, records = pretrain_stage1(nets, train, test, small_config(stage1_epochs=5))
+        _, _, records = pretrain_stage1(nets, train, test, small_config(stage1_epochs=5))
         net1 = [r.loss_ce for r in records if r.net == 1]
         assert net1[-1] < net1[0]
 
@@ -361,13 +363,13 @@ class TestStage1:
         train, test = tiny_datasets()
         nets = fresh_pair()
         config = small_config()
-        snapshots, _ = pretrain_stage1(nets, train, test, config)
+        snapshots, tables, _ = pretrain_stage1(nets, train, test, config)
         for net, snap in zip(nets, snapshots):
             for name in net.parameters:
                 np.testing.assert_array_equal(
                     snap.parameters[name].data, net.parameters[name].data
                 )
-        train_stage2(nets, snapshots, train, test, config)
+        train_stage2(nets, tables, train, test, config)
         changed = any(
             not np.array_equal(nets[0].parameters[n].data, snapshots[0].parameters[n].data)
             for n in nets[0].parameters
@@ -378,7 +380,7 @@ class TestStage1:
         train, test = tiny_datasets()
         nets = fresh_pair()
         initial = {n: p.data.copy() for n, p in nets[0].parameters.items()}
-        snapshots, records = pretrain_stage1(nets, train, test, small_config(stage1_epochs=0))
+        snapshots, _, records = pretrain_stage1(nets, train, test, small_config(stage1_epochs=0))
         assert records == []
         for name, data in initial.items():
             np.testing.assert_array_equal(snapshots[0].parameters[name].data, data)
@@ -445,10 +447,10 @@ class TestHugeEpochCounts:
     def test_stage2_starts_training(self, stop_at_first_step):
         train, test = tiny_datasets()
         nets = fresh_pair()
-        snapshots = [net.snapshot() for net in nets]
+        tables = [evaluate_top1(net, train)[1] for net in nets]
         config = small_config(stage1_epochs=self.HUGE, stage2_epochs=self.HUGE)
         with pytest.raises(_Stop):
-            train_stage2(nets, snapshots, train, test, config)
+            train_stage2(nets, tables, train, test, config)
 
 
 class TestStage2:
@@ -456,8 +458,8 @@ class TestStage2:
         train, test = tiny_datasets()
         nets = fresh_pair()
         config = small_config(stage2_epochs=4, lr_milestones=(2,), lr_factor=0.5)
-        snapshots, _ = pretrain_stage1(nets, train, test, config)
-        records = train_stage2(nets, snapshots, train, test, config)
+        _, tables, _ = pretrain_stage1(nets, train, test, config)
+        records = train_stage2(nets, tables, train, test, config)
         assert len(records) == 8
         assert all(r.stage == 2 for r in records)
         for r in records:
@@ -468,8 +470,8 @@ class TestStage2:
         train, test = tiny_datasets()
         nets = fresh_pair()
         config = small_config(stage2_epochs=1)
-        snapshots, _ = pretrain_stage1(nets, train, test, config)
-        records = train_stage2(nets, snapshots, train, test, config)
+        _, tables, _ = pretrain_stage1(nets, train, test, config)
+        records = train_stage2(nets, tables, train, test, config)
         for r in records:
             assert r.loss_ce > 0.0
             assert r.loss_kl_mutual > 0.0
@@ -485,16 +487,21 @@ class TestStage2:
         assert all(r.loss_sd == 0.0 for r in records)
 
     def test_full_variant_requires_snapshots(self):
+        # Every variant with the self term needs its snapshots' tables, even
+        # for a stage 2 of no epoch.
         train, test = tiny_datasets()
-        with pytest.raises(ValueError, match="snapshots"):
-            train_stage2(fresh_pair(), None, train, test, small_config())
+        for variant in ("A", "C", "D"):
+            for stage2_epochs in (0, 1):
+                config = small_config(variant=variant, stage2_epochs=stage2_epochs)
+                with pytest.raises(ValueError, match="teacher_logits table per peer"):
+                    train_stage2(fresh_pair(), None, train, test, config)
 
     def test_variant_c_zeroes_mutual_kl_only(self):
         train, test = tiny_datasets()
         nets = fresh_pair()
         config = small_config(variant="C", stage2_epochs=1)
-        snapshots, _ = pretrain_stage1(nets, train, test, config)
-        records = train_stage2(nets, snapshots, train, test, config)
+        _, tables, _ = pretrain_stage1(nets, train, test, config)
+        records = train_stage2(nets, tables, train, test, config)
         for r in records:
             assert r.loss_kl_mutual == 0.0
             assert r.loss_dd > 0.0
@@ -503,8 +510,8 @@ class TestStage2:
         train, test = tiny_datasets()
         nets = fresh_pair()
         config = small_config(variant="D", stage2_epochs=1)
-        snapshots, _ = pretrain_stage1(nets, train, test, config)
-        records = train_stage2(nets, snapshots, train, test, config)
+        _, tables, _ = pretrain_stage1(nets, train, test, config)
+        records = train_stage2(nets, tables, train, test, config)
         for r in records:
             assert r.loss_dd == 0.0 and r.loss_ad == 0.0
             assert r.loss_kl_mutual > 0.0
@@ -515,8 +522,8 @@ class TestStage2:
         def run(order):
             nets = fresh_pair()
             config = small_config(update_order=order, stage2_epochs=2)
-            snapshots, _ = pretrain_stage1(nets, train, test, config)
-            train_stage2(nets, snapshots, train, test, config)
+            _, tables, _ = pretrain_stage1(nets, train, test, config)
+            train_stage2(nets, tables, train, test, config)
             return nets
 
         seq = run("sequential")
@@ -529,10 +536,10 @@ class TestStage2:
         train, test = tiny_datasets()
         nets = fresh_pair()
         config = small_config(lr=1e25, momentum=0.0, stage1_epochs=0, stage2_epochs=3)
-        snapshots, _ = pretrain_stage1(nets, train, test, config)
+        _, tables, _ = pretrain_stage1(nets, train, test, config)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergence, match="stage 2 epoch"):
-                train_stage2(nets, snapshots, train, test, config)
+                train_stage2(nets, tables, train, test, config)
 
 
 class TestSelfTeacher:
@@ -543,7 +550,7 @@ class TestSelfTeacher:
         train, test = tiny_datasets()
         nets = fresh_pair()
         config = small_config(batch_size=10)
-        snapshots, _ = pretrain_stage1(nets, train, test, config)
+        snapshots, returned, _ = pretrain_stage1(nets, train, test, config)
         tables = [s.forward(train.features).logits.data for s in snapshots]
         batches, teachers = [], []
         iterate, loss = trainer.batch_iterator, trainer.total_loss
@@ -559,7 +566,7 @@ class TestSelfTeacher:
 
         monkeypatch.setattr(trainer, "batch_iterator", batch_iterator)
         monkeypatch.setattr(trainer, "total_loss", total_loss)
-        train_stage2(nets, snapshots, train, test, config)
+        train_stage2(nets, returned, train, test, config)
         assert [len(batch) for batch in batches] == [10, 10, 4] * config.stage2_epochs
         assert len(teachers) == 2 * len(batches)
         for i, batch in enumerate(batches):
@@ -568,9 +575,10 @@ class TestSelfTeacher:
 
     @pytest.mark.parametrize("stage2_epochs", [0, 2])
     def test_each_snapshot_forwards_once_per_stage(self, stage2_epochs, monkeypatch):
-        """A snapshot is forwarded once by a stage 2 that has no table for it
-        (a direct call, or `train_pair` after zero stage-1 epochs) and never
-        by `train_pair` after a stage 1 of at least one epoch."""
+        """Stage 2 forwards no snapshot. `pretrain_stage1` forwards each
+        snapshot once for its table after zero epochs, and never after one
+        or more, whose last evaluation gave the table; with or without the
+        self term."""
         train, test = tiny_datasets()
         calls = []
         snapshot = PeerNetwork.snapshot
@@ -588,49 +596,68 @@ class TestSelfTeacher:
             return frozen
 
         monkeypatch.setattr(PeerNetwork, "snapshot", counted_snapshot)
-        once = min(stage2_epochs, 1)
-        config = small_config(stage2_epochs=stage2_epochs)
-        nets = fresh_pair()
-        snapshots, _ = pretrain_stage1(nets, train, test, config)
-        train_stage2(nets, snapshots, train, test, config)
-        assert calls == [once] * 2
-        calls.clear()
-        train_pair(fresh_pair(), train, test, config)
-        assert calls == [0] * 2
-        calls.clear()
-        train_pair(fresh_pair(), train, test, small_config(stage1_epochs=0, stage2_epochs=stage2_epochs))
-        assert calls == [once] * 2
+        for variant in ("A", "B"):
+            for stage1_epochs, once in ((0, 1), (1, 0), (2, 0)):
+                config = small_config(
+                    variant=variant, stage1_epochs=stage1_epochs, stage2_epochs=stage2_epochs
+                )
+                nets = fresh_pair()
+                _, tables, _ = pretrain_stage1(nets, train, test, config)
+                assert calls == [once] * 2
+                train_stage2(nets, tables, train, test, config)
+                assert calls == [once] * 2
+                calls.clear()
+                train_pair(fresh_pair(), train, test, config)
+                assert calls == [once] * 2
+                calls.clear()
 
     @pytest.mark.parametrize("widths", [(2, (8, 4), 3), (64, (256, 64), 10)])
     def test_train_pair_tables_are_the_snapshots_logits(self, widths, monkeypatch):
         """The tables `train_pair` hands to stage 2 are bit-equal to one
-        forward of each snapshot over the training split."""
+        forward of each snapshot over the training split, after one stage-1
+        epoch or none."""
         dim, hidden, classes = widths
         rng = np.random.default_rng(13)
         train = Dataset(Tensor(rng.standard_normal((150, dim))), rng.integers(0, classes, 150), classes)
         test = Dataset(Tensor(rng.standard_normal((20, dim))), rng.integers(0, classes, 20), classes)
-        nets = [init_network(NetworkConfig(dim, hidden, classes, init_seed=s)) for s in (1, 2)]
         seen = []
         stage2 = trainer.train_stage2
 
-        def spy(*args, teacher_logits=None, **kwargs):
+        def spy(nets, teacher_logits, *args):
             seen.append(teacher_logits)
-            return stage2(*args, teacher_logits=teacher_logits, **kwargs)
+            return stage2(nets, teacher_logits, *args)
 
         monkeypatch.setattr(trainer, "train_stage2", spy)
-        result = train_pair(nets, train, test, small_config(batch_size=64, stage2_epochs=1))
-        [tables] = seen
-        assert len(tables) == 2
-        for table, snapshot in zip(tables, result.snapshots):
-            assert np.array_equal(table, snapshot.forward(train.features).logits.data)
+        for stage1_epochs in (0, 1):
+            nets = [init_network(NetworkConfig(dim, hidden, classes, init_seed=s)) for s in (1, 2)]
+            config = small_config(batch_size=64, stage1_epochs=stage1_epochs, stage2_epochs=1)
+            result = train_pair(nets, train, test, config)
+            [tables] = seen
+            seen.clear()
+            assert len(tables) == 2
+            for table, snapshot in zip(tables, result.snapshots):
+                assert np.array_equal(table, snapshot.forward(train.features).logits.data)
 
     def test_table_shapes_are_checked(self):
+        # Two tables, each (training rows, the peer's classes), or nothing runs.
         train, test = tiny_datasets()
         nets = fresh_pair()
-        snapshots = [net.snapshot() for net in nets]
-        with pytest.raises(ValueError, match="teacher_logits"):
-            train_stage2(nets, snapshots, train, test, small_config(),
-                         teacher_logits=[np.zeros((len(train) - 1, 3))] * 2)
+        table = evaluate_top1(nets[0], train)[1]
+        rows, classes = table.shape
+        wrong = {
+            "rows": [np.zeros((rows - 1, classes))] * 2,
+            "classes": [table, np.zeros((rows, classes + 1))],
+            "one table": [table],
+            "no table": [],
+            "three tables": [table] * 3,
+        }
+        for variant in ("A", "C", "D"):
+            for stage2_epochs in (0, 1):
+                config = small_config(variant=variant, stage2_epochs=stage2_epochs)
+                for name, tables in wrong.items():
+                    with pytest.raises(ValueError, match="teacher_logits table per peer"):
+                        train_stage2(nets, tables, train, test, config)
+        assert np.array_equal(evaluate_top1(nets[0], train)[1], table)
 
 
 class TestTrainPair:
@@ -696,10 +723,10 @@ class TestBatchSizes:
         # 24 samples: batches of 11 end in a batch of 2 rows, batches of 7 in one of 3.
         train, test = tiny_datasets()
         nets = fresh_pair()
-        snapshots = [net.snapshot() for net in nets]
+        tables = [evaluate_top1(net, train)[1] for net in nets]
         config = small_config(batch_size=batch_size)
         with caplog.at_level(logging.DEBUG, logger=trainer.__name__):
-            train_stage2(nets, snapshots, train, test, config)
+            train_stage2(nets, tables, train, test, config)
         skipped = [r.getMessage() for r in caplog.records if "angle term" in r.getMessage()]
         assert skipped == [
             f"stage 2 epoch {epoch} batch 2: 2 samples, angle term skipped"
