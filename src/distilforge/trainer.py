@@ -3,10 +3,12 @@
 Stage 1 trains each peer independently with plain cross-entropy, freezes a
 snapshot of each as its self-teacher and returns the snapshot's logits over
 the training split as one table, kept from its last evaluation of that
-split. Stage 2 takes those tables and trains the peers jointly: for every
-batch each network minimizes a weighted sum of cross-entropy, a mutual term
-against the other peer (response KL plus distance/angle relation penalties,
-peer side held constant) and a softened KL against its own table's rows.
+split by `evaluate_top1`. That forwards a split in blocks of 512 rows, so a
+table equals the snapshot's whole-split forward only up to 512 rows. Stage 2
+takes those tables and trains the peers jointly: for every batch each
+network minimizes a weighted sum of cross-entropy, a mutual term against
+the other peer (response KL plus distance/angle relation penalties, peer
+side held constant) and a softened KL against its own table's rows.
 Updates are plain SGD with momentum and weight decay under a step-drop
 learning-rate schedule, applied to large parameters in cache-sized blocks.
 
@@ -136,6 +138,10 @@ def variant_weights(weights: LossWeights, variant: str) -> tuple[LossWeights, bo
 # on 2,000 MNIST-shaped rows by about 4 MB.
 _SGD_BLOCK = 15872
 
+# Rows per block of an evaluation forward: a (512, 256) activation is 1 MiB,
+# so an evaluation's peak follows the widest layer, not the split's length.
+_EVAL_ROWS = 512
+
 
 def sgd_step(
     parameters: dict,
@@ -153,44 +159,41 @@ def sgd_step(
     C-contiguous, steps through one scratch array of its size; a larger one
     runs the same operations block by block through one scratch of one
     block, so each block is read from memory once instead of once per
-    operation. A missing
-    gradient steps by weight decay alone; a non-finite one raises before its
-    parameter or velocity changes. A tape recorded before the step reads the
-    new weights, so it must not be backpropagated afterwards: the trainer
-    reuses a peer's forward output only until that peer steps. Each gradient
-    is released (`grad = None`) once its step has applied it, so a net's
-    gradients never outlive the step into the evaluations that follow.
+    operation, after a first pass has checked every block's gradient. A
+    missing gradient steps by weight decay alone; a non-finite one raises
+    before its parameter or velocity changes. A tape recorded before the
+    step reads the new weights, so it must not be backpropagated afterwards:
+    the trainer reuses a peer's forward output only until that peer steps.
+    Each gradient is released (`grad = None`) once its step has applied it,
+    so a net's gradients never outlive the step into the evaluations that
+    follow.
     """
     scratch = None
     for name, p in parameters.items():
-        g = p.grad
-        if g is not None and not np.isfinite(g).all():
-            raise TrainingDivergence(f"non-finite gradient for parameter '{name}'")
-        w, v = p.data, velocities[name]
-        if w.size <= _SGD_BLOCK or not (w.flags.c_contiguous and v.flags.c_contiguous):
-            step = np.multiply(w, weight_decay)
-            if g is not None:
-                step += g
-            v *= momentum
-            v += step
-            np.multiply(v, lr, out=step)
-            w -= step
-        else:
-            if scratch is None:
-                scratch = np.empty(_SGD_BLOCK)
+        w, v, g = p.data, velocities[name], p.grad
+        blocked = w.size > _SGD_BLOCK and w.flags.c_contiguous and v.flags.c_contiguous
+        if blocked:
             w, v = w.reshape(-1), v.reshape(-1)
             g = None if g is None else g.reshape(-1)
-            for start in range(0, w.size, _SGD_BLOCK):
-                block = slice(start, start + _SGD_BLOCK)
-                wb, vb = w[block], v[block]
-                step = scratch[:wb.size]
-                np.multiply(wb, weight_decay, out=step)
-                if g is not None:
-                    step += g[block]
-                vb *= momentum
-                vb += step
-                np.multiply(vb, lr, out=step)
-                wb -= step
+            blocks = [slice(start, start + _SGD_BLOCK) for start in range(0, w.size, _SGD_BLOCK)]
+        else:
+            blocks = [slice(None)]
+        if g is not None and not all(np.isfinite(g[block]).all() for block in blocks):
+            raise TrainingDivergence(f"non-finite gradient for parameter '{name}'")
+        for block in blocks:
+            wb, vb = w[block], v[block]
+            if blocked:
+                if scratch is None:
+                    scratch = np.empty(_SGD_BLOCK)
+                step = np.multiply(wb, weight_decay, out=scratch[:wb.size])
+            else:
+                step = np.multiply(wb, weight_decay)
+            if g is not None:
+                step += g[block]
+            vb *= momentum
+            vb += step
+            np.multiply(vb, lr, out=step)
+            wb -= step
         p.grad = None
 
 
@@ -203,12 +206,23 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
 def evaluate_top1(net: PeerNetwork, dataset: Dataset) -> tuple[float, np.ndarray]:
     """Top-1 accuracy and the split's logits; argmax ties resolve to the lowest class.
 
-    The split is forwarded through constant views of `net`'s weights, not
-    copies, so no record keeps its inputs: at most two activations of the
-    split are alive at once, and the logits' bits are those of `net.forward`.
+    The split is forwarded in blocks of `_EVAL_ROWS` rows through constant
+    views of `net`'s weights, not copies, so no record keeps its inputs: at
+    most two activations of one block are alive at once, beside the
+    (rows, classes) logits. A split of at most `_EVAL_ROWS` rows is one
+    forward of the whole split, so its logits have the bits of
+    `net.forward`; a larger split's have those of `net.forward` on each
+    block, which BLAS may round differently in the last bits.
     """
     frozen = PeerNetwork(net.config, {name: Tensor(p.data) for name, p in net.parameters.items()})
-    logits = frozen.forward(dataset.features).logits.data
+    x = dataset.features.data
+    if len(x) <= _EVAL_ROWS:
+        logits = frozen.forward(dataset.features).logits.data
+    else:
+        logits = np.empty((len(x), net.config.num_classes))
+        for start in range(0, len(x), _EVAL_ROWS):
+            block = slice(start, start + _EVAL_ROWS)
+            logits[block] = frozen.forward(Tensor(x[block])).logits.data
     return float((logits.argmax(axis=1) == dataset.labels).mean()), logits
 
 
@@ -400,9 +414,10 @@ def pretrain_stage1(
     Both peers see the same batch sequence; they differ only through their
     initialization. Returns (frozen snapshots, each snapshot's logits table
     over `train_ds`, per-epoch metric records). The tables are the last
-    epoch's train-split evaluation, which forwards the snapshot's weights,
-    so they are the bits `snapshot.forward` gives; only a stage 1 of zero
-    epochs forwards each snapshot for them.
+    epoch's train-split evaluation, which forwards the snapshot's weights;
+    only a stage 1 of zero epochs evaluates each snapshot for them. Either
+    way a table has `evaluate_top1`'s bits, which equal `snapshot.forward`'s
+    only up to `_EVAL_ROWS` (512) rows.
     """
     _require_pair(nets)
     records, tables = _train_epochs(
@@ -422,7 +437,7 @@ def pretrain_stage1(
             logger.warning("stage 1 cross-entropy did not decrease within its epoch budget")
     snapshots = [net.snapshot() for net in nets]
     if tables is None:
-        tables = [s.forward(train_ds.features).logits.data for s in snapshots]
+        tables = [evaluate_top1(s, train_ds)[1] for s in snapshots]
     return snapshots, tables, records
 
 

@@ -36,12 +36,15 @@ def _traced_peak(fn) -> int:
 
 def test_evaluation_holds_at_most_two_activations():
     # A trainable net, as the trainer evaluates it: its records would keep
-    # their inputs if the forward ran on the parameters themselves.
+    # their inputs if the forward ran on the parameters themselves. The split
+    # spans several blocks, so the bound is one block's activations beside
+    # the split's logits; a whole-split forward held 2.13 full-split ones.
     net = init_network(NetworkConfig(DIM, (WIDE, 64), 10, init_seed=1))
     train = _split(ROWS, seed=2)
-    activation = ROWS * WIDE * 8
-    ratio = _traced_peak(lambda: evaluate_top1(net, train)) / activation
-    print(f"evaluate_top1 peak: {ratio:.2f} activations of the widest layer")
+    activation = trainer._EVAL_ROWS * WIDE * 8
+    logits = ROWS * 10 * 8
+    ratio = (_traced_peak(lambda: evaluate_top1(net, train)) - logits) / activation
+    print(f"evaluate_top1 peak: {ratio:.2f} activations of the widest layer's block, plus the logits")
     assert ratio <= 2.5
 
 
@@ -70,9 +73,34 @@ def test_sgd_step_holds_at_most_about_a_block_of_scratch():
     block = trainer._SGD_BLOCK * 8
     peak = _traced_peak(lambda: sgd_step({"w": p}, {"w": velocity}, 0.1, 0.9, 5e-4))
     print(f"sgd_step peak: {peak / block:.2f} blocks, {peak / p.data.nbytes:.3f} of the parameter")
-    # The finiteness check's boolean mask (one byte per element, 1.58
-    # blocks here) is freed before the one-block scratch is made.
-    assert peak <= 2 * block
+    # The finiteness check runs block by block before the one-block scratch
+    # is made; a whole-parameter boolean mask was 1.58 blocks here.
+    assert peak <= 1.25 * block
+
+
+def test_training_peak_follows_one_evaluation_block():
+    # A wide_idx-shaped run: 2,000/500 rows at 784 -> [256, 64] -> 10,
+    # variant D, 1+1 epochs. Everything it allocates is traced: the splits,
+    # and each net's weights, velocities and frozen snapshot must be held;
+    # whole-split evaluation held 2.7 (2,000, 256) activations above that.
+    dim, rows = 784, ROWS
+    params = dim * WIDE + WIDE + WIDE * 64 + 64 + 64 * 10 + 10
+
+    def run():
+        rng = np.random.default_rng(9)
+        train = Dataset(Tensor(rng.standard_normal((rows, dim))), rng.integers(0, 10, rows), 10)
+        test = Dataset(Tensor(rng.standard_normal((TEST_ROWS, dim))),
+                       rng.integers(0, 10, TEST_ROWS), 10)
+        nets = [init_network(NetworkConfig(dim, (WIDE, 64), 10, init_seed=s)) for s in (1, 2)]
+        config = TrainConfig(stage1_epochs=1, stage2_epochs=1, batch_size=128,
+                             lr_milestones=(), variant="D")
+        train_pair(nets, train, test, config)
+
+    must_hold = ((rows + TEST_ROWS) * dim + 2 * 3 * params) * 8
+    activation = rows * WIDE * 8
+    peak = _traced_peak(run)
+    print(f"train_pair peak: {(peak - must_hold) / activation:.2f} activations above what it must hold")
+    assert must_hold <= peak <= must_hold + 2 * activation
 
 
 @pytest.mark.parametrize("update_order", ["sequential", "simultaneous"])

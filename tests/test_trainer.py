@@ -306,6 +306,57 @@ class TestEvaluateTop1:
         assert evaluate_top1(net, ds0)[0] == 1.0
         assert evaluate_top1(net, ds1)[0] == 0.0
 
+    @staticmethod
+    def _wide(rows, seed):
+        """A 784 -> [256, 64] -> 10 net, the benchmark's widths, and a split of `rows`."""
+        net = init_network(NetworkConfig(784, (256, 64), 10, init_seed=seed))
+        rng = np.random.default_rng(seed)
+        ds = Dataset(Tensor(rng.standard_normal((rows, 784))), rng.integers(0, 10, rows), 10)
+        return net, ds
+
+    @pytest.mark.parametrize("rows", [1, 300, trainer._EVAL_ROWS])
+    def test_one_block_is_the_whole_split_forward(self, rows):
+        net, ds = self._wide(rows, seed=21)
+        logits = evaluate_top1(net, ds)[1]
+        assert np.array_equal(logits, net.forward(ds.features).logits.data)
+
+    def test_larger_splits_forward_each_block(self, monkeypatch):
+        # Two full blocks and a partial one.
+        net, ds = self._wide(1100, seed=22)
+        rows, forward = [], PeerNetwork.forward
+
+        def counted(self, features):
+            rows.append(len(features.data))
+            return forward(self, features)
+
+        monkeypatch.setattr(PeerNetwork, "forward", counted)
+        logits = evaluate_top1(net, ds)[1]
+        monkeypatch.undo()
+        assert rows == [512, 512, 76]
+        x = ds.features.data
+        blocks = [net.forward(Tensor(x[start:start + 512])).logits.data for start in (0, 512, 1024)]
+        assert logits.shape == (1100, 10)
+        assert np.array_equal(logits, np.concatenate(blocks))
+
+    def test_blocks_keep_the_whole_split_top1(self):
+        for seed in range(20):
+            net, ds = self._wide(1100, seed=100 + seed)
+            top1, logits = evaluate_top1(net, ds)
+            whole = net.forward(ds.features).logits.data
+            assert np.array_equal(logits.argmax(axis=1), whole.argmax(axis=1)), seed
+            assert top1 == float((whole.argmax(axis=1) == ds.labels).mean()), seed
+
+    @pytest.mark.parametrize("stage1_epochs", [0, 1])
+    def test_stage1_tables_are_the_snapshots_evaluation(self, stage1_epochs):
+        rng = np.random.default_rng(23)
+        train = Dataset(Tensor(rng.standard_normal((1100, 16))), rng.integers(0, 10, 1100), 10)
+        test = Dataset(Tensor(rng.standard_normal((50, 16))), rng.integers(0, 10, 50), 10)
+        nets = [init_network(NetworkConfig(16, (32, 8), 10, init_seed=s)) for s in (1, 2)]
+        config = small_config(batch_size=256, stage1_epochs=stage1_epochs)
+        snapshots, tables, _ = pretrain_stage1(nets, train, test, config)
+        for table, snapshot in zip(tables, snapshots):
+            assert np.array_equal(table, evaluate_top1(snapshot, train)[1])
+
 
 class TestMetricsCsv:
     def test_header(self):
@@ -576,17 +627,18 @@ class TestSelfTeacher:
     @pytest.mark.parametrize("stage2_epochs", [0, 2])
     def test_each_snapshot_forwards_once_per_stage(self, stage2_epochs, monkeypatch):
         """Stage 2 forwards no snapshot. `pretrain_stage1` forwards each
-        snapshot once for its table after zero epochs, and never after one
-        or more, whose last evaluation gave the table; with or without the
-        self term."""
+        snapshot once for its table after zero epochs, through
+        `evaluate_top1`, and never after one or more, whose last evaluation
+        gave the table; with or without the self term."""
         train, test = tiny_datasets()
-        calls = []
-        snapshot = PeerNetwork.snapshot
+        calls, frozen_nets = [], []
+        snapshot, evaluate = PeerNetwork.snapshot, trainer.evaluate_top1
 
         def counted_snapshot(net):
             frozen = snapshot(net)
             k = len(calls)
             calls.append(0)
+            frozen_nets.append(frozen)
 
             def counted(features, forward=frozen.forward):
                 calls[k] += 1
@@ -595,7 +647,14 @@ class TestSelfTeacher:
             frozen.forward = counted
             return frozen
 
+        def counted_evaluate(net, dataset):
+            for k, frozen in enumerate(frozen_nets):
+                if net is frozen:
+                    calls[k] += 1
+            return evaluate(net, dataset)
+
         monkeypatch.setattr(PeerNetwork, "snapshot", counted_snapshot)
+        monkeypatch.setattr(trainer, "evaluate_top1", counted_evaluate)
         for variant in ("A", "B"):
             for stage1_epochs, once in ((0, 1), (1, 0), (2, 0)):
                 config = small_config(
@@ -607,9 +666,11 @@ class TestSelfTeacher:
                 train_stage2(nets, tables, train, test, config)
                 assert calls == [once] * 2
                 calls.clear()
+                frozen_nets.clear()
                 train_pair(fresh_pair(), train, test, config)
                 assert calls == [once] * 2
                 calls.clear()
+                frozen_nets.clear()
 
     @pytest.mark.parametrize("widths", [(2, (8, 4), 3), (64, (256, 64), 10)])
     def test_train_pair_tables_are_the_snapshots_logits(self, widths, monkeypatch):
