@@ -171,23 +171,22 @@ def sgd_step(
     scratch = None
     for name, p in parameters.items():
         w, v, g = p.data, velocities[name], p.grad
-        blocked = w.size > _SGD_BLOCK and w.flags.c_contiguous and v.flags.c_contiguous
-        if blocked:
+        if w.size > _SGD_BLOCK and w.flags.c_contiguous and v.flags.c_contiguous:
+            if scratch is None:
+                scratch = np.empty(_SGD_BLOCK)
             w, v = w.reshape(-1), v.reshape(-1)
             g = None if g is None else g.reshape(-1)
-            blocks = [slice(start, start + _SGD_BLOCK) for start in range(0, w.size, _SGD_BLOCK)]
+            blocks = [
+                (slice(start, start + _SGD_BLOCK), scratch[:min(_SGD_BLOCK, w.size - start)])
+                for start in range(0, w.size, _SGD_BLOCK)
+            ]
         else:
-            blocks = [slice(None)]
-        if g is not None and not all(np.isfinite(g[block]).all() for block in blocks):
+            blocks = [(slice(None), None)]
+        if g is not None and not all(np.isfinite(g[block]).all() for block, _ in blocks):
             raise TrainingDivergence(f"non-finite gradient for parameter '{name}'")
-        for block in blocks:
+        for block, out in blocks:
             wb, vb = w[block], v[block]
-            if blocked:
-                if scratch is None:
-                    scratch = np.empty(_SGD_BLOCK)
-                step = np.multiply(wb, weight_decay, out=scratch[:wb.size])
-            else:
-                step = np.multiply(wb, weight_decay)
+            step = np.multiply(wb, weight_decay, out=out)
             if g is not None:
                 step += g[block]
             vb *= momentum
@@ -210,19 +209,16 @@ def evaluate_top1(net: PeerNetwork, dataset: Dataset) -> tuple[float, np.ndarray
     views of `net`'s weights, not copies, so no record keeps its inputs: at
     most two activations of one block are alive at once, beside the
     (rows, classes) logits. A split of at most `_EVAL_ROWS` rows is one
-    forward of the whole split, so its logits have the bits of
+    block, the whole split's array itself, so its logits keep the bits of
     `net.forward`; a larger split's have those of `net.forward` on each
     block, which BLAS may round differently in the last bits.
     """
     frozen = PeerNetwork(net.config, {name: Tensor(p.data) for name, p in net.parameters.items()})
     x = dataset.features.data
-    if len(x) <= _EVAL_ROWS:
-        logits = frozen.forward(dataset.features).logits.data
-    else:
-        logits = np.empty((len(x), net.config.num_classes))
-        for start in range(0, len(x), _EVAL_ROWS):
-            block = slice(start, start + _EVAL_ROWS)
-            logits[block] = frozen.forward(Tensor(x[block])).logits.data
+    logits = np.empty((len(x), net.config.num_classes))
+    for start in range(0, len(x), _EVAL_ROWS):
+        block = slice(start, start + _EVAL_ROWS)
+        logits[block] = frozen.forward(Tensor(x[block])).logits.data
     return float((logits.argmax(axis=1) == dataset.labels).mean()), logits
 
 
