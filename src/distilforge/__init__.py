@@ -3,7 +3,7 @@
 from .autodiff import AutodiffError, Tensor, backward
 from .losses import LossWeights, TupleSets, total_loss
 from .models import NetworkConfig, PeerNetwork, init_network, load_checkpoint, save_checkpoint
-from .trainer import TrainConfig, TrainingDivergence, train_pair
+from .trainer import TrainConfig, TrainingDivergence
 
 __version__ = "0.1.0"
 
@@ -21,6 +21,5 @@ __all__ = [
     "save_checkpoint",
     "TrainConfig",
     "TrainingDivergence",
-    "train_pair",
     "__version__",
 ]

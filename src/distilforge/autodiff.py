@@ -63,6 +63,10 @@ __all__ = [
 # Divisors smaller than this are reported as errors instead of clamped.
 DIV_GUARD = 1e-12
 
+# Rows closer than this are coincident: `pairwise_l2` gives them distance 0,
+# with zero gradient, and the relation term skips triples touching them.
+COINCIDENCE_EPS = 1e-8
+
 
 class AutodiffError(RuntimeError):
     """Numeric contract violation: non-finite values or an unsafe division."""
@@ -486,8 +490,10 @@ def log_softmax_with_temperature(z: Tensor, t: float) -> Tensor:
 def pairwise_l2(e: Tensor) -> Tensor:
     """All-pairs euclidean distance matrix of the rows of an (n, d) tensor.
 
-    The diagonal is exactly zero. Coincident rows get distance 0 with zero
-    gradient (the chosen subgradient at the non-differentiable point).
+    Rows closer than COINCIDENCE_EPS, the diagonal included, get distance 0
+    with zero gradient: rows equal in a network's input may leave it a few
+    ulps apart, by how the BLAS kernel rounds, and their distance's gradient
+    would be unit-sized in a direction set by that rounding.
     """
     ed = e.data
     if ed.ndim != 2:
@@ -497,7 +503,7 @@ def pairwise_l2(e: Tensor) -> Tensor:
     diff = ed[:, None, :] - ed[None, :, :]
     dist = np.multiply(diff, diff, out=diff).sum(axis=-1)
     np.sqrt(dist, out=dist)
-    np.fill_diagonal(dist, 0.0)
+    dist[dist < COINCIDENCE_EPS] = 0.0
 
     def rule(g):
         w = np.divide(g, dist, out=np.zeros_like(g), where=dist > 0.0)

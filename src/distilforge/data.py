@@ -118,8 +118,8 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise ValueError(
             f"{images_path}: payload holds {len(payload)} bytes, header promises {expected}"
         )
-    features = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
-    features = features.reshape(count, rows * cols)
+    features = np.frombuffer(payload, np.uint8).astype(np.float64).reshape(count, rows * cols)
+    features /= 255.0
 
     with open(labels_path, "rb") as f:
         magic, label_count = struct.unpack(">II", _read_exact(f, 8, labels_path, "header"))
@@ -217,17 +217,26 @@ def synth_blobs(num_classes: int, per_class: int, dim: int, spread: float, seed:
 
 
 def mean_std_normalize(train: Dataset, others: Sequence[Dataset] = ()) -> list[Dataset]:
-    """Standardize per feature using training statistics only.
+    """Standardize each split's writable features in place, by training statistics.
 
-    Returns [normalized train, normalized others...]. Standard deviations
-    are population (not sample) values, floored at STD_FLOOR. Raises
-    ValueError if a mean or a standard deviation is not finite, checked
-    before any split is standardized, or if a normalized feature is not.
-    Each standardized split is one new array; the inputs are left as they are.
+    Returns [train, others...], each array now with the bits of
+    `(x - mean) / std`. Standard deviations are population (not sample)
+    values, floored at STD_FLOOR. Raises ValueError if two splits share
+    memory, if a mean or a standard deviation is not finite, checked before
+    any split changes, or if a standardized feature is not.
     """
-    x = train.features.data
-    mean = x.mean(axis=0)
-    std = np.maximum(x.std(axis=0), STD_FLOOR)
+    splits = [train, *others]
+    arrays = [ds.features.data for ds in splits]
+    if any(np.may_share_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i]):
+        raise ValueError("the splits to normalize share feature memory")
+    # Over blocks of 64 columns, so `std`'s temporary is a block, not the
+    # split. No block is one column of a wider array: numpy sums that in
+    # another order than the same column of the whole array.
+    d = arrays[0].shape[1]
+    starts = range(0, max(d - 1, 1), 64)
+    blocks = [arrays[0][:, start:stop] for start, stop in zip(starts, [*starts[1:], d])]
+    mean = np.concatenate([block.mean(axis=0) for block in blocks])
+    std = np.maximum(np.concatenate([block.std(axis=0) for block in blocks]), STD_FLOOR)
     # An infinite standard deviation alone would pass the feature check
     # below: it maps every value of its feature to 0.
     if not (np.isfinite(mean).all() and np.isfinite(std).all()):
@@ -235,18 +244,11 @@ def mean_std_normalize(train: Dataset, others: Sequence[Dataset] = ()) -> list[D
             f"normalizing {train.name or 'dataset'}: a feature's mean or standard deviation "
             "is not finite"
         )
-
-    def apply(ds: Dataset) -> Dataset:
-        out = ds.features.data - mean
-        out /= std
-        return Dataset(
-            _feature_tensor(out, f"normalized {ds.name or 'dataset'}"),
-            ds.labels.copy(),
-            ds.num_classes,
-            name=ds.name,
-        )
-
-    return [apply(train)] + [apply(ds) for ds in others]
+    for ds, features in zip(splits, arrays):
+        features -= mean
+        features /= std
+        ds.features = _feature_tensor(features, f"normalized {ds.name or 'dataset'}")
+    return splits
 
 
 def batch_iterator(

@@ -32,7 +32,9 @@ from .trainer import (
     TrainConfig,
     evaluate_top1,
     metrics_to_csv,
-    train_pair,
+    pretrain_stage1,
+    train_stage2,
+    variant_weights,
 )
 
 __all__ = [
@@ -334,15 +336,21 @@ def _run_repetitions(
             init_network(dataclasses.replace(config.network1, init_seed=config.network1.init_seed + rep)),
             init_network(dataclasses.replace(config.network2, init_seed=config.network2.init_seed + rep)),
         ]
-        result = train_pair(nets, train_ds, test_ds, train_config)
-        (rep_dir / "metrics.csv").write_text(metrics_to_csv(result.records))
-        # The last epoch's records hold each final net's test accuracy.
-        last = result.records[-2:]
+        snapshots, tables, records = pretrain_stage1(nets, train_ds, test_ds, train_config)
         for k in (0, 1):
-            save_checkpoint(result.snapshots[k], rep_dir / f"net{k + 1}_stage1.json")
-            save_checkpoint(result.nets[k], rep_dir / f"net{k + 1}_stage2.json")
+            save_checkpoint(snapshots[k], rep_dir / f"net{k + 1}_stage1.json")
+        # Stage 2 reads no snapshot, nor any table without the self term (variant B).
+        del snapshots
+        if variant_weights(train_config.weights, train_config.variant)[0].gamma <= 0:
+            tables = None
+        records += train_stage2(nets, tables, train_ds, test_ds, train_config)
+        (rep_dir / "metrics.csv").write_text(metrics_to_csv(records))
+        # The last epoch's records hold each final net's test accuracy.
+        last = records[-2:]
+        for k in (0, 1):
+            save_checkpoint(nets[k], rep_dir / f"net{k + 1}_stage2.json")
             finals[f"net{k + 1}"].append(
-                last[k].test_top1 if last else evaluate_top1(result.nets[k], test_ds)[0]
+                last[k].test_top1 if last else evaluate_top1(nets[k], test_ds)[0]
             )
 
     summary = {

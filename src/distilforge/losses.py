@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import (
+    COINCIDENCE_EPS,
     Tensor,
     _constant,
     add,
@@ -58,10 +59,6 @@ __all__ = [
     "relation_distill_loss",
     "total_loss",
 ]
-
-# Pairs closer than this count as coincident: their distance is treated as 0
-# and triples touching them are skipped.
-COINCIDENCE_EPS = 1e-8
 
 # Below this mean pair distance the batch is degenerate and the distance
 # potentials (and their gradients) are defined as zero.

@@ -143,18 +143,22 @@ def save_checkpoint(net: PeerNetwork, path) -> None:
 
     Each parameter is stored as its shape plus the base64 of its little-endian
     float64 bytes in row-major order, so every value round-trips bit-exactly.
+    The base64 reads each parameter's own buffer on a little-endian host,
+    and the JSON is streamed into the file, not joined into one string.
     """
     doc = {
         "config": asdict(net.config),
         "parameters": {
             name: {
                 "shape": list(p.data.shape),
-                "data": base64.b64encode(p.data.astype("<f8").tobytes()).decode("ascii"),
+                "data": base64.b64encode(np.ascontiguousarray(p.data, "<f8")).decode("ascii"),
             }
             for name, p in net.parameters.items()
         },
     }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    with open(path, "w", encoding="ascii") as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
 
 
 def load_checkpoint(path) -> PeerNetwork:

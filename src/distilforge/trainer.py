@@ -24,7 +24,7 @@ from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
-from .autodiff import AutodiffError, Tensor, backward
+from .autodiff import AutodiffError, Tensor, _constant, backward
 from .data import Dataset, batch_iterator
 from .losses import LossWeights, TotalLoss, TupleSets, total_loss
 from .models import PeerNetwork, _integer, _number
@@ -38,7 +38,6 @@ __all__ = [
     "TrainingDivergence",
     "TrainConfig",
     "MetricsRecord",
-    "TrainResult",
     "variant_weights",
     "sgd_step",
     "lr_at",
@@ -46,7 +45,6 @@ __all__ = [
     "metrics_to_csv",
     "pretrain_stage1",
     "train_stage2",
-    "train_pair",
 ]
 
 VARIANTS = ("A", "B", "C", "D")
@@ -208,17 +206,19 @@ def evaluate_top1(net: PeerNetwork, dataset: Dataset) -> tuple[float, np.ndarray
     The split is forwarded in blocks of `_EVAL_ROWS` rows through constant
     views of `net`'s weights, not copies, so no record keeps its inputs: at
     most two activations of one block are alive at once, beside the
-    (rows, classes) logits. A split of at most `_EVAL_ROWS` rows is one
-    block, the whole split's array itself, so its logits keep the bits of
-    `net.forward`; a larger split's have those of `net.forward` on each
-    block, which BLAS may round differently in the last bits.
+    (rows, classes) logits. Each block is an unchecked constant view of the
+    split, whose `Dataset` checked its values. A split of at most
+    `_EVAL_ROWS` rows is one block, the whole split's array itself, so its
+    logits keep the bits of `net.forward`; a larger split's have those of
+    `net.forward` on each block, which BLAS may round differently in the
+    last bits.
     """
     frozen = PeerNetwork(net.config, {name: Tensor(p.data) for name, p in net.parameters.items()})
     x = dataset.features.data
     logits = np.empty((len(x), net.config.num_classes))
     for start in range(0, len(x), _EVAL_ROWS):
         block = slice(start, start + _EVAL_ROWS)
-        logits[block] = frozen.forward(Tensor(x[block])).logits.data
+        logits[block] = frozen.forward(_constant(x[block])).logits.data
     return float((logits.argmax(axis=1) == dataset.labels).mean()), logits
 
 
@@ -467,24 +467,3 @@ def train_stage2(
         weights=weights,
         include_relation=include_relation,
     )[0]
-
-
-@dataclass
-class TrainResult:
-    """Trained peers, their stage-1 snapshots and the full metric log."""
-
-    nets: list
-    snapshots: list
-    records: list
-
-
-def train_pair(
-    nets: Sequence[PeerNetwork],
-    train_ds: Dataset,
-    test_ds: Dataset,
-    config: TrainConfig,
-) -> TrainResult:
-    """Run stage 1 then stage 2, with stage 1's tables as the self-teachers."""
-    snapshots, tables, stage1_records = pretrain_stage1(nets, train_ds, test_ds, config)
-    stage2_records = train_stage2(nets, tables, train_ds, test_ds, config)
-    return TrainResult(nets=list(nets), snapshots=snapshots, records=stage1_records + stage2_records)

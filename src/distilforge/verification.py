@@ -50,7 +50,7 @@ from .losses import (
     total_loss,
 )
 from .models import NetworkConfig, init_network
-from .trainer import TrainConfig, lr_at, metrics_to_csv, train_pair
+from .trainer import TrainConfig, lr_at, metrics_to_csv, pretrain_stage1, train_stage2
 
 __all__ = [
     "CheckResult",
@@ -503,14 +503,15 @@ def check_determinism_replay() -> None:
             init_network(NetworkConfig(2, (8, 4), 3, init_seed=21)),
             init_network(NetworkConfig(2, (8, 4), 3, init_seed=22)),
         ]
-        return train_pair(nets, train, test, config)
+        _, tables, records = pretrain_stage1(nets, train, test, config)
+        return nets, records + train_stage2(nets, tables, train, test, config)
 
-    first, second = run(), run()
+    (nets_a, records_a), (nets_b, records_b) = run(), run()
     _ensure(
-        metrics_to_csv(first.records) == metrics_to_csv(second.records),
+        metrics_to_csv(records_a) == metrics_to_csv(records_b),
         "identical runs produced different metrics",
     )
-    for net_a, net_b in zip(first.nets, second.nets):
+    for net_a, net_b in zip(nets_a, nets_b):
         for name in net_a.parameters:
             _ensure(
                 np.array_equal(net_a.parameters[name].data, net_b.parameters[name].data),

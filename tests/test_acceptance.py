@@ -29,7 +29,7 @@ from distilforge.trainer import (
     lr_at,
     pretrain_stage1,
     sgd_step,
-    train_pair,
+    train_stage2,
 )
 from distilforge.verification import (
     grad_scenario,
@@ -174,13 +174,15 @@ def test_criterion_5_degenerate_weight_reductions(
             lr_milestones=(), momentum=0.9, weight_decay=5e-4, seed=3,
             weights=weights, variant="A",
         )
-        trained = train_pair(_fresh_reduction_pair(hidden), train, test, config)
+        trained = _fresh_reduction_pair(hidden)
+        _, trained_tables, _ = pretrain_stage1(trained, train, test, config)
+        train_stage2(trained, trained_tables, train, test, config)
 
         reference = _fresh_reduction_pair(hidden)
         _, tables, _ = pretrain_stage1(reference, train, test, config)
         _reference_stage2(reference, tables, train, config, weights, use_self_term)
 
-        for net_t, net_r in zip(trained.nets, reference):
+        for net_t, net_r in zip(trained, reference):
             for name in net_t.parameters:
                 assert np.array_equal(
                     net_t.parameters[name].data, net_r.parameters[name].data

@@ -419,6 +419,21 @@ class TestStructuralOps:
         backward(reduce_sum(pairwise_l2(e)))
         assert np.isfinite(e.grad).all()
 
+    def test_pairwise_l2_rows_a_few_ulps_apart_are_coincident(self):
+        # Equal input rows that a BLAS kernel left a few ulps apart: their
+        # distance is 0 and sends no gradient, while a third row's pairs
+        # keep theirs.
+        a = np.array([0.3, -1.7, 2.2])
+        near = np.nextafter(np.nextafter(a, np.inf), np.inf)
+        e = Tensor(np.stack([a, near, a + 1.0]), requires_grad=True)
+        d = pairwise_l2(e)
+        assert d.data[0, 1] == d.data[1, 0] == 0.0
+        assert d.data[0, 2] == np.sqrt(3.0)
+        weights = np.zeros((3, 3))
+        weights[0, 1] = weights[1, 0] = 1.0
+        backward(reduce_sum(mul(d, Tensor(weights))))
+        assert np.array_equal(e.grad, np.zeros((3, 3)))
+
     def test_pairwise_l2_validation(self):
         with pytest.raises(ValueError, match="2-d"):
             pairwise_l2(Tensor([1.0, 2.0]))

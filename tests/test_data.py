@@ -139,7 +139,7 @@ class TestBlobsSeparationRegression:
         assert probe_test >= 0.99
 
         from distilforge.models import NetworkConfig, init_network
-        from distilforge.trainer import TrainConfig, train_pair
+        from distilforge.trainer import TrainConfig, pretrain_stage1, train_stage2
 
         nets = [
             init_network(NetworkConfig(2, (32, 16), 3, init_seed=1)),
@@ -149,8 +149,8 @@ class TestBlobsSeparationRegression:
             stage1_epochs=3, stage2_epochs=10, batch_size=32, lr=0.1,
             lr_milestones=(5,), lr_factor=0.2, seed=0,
         )
-        result = train_pair(nets, train, test, config)
-        final = [r.test_top1 for r in result.records[-2:]]
+        _, tables, _ = pretrain_stage1(nets, train, test, config)
+        final = [r.test_top1 for r in train_stage2(nets, tables, train, test, config)[-2:]]
         assert all(v >= 0.95 for v in final)
 
     def test_wider_spread_defeats_linear_probe(self):
@@ -212,14 +212,29 @@ class TestNormalize:
         ):
             mean_std_normalize(train)
 
-    def test_inputs_left_unchanged(self):
-        train = synth_blobs(3, 10, 3, 1.5, seed=6)
-        test = synth_blobs(3, 4, 3, 1.5, seed=7)
-        before = [train.features.data.copy(), test.features.data.copy()]
-        ntrain, ntest = mean_std_normalize(train, [test])
-        for ds, norm, raw in zip((train, test), (ntrain, ntest), before):
-            assert np.array_equal(ds.features.data, raw)
-            assert not np.shares_memory(norm.features.data, ds.features.data)
+    def test_standardizes_each_split_in_place_with_the_out_of_place_bits(self):
+        # Widths around the 64-column statistics blocks: one column, two, one
+        # block and one column more, whole blocks, and whole blocks and one.
+        rng = np.random.default_rng(6)
+        for d in (1, 2, 65, 784, 785):
+            raw = [rng.standard_normal((rows, d)) * rng.uniform(0.1, 50.0, d)
+                   + rng.uniform(-9.0, 9.0, d) for rows in (300, 70)]
+            splits = [Dataset(Tensor(x.copy()), np.zeros(len(x), dtype=int), 2) for x in raw]
+            arrays = [ds.features.data for ds in splits]
+            returned = mean_std_normalize(splits[0], splits[1:])
+            mean, std = raw[0].mean(axis=0), np.maximum(raw[0].std(axis=0), STD_FLOOR)
+            for ds, norm, array, x in zip(splits, returned, arrays, raw):
+                assert norm is ds and norm.features.data is array
+                assert np.array_equal(array, (x - mean) / std), f"width {d}"
+
+    def test_splits_sharing_memory_rejected(self):
+        ds = synth_blobs(3, 10, 3, 1.5, seed=6)
+        before = ds.features.data.copy()
+        half = Dataset(Tensor(ds.features.data[:5]), ds.labels[:5], 3)
+        for others in ([ds], [half]):
+            with pytest.raises(ValueError, match="^the splits to normalize share feature memory$"):
+                mean_std_normalize(ds, others)
+        assert np.array_equal(ds.features.data, before)
 
     def test_labels_and_metadata_survive(self):
         ds = synth_blobs(2, 3, 2, 0.5, seed=5)

@@ -361,35 +361,62 @@ class TestRunExperiment:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(doc))
         config = load_experiment_config(path)
-        train_pair, evaluate_top1 = experiments.train_pair, experiments.evaluate_top1
+        pretrain_stage1, evaluate_top1 = experiments.pretrain_stage1, experiments.evaluate_top1
         trained, evaluated = [], []
 
-        def spy_train_pair(*args):
-            trained.append(train_pair(*args))
-            return trained[-1]
+        def spy_pretrain_stage1(nets, *args):
+            trained.append(nets)
+            return pretrain_stage1(nets, *args)
 
         def spy_evaluate_top1(net, dataset):
             evaluated.append(net)
             return evaluate_top1(net, dataset)
 
-        monkeypatch.setattr(experiments, "train_pair", spy_train_pair)
+        monkeypatch.setattr(experiments, "pretrain_stage1", spy_pretrain_stage1)
         monkeypatch.setattr(experiments, "evaluate_top1", spy_evaluate_top1)
         summary = run_experiment(config, out_dir=tmp_path / "out")
         assert len(trained) == 2
         if stage1_epochs or stage2_epochs:
             assert evaluated == []
         else:
-            assert evaluated == [net for result in trained for net in result.nets]
+            assert evaluated == [net for nets in trained for net in nets]
         _, test = build_datasets(config.dataset)
         for k, network in enumerate((config.network1, config.network2)):
             finals = summary["final_test_top1"][f"net{k + 1}"]
-            assert finals == [evaluate_top1(result.nets[k], test)[0] for result in trained]
+            assert finals == [evaluate_top1(nets[k], test)[0] for nets in trained]
             if not (stage1_epochs or stage2_epochs):
                 initial = [
                     init_network(dataclasses.replace(network, init_seed=network.init_seed + rep))
                     for rep in (0, 1)
                 ]
                 assert finals == [evaluate_top1(net, test)[0] for net in initial]
+
+    @pytest.mark.parametrize("variant", ["A", "B", "C", "D"])
+    def test_stage_2_starts_after_the_stage_1_checkpoints(self, tmp_path, monkeypatch, variant):
+        """Both stage-1 checkpoints are written before stage 2 starts, and
+        stage 2 gets stage 1's tables only with the self term (not variant B)."""
+        doc = base_config_dict()
+        doc["train"]["variant"] = variant
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        save_checkpoint, train_stage2 = experiments.save_checkpoint, experiments.train_stage2
+        events = []
+
+        def spy_save_checkpoint(net, path):
+            events.append(Path(path).name)
+            save_checkpoint(net, path)
+
+        def spy_train_stage2(nets, tables, *args):
+            events.append(f"stage 2 with tables: {tables is not None}")
+            return train_stage2(nets, tables, *args)
+
+        monkeypatch.setattr(experiments, "save_checkpoint", spy_save_checkpoint)
+        monkeypatch.setattr(experiments, "train_stage2", spy_train_stage2)
+        run_experiment(load_experiment_config(path), out_dir=tmp_path / "out")
+        assert events == [
+            "net1_stage1.json", "net2_stage1.json", f"stage 2 with tables: {variant != 'B'}",
+            "net1_stage2.json", "net2_stage2.json",
+        ]
 
     def test_metrics_csv_shape(self, tmp_path):
         config = load_experiment_config(write_config(tmp_path))
@@ -881,7 +908,8 @@ class TestCli:
         def no_training(*args, **kwargs):
             raise AssertionError("training started")
 
-        monkeypatch.setattr(experiments, "train_pair", no_training)
+        for stage in ("pretrain_stage1", "train_stage2"):
+            monkeypatch.setattr(experiments, stage, no_training)
         (tmp_path / "blocker").write_text("a regular file")
         out = tmp_path / "blocker" / "deep" / "out"
         assert cli.main([command, str(write_config(tmp_path)), "--out", str(out)]) == 1

@@ -7,11 +7,11 @@ Each checkpoint is also pinned in a form that depends only on its config
 and parameter values: the sha256 of the earlier text encoding, one
 round-trip decimal per value (`list_form_digest`), which did not change
 when the file format did. When this machine's fingerprint (python, numpy,
-BLAS name and version, machine) matches the one recorded with the pins, the
-outputs must be byte-identical. Otherwise float arithmetic may legitimately
-differ in the last bits: loss columns must then agree within a relative
-1e-9 (never tighter than the ninth significant digit that `metrics.csv`
-prints), and every other column exactly.
+BLAS name, version and kernel set, machine) matches the one recorded with
+the pins, the outputs must be byte-identical. Otherwise float arithmetic may
+legitimately differ in the last bits: loss columns must then agree within a
+relative 1e-9 (never tighter than the ninth significant digit that
+`metrics.csv` prints), and every other column exactly.
 
 A change that reorders float arithmetic on purpose rewrites the pins with
 
@@ -24,12 +24,17 @@ exits 1 if any pin would change.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -62,6 +67,21 @@ LOSS_COLUMNS = ("loss_total", "loss_ce", "loss_kl_mutual", "loss_dd", "loss_ad",
 REL_TOL = 1e-9
 
 
+def blas_core() -> Optional[str]:
+    """The kernel set numpy's OpenBLAS runs ("SkylakeX", "Haswell", ...).
+
+    Each kernel set rounds matrix products its own way in the last bits.
+    None where numpy's wheel ships no OpenBLAS that names it.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        getter = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_char_p
+            return getter().decode()
+    return None
+
+
 def fingerprint() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
@@ -69,6 +89,7 @@ def fingerprint() -> dict:
         "numpy": np.__version__,
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
+        "blas_core": blas_core(),
         "machine": platform.machine(),
     }
 
@@ -200,6 +221,36 @@ def test_tolerance_path_on_other_platforms():
     with pytest.raises(AssertionError, match="test_top1"):
         assert_close_trajectory(with_cells(test_top1="0.99"), pinned)
     assert max_loss_drift(with_cells(loss_total=repr(loss * 1.5)), pinned) == pytest.approx(0.5)
+
+
+def test_coincident_run_replays_under_two_avx2_kernels(tmp_path):
+    """`coincident_b17`'s rows that are equal in the input leave the network
+    a few ulps apart or not, by kernel; their distance is 0 either way, so
+    the Haswell and Sandybridge kernels, which any AVX2 CPU runs, write the
+    same metrics.csv."""
+    if blas_core() is None:
+        pytest.skip("numpy's BLAS does not name its kernel set")
+    cpu = getattr(np, "_core", None) or np.core
+    if not cpu._multiarray_umath.__cpu_features__.get("AVX2"):
+        pytest.skip("this CPU cannot run the AVX2 kernels")
+    script = (
+        "import sys; from pathlib import Path; import test_golden as g; "
+        "print(g.blas_core()); g.run_pinned('coincident_b17', Path(sys.argv[1]))"
+    )
+    path = [str(ROOT / "src"), str(GOLDEN.parent), os.environ.get("PYTHONPATH")]
+    path = os.pathsep.join(filter(None, path))
+    csvs = []
+    for core in ("Haswell", "Sandybridge"):
+        env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=path)
+        work = tmp_path / core
+        work.mkdir()
+        done = subprocess.run([sys.executable, "-c", script, str(work)], env=env,
+                              capture_output=True, text=True, check=True)
+        ran = done.stdout.split()[0]
+        if ran != core:
+            pytest.skip(f"OPENBLAS_CORETYPE={core} ran the {ran} kernels")
+        csvs.append((work / "coincident_b17" / "rep0" / "metrics.csv").read_bytes())
+    assert csvs[0] == csvs[1], f"max loss drift {max_loss_drift(*csvs):.3e}"
 
 
 def regenerate(work: Path, check: bool = False) -> bool:

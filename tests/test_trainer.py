@@ -23,7 +23,6 @@ from distilforge.trainer import (
     metrics_to_csv,
     pretrain_stage1,
     sgd_step,
-    train_pair,
     train_stage2,
     variant_weights,
 )
@@ -41,6 +40,12 @@ def fresh_pair(seed=100):
         init_network(NetworkConfig(2, (8, 4), 3, init_seed=seed)),
         init_network(NetworkConfig(2, (8, 4), 3, init_seed=seed + 1)),
     ]
+
+
+def train_both_stages(nets, train, test, config):
+    """Stage 1, then stage 2 on its tables, as a run trains a pair: (snapshots, records)."""
+    snapshots, tables, records = pretrain_stage1(nets, train, test, config)
+    return snapshots, records + train_stage2(nets, tables, train, test, config)
 
 
 def small_config(**overrides):
@@ -667,36 +672,22 @@ class TestSelfTeacher:
                 assert calls == [once] * 2
                 calls.clear()
                 frozen_nets.clear()
-                train_pair(fresh_pair(), train, test, config)
-                assert calls == [once] * 2
-                calls.clear()
-                frozen_nets.clear()
 
     @pytest.mark.parametrize("widths", [(2, (8, 4), 3), (64, (256, 64), 10)])
-    def test_train_pair_tables_are_the_snapshots_logits(self, widths, monkeypatch):
-        """The tables `train_pair` hands to stage 2 are bit-equal to one
-        forward of each snapshot over the training split, after one stage-1
-        epoch or none."""
+    def test_train_pair_tables_are_the_snapshots_logits(self, widths):
+        """The tables stage 1 hands to stage 2 are bit-equal to one forward
+        of each snapshot over the training split, after one stage-1 epoch or
+        none."""
         dim, hidden, classes = widths
         rng = np.random.default_rng(13)
         train = Dataset(Tensor(rng.standard_normal((150, dim))), rng.integers(0, classes, 150), classes)
         test = Dataset(Tensor(rng.standard_normal((20, dim))), rng.integers(0, classes, 20), classes)
-        seen = []
-        stage2 = trainer.train_stage2
-
-        def spy(nets, teacher_logits, *args):
-            seen.append(teacher_logits)
-            return stage2(nets, teacher_logits, *args)
-
-        monkeypatch.setattr(trainer, "train_stage2", spy)
         for stage1_epochs in (0, 1):
             nets = [init_network(NetworkConfig(dim, hidden, classes, init_seed=s)) for s in (1, 2)]
             config = small_config(batch_size=64, stage1_epochs=stage1_epochs, stage2_epochs=1)
-            result = train_pair(nets, train, test, config)
-            [tables] = seen
-            seen.clear()
+            snapshots, tables, _ = pretrain_stage1(nets, train, test, config)
             assert len(tables) == 2
-            for table, snapshot in zip(tables, result.snapshots):
+            for table, snapshot in zip(tables, snapshots):
                 assert np.array_equal(table, snapshot.forward(train.features).logits.data)
 
     def test_table_shapes_are_checked(self):
@@ -725,19 +716,19 @@ class TestTrainPair:
     def test_combined_record_stream(self):
         train, test = tiny_datasets()
         config = small_config(stage1_epochs=2, stage2_epochs=3)
-        result = train_pair(fresh_pair(), train, test, config)
-        assert len(result.records) == 10
-        assert [r.stage for r in result.records] == [1] * 4 + [2] * 6
-        assert len(result.nets) == 2
-        assert len(result.snapshots) == 2
+        snapshots, records = train_both_stages(fresh_pair(), train, test, config)
+        assert len(records) == 10
+        assert [r.stage for r in records] == [1] * 4 + [2] * 6
+        assert len(snapshots) == 2
 
     def test_deterministic_replay(self):
         train, test = tiny_datasets()
         config = small_config()
-        a = train_pair(fresh_pair(), train, test, config)
-        b = train_pair(fresh_pair(), train, test, config)
-        assert metrics_to_csv(a.records) == metrics_to_csv(b.records)
-        for na, nb in zip(a.nets, b.nets):
+        a, b = fresh_pair(), fresh_pair()
+        _, records_a = train_both_stages(a, train, test, config)
+        _, records_b = train_both_stages(b, train, test, config)
+        assert metrics_to_csv(records_a) == metrics_to_csv(records_b)
+        for na, nb in zip(a, b):
             for name in na.parameters:
                 np.testing.assert_array_equal(
                     na.parameters[name].data, nb.parameters[name].data
@@ -745,16 +736,15 @@ class TestTrainPair:
 
     def test_seed_changes_trajectory(self):
         train, test = tiny_datasets()
-        a = train_pair(fresh_pair(), train, test, small_config(seed=0))
-        b = train_pair(fresh_pair(), train, test, small_config(seed=1))
-        assert metrics_to_csv(a.records) != metrics_to_csv(b.records)
+        _, a = train_both_stages(fresh_pair(), train, test, small_config(seed=0))
+        _, b = train_both_stages(fresh_pair(), train, test, small_config(seed=1))
+        assert metrics_to_csv(a) != metrics_to_csv(b)
 
     def test_learns_easy_blobs(self):
         train, test = tiny_datasets(per_class=30, test_per_class=15)
         config = small_config(stage1_epochs=3, stage2_epochs=5)
-        result = train_pair(fresh_pair(), train, test, config)
-        final = [r for r in result.records[-2:]]
-        assert all(r.test_top1 >= 0.9 for r in final)
+        _, records = train_both_stages(fresh_pair(), train, test, config)
+        assert all(r.test_top1 >= 0.9 for r in records[-2:])
 
 
 def _finite_losses(records):
@@ -773,9 +763,9 @@ class TestBatchSizes:
         # adds nothing to the relation term but must still train.
         train, test = tiny_datasets(per_class=7)
         config = small_config(batch_size=10, variant=variant, update_order=order)
-        result = train_pair(fresh_pair(), train, test, config)
-        assert [r.stage for r in result.records] == [1, 1, 2, 2, 2, 2]
-        assert _finite_losses(result.records)
+        _, records = train_both_stages(fresh_pair(), train, test, config)
+        assert [r.stage for r in records] == [1, 1, 2, 2, 2, 2]
+        assert _finite_losses(records)
 
     @pytest.mark.parametrize("batch_size, skipped_epochs", [(11, [0, 1]), (7, [])])
     def test_batch_without_triples_logs_angle_term_skipped(
@@ -807,6 +797,6 @@ class TestBatchSizes:
             stage1_epochs=1, stage2_epochs=1, batch_size=batch_size, variant=variant,
             update_order=order,
         )
-        result = train_pair(fresh_pair(), train, test, config)
-        assert [r.stage for r in result.records] == [1, 1, 2, 2]
-        assert _finite_losses(result.records)
+        _, records = train_both_stages(fresh_pair(), train, test, config)
+        assert [r.stage for r in records] == [1, 1, 2, 2]
+        assert _finite_losses(records)
