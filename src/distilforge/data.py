@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .autodiff import AutodiffError, Tensor
+from .autodiff import AutodiffError, Tensor, _constant
 
 __all__ = [
     "IDX_IMAGES_MAGIC",
@@ -257,7 +257,8 @@ def batch_iterator(
     """Yield shuffled mini-batches covering every sample exactly once.
 
     The permutation is a pure function of (shuffle_seed, epoch); a partial
-    final batch is kept. Labels come out one-hot encoded.
+    final batch is kept. Labels come out one-hot encoded. Both are unchecked
+    constants: the rows come from the split, whose `Dataset` checked them.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -268,4 +269,4 @@ def batch_iterator(
         idx = perm[start : start + batch_size]
         one_hot = np.zeros((idx.size, dataset.num_classes))
         one_hot[np.arange(idx.size), dataset.labels[idx]] = 1.0
-        yield Batch(Tensor(feats[idx]), Tensor(one_hot), idx)
+        yield Batch(_constant(feats[idx]), _constant(one_hot), idx)

@@ -24,9 +24,9 @@ from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
-from .autodiff import AutodiffError, Tensor, _constant, backward
+from .autodiff import AutodiffError, Tensor, _all_finite, _constant, backward
 from .data import Dataset, batch_iterator
-from .losses import LossWeights, TotalLoss, TupleSets, total_loss
+from .losses import LossWeights, TotalLoss, TupleSets, _legs_per_middle, total_loss
 from .models import PeerNetwork, _integer, _number
 
 logger = logging.getLogger(__name__)
@@ -136,9 +136,53 @@ def variant_weights(weights: LossWeights, variant: str) -> tuple[LossWeights, bo
 # on 2,000 MNIST-shaped rows by about 4 MB.
 _SGD_BLOCK = 15872
 
+# Float64 elements of the flat buffer that a net's small parameters step
+# as: its gathered gradients and its step fit one block of scratch together.
+_FLAT_SIZE = _SGD_BLOCK // 2
+
 # Rows per block of an evaluation forward: a (512, 256) activation is 1 MiB,
 # so an evaluation's peak follows the widest layer, not the split's length.
 _EVAL_ROWS = 512
+
+
+def _flat_layout(parameters: dict, velocities: dict) -> tuple[list, list, np.ndarray, np.ndarray]:
+    """The flat buffer's (name, slice) members, the other names, and its weights and velocities.
+
+    Taken in order, each parameter joins the flat buffer while it stays
+    within `_FLAT_SIZE` elements. When the members' weights and velocities
+    are not yet views of one such pair of buffers, in that order, they are
+    re-homed: their values are copied there, and each `p.data` and
+    `velocities[name]` is rebound to its view, so an array taken before goes
+    stale. Any other parameter or velocity that is not C-contiguous gets a
+    C-contiguous copy, so every array steps through flat views of itself.
+    """
+    inside, outside, size = [], [], 0
+    for name, p in parameters.items():
+        if size + p.data.size <= _FLAT_SIZE:
+            inside.append((name, slice(size, size + p.data.size)))
+            size += p.data.size
+        else:
+            outside.append(name)
+    flat_w = parameters[inside[0][0]].data.base if inside else np.empty(0)
+    flat_v = velocities[inside[0][0]].base if inside else np.empty(0)
+    if (
+        flat_w is not None and flat_v is not None and flat_w.size == flat_v.size == size
+        and all(parameters[n].data.base is flat_w and velocities[n].base is flat_v
+                for n, _ in inside)
+        and all(parameters[n].data.flags.c_contiguous and velocities[n].flags.c_contiguous
+                for n in outside)
+    ):
+        return inside, outside, flat_w, flat_v
+    flat_w, flat_v = np.empty(size), np.empty(size)
+    for name, part in inside:
+        p = parameters[name]
+        w, v = flat_w[part].reshape(p.data.shape), flat_v[part].reshape(p.data.shape)
+        w[...], v[...] = p.data, velocities[name]
+        p.data, velocities[name] = w, v
+    for name in outside:
+        parameters[name].data = np.ascontiguousarray(parameters[name].data)
+        velocities[name] = np.ascontiguousarray(velocities[name])
+    return inside, outside, flat_w, flat_v
 
 
 def sgd_step(
@@ -152,36 +196,44 @@ def sgd_step(
 
     `velocities` maps each parameter name to its momentum buffer. Buffers and
     each `p.data` are updated in place, with the formula's float operations
-    in its order, so the bits match an out-of-place update. A parameter of at
-    most `_SGD_BLOCK` elements, or one whose weight or velocity is not
-    C-contiguous, steps through one scratch array of its size; a larger one
-    runs the same operations block by block through one scratch of one
-    block, so each block is read from memory once instead of once per
-    operation, after a first pass has checked every block's gradient. A
-    missing gradient steps by weight decay alone; a non-finite one raises
-    before its parameter or velocity changes. A tape recorded before the
-    step reads the new weights, so it must not be backpropagated afterwards:
-    the trainer reuses a peer's forward output only until that peer steps.
-    Each gradient is released (`grad = None`) once its step has applied it,
-    so a net's gradients never outlive the step into the evaluations that
-    follow.
+    in its order, so the bits match an out-of-place update. The small
+    parameters step as one flat array (see `_flat_layout`, which re-homes
+    them on a net's first step with fresh velocities and rebinds their
+    `p.data`): their gradients are gathered into the scratch, a missing one
+    as -0.0, which adds nothing. Every other parameter runs the same
+    operations block by block through one scratch of one block, so each
+    block is read from memory once instead of once per operation; a missing
+    gradient steps by weight decay alone. Every gradient is checked before
+    any parameter or velocity changes, and a non-finite one raises naming
+    the first such parameter. A tape recorded before the step reads the new
+    weights, so it must not be backpropagated afterwards: the trainer reuses
+    a peer's forward output only until that peer steps. Each gradient is
+    released (`grad = None`) once the step has applied it, so a net's
+    gradients never outlive the step into the evaluations that follow.
     """
-    scratch = None
-    for name, p in parameters.items():
-        w, v, g = p.data, velocities[name], p.grad
-        if w.size > _SGD_BLOCK and w.flags.c_contiguous and v.flags.c_contiguous:
-            if scratch is None:
-                scratch = np.empty(_SGD_BLOCK)
-            w, v = w.reshape(-1), v.reshape(-1)
-            g = None if g is None else g.reshape(-1)
-            blocks = [
-                (slice(start, start + _SGD_BLOCK), scratch[:min(_SGD_BLOCK, w.size - start)])
-                for start in range(0, w.size, _SGD_BLOCK)
-            ]
-        else:
-            blocks = [(slice(None), None)]
-        if g is not None and not all(np.isfinite(g[block]).all() for block, _ in blocks):
-            raise TrainingDivergence(f"non-finite gradient for parameter '{name}'")
+    inside, outside, flat_w, flat_v = _flat_layout(parameters, velocities)
+    size = flat_w.size
+    scratch = np.empty(_SGD_BLOCK if outside else 2 * size)
+    # The flat array steps first: the other parameters' blocks reuse its scratch.
+    gathered = scratch[size:2 * size]
+    for name, part in inside:
+        g = parameters[name].grad
+        gathered[part] = -0.0 if g is None else g.reshape(-1)
+    steps = [(flat_w, flat_v, gathered, [(slice(None), scratch[:size])])]
+    for name in outside:
+        p = parameters[name]
+        w = p.data.reshape(-1)
+        steps.append((
+            w, velocities[name].reshape(-1), None if p.grad is None else p.grad.reshape(-1),
+            [(slice(start, start + _SGD_BLOCK), scratch[:min(_SGD_BLOCK, w.size - start)])
+             for start in range(0, w.size, _SGD_BLOCK)],
+        ))
+    for _, _, g, blocks in steps:
+        if g is not None and not all(_all_finite(g[block]) for block, _ in blocks):
+            bad = next(name for name, p in parameters.items()
+                       if p.grad is not None and not _all_finite(p.grad))
+            raise TrainingDivergence(f"non-finite gradient for parameter '{bad}'")
+    for w, v, g, blocks in steps:
         for block, out in blocks:
             wb, vb = w[block], v[block]
             step = np.multiply(wb, weight_decay, out=out)
@@ -191,6 +243,7 @@ def sgd_step(
             vb += step
             np.multiply(vb, lr, out=step)
             wb -= step
+    for p in parameters.values():
         p.grad = None
 
 
@@ -318,7 +371,10 @@ def _train_epochs(
     first peer's updated outputs; in simultaneous order both step after both
     backward passes, so both losses see pre-step outputs. A peer's forward
     output, with the relation geometry `total_loss` keeps on it, is reused
-    until that peer steps. `teacher_logits`, when given, holds one
+    until that peer steps. Each stage starts its velocities at zero, in new
+    arrays, so a net's first step of the stage re-homes its small parameters
+    into one flat buffer (see `_flat_layout`): a `p.data` array taken
+    before then goes stale. `teacher_logits`, when given, holds one
     (rows, classes) table per peer over the training split; each batch's
     self-teacher is that table's rows at the batch's indices. Stage 2's
     shuffling continues stage 1's epoch numbers, so the batch stream never
@@ -328,7 +384,8 @@ def _train_epochs(
     and epoch.
 
     Returns (records, each peer's logits over the training split from the
-    last epoch's evaluation); the logits are None when no epoch ran.
+    last epoch's evaluation); the logits are None in stage 2 and when no
+    epoch ran.
     """
     epochs = config.stage2_epochs if stage == 2 else config.stage1_epochs
     epoch_offset = config.stage1_epochs if stage == 2 else 0
@@ -348,7 +405,9 @@ def _train_epochs(
                 b = len(batch)
                 tuples = None
                 if need_tuples:
-                    rng = np.random.default_rng([config.seed, shuffle_epoch, batch_index])
+                    # A full set (up to batch 16) draws nothing, so it gets no rng.
+                    rng = None if _legs_per_middle(b) == b - 1 else np.random.default_rng(
+                        [config.seed, shuffle_epoch, batch_index])
                     tuples = TupleSets.build(b, rng=rng)
                     if tuples.num_triples == 0:
                         logger.debug(
@@ -367,7 +426,7 @@ def _train_epochs(
                         forward(k),
                         forward(1 - k) if weights.beta > 0 else None,
                         None if teacher_logits is None
-                        else Tensor(teacher_logits[k][batch.indices]),
+                        else _constant(teacher_logits[k][batch.indices]),
                         batch.one_hot_labels,
                         weights,
                         tuples,
@@ -380,10 +439,15 @@ def _train_epochs(
                             sgd_step(nets[j].parameters, velocities[j], lr, config.momentum,
                                      config.weight_decay)
                             outputs[j] = None
-            # Drop the previous epoch's logits first, so no evaluation runs beside them.
-            epoch_logits = [None, None]
+            # Drop the previous epoch's logits first, so no evaluation runs beside
+            # them. Only stage 1 keeps them: net 2's stage-2 evaluations run beside
+            # no table of net 1.
+            epoch_logits = [None, None] if stage == 1 else None
             for k in (0, 1):
-                train_top1, epoch_logits[k] = evaluate_top1(nets[k], train_ds)
+                train_top1, logits = evaluate_top1(nets[k], train_ds)
+                if stage == 1:
+                    epoch_logits[k] = logits
+                del logits
                 records.append(
                     stats[k].record(
                         epoch=epoch,
@@ -450,8 +514,10 @@ def train_stage2(
     epoch numbering. With the self term active, `teacher_logits` holds each
     peer's frozen snapshot's logits over the training split, one
     (rows, classes) table per peer as `pretrain_stage1` returns them, and
-    every batch reads the rows at its indices. Without the self term
-    (variant B, or `gamma` 0) they are ignored and may be None.
+    every batch reads the rows at its indices as constants: a table of
+    another shape, or one holding a non-finite value, raises ValueError
+    before any step. Without the self term (variant B, or `gamma` 0) they
+    are ignored and may be None.
     """
     _require_pair(nets)
     weights, include_relation = variant_weights(config.weights, config.variant)
@@ -461,6 +527,10 @@ def train_stage2(
         (len(train_ds), net.config.num_classes) for net in nets
     ]:
         raise ValueError("the self term needs one (rows, classes) teacher_logits table per peer")
+    else:
+        teacher_logits = [np.asarray(t, dtype=np.float64) for t in teacher_logits]
+        if not all(np.isfinite(t).all() for t in teacher_logits):
+            raise ValueError("a teacher_logits table holds non-finite values")
     return _train_epochs(
         nets, teacher_logits, train_ds, test_ds, config,
         stage=2,

@@ -90,6 +90,31 @@ def test_sgd_step_holds_at_most_about_a_block_of_scratch():
     assert peak <= 1.25 * block
 
 
+@pytest.mark.parametrize("count", [5, 12])
+def test_sgd_step_scratch_stays_within_a_block(count):
+    # Parameters of 1,500 elements: the flat buffer takes five (7,500
+    # elements, its gradients and its step one block together), and with
+    # twelve the other seven step on their own through the same block. The
+    # first step re-homes the weights; the traced one is the second. Beside
+    # the block, the finiteness check's mask takes a byte per flat element:
+    # 1.02 and 1.11 blocks. One flat buffer of all twelve would take 2.27.
+    rng = np.random.default_rng(10)
+    params = {f"b{i}": Tensor(rng.standard_normal(1500), requires_grad=True) for i in range(count)}
+    velocities = {name: np.zeros(1500) for name in params}
+
+    def step():
+        for p in params.values():
+            p.grad = rng.standard_normal(1500)
+        sgd_step(params, velocities, 0.1, 0.9, 5e-4)
+
+    step()
+    grads = count * 1500 * 8
+    block = trainer._SGD_BLOCK * 8
+    peak = _traced_peak(step) - grads
+    print(f"sgd_step peak: {peak / block:.2f} blocks beside the gradients")
+    assert peak <= 1.25 * block
+
+
 def test_training_peak_follows_one_evaluation_block():
     # A wide_idx-shaped pair: 2,000/500 rows at 784 -> [256, 64] -> 10,
     # variant D, 1+1 epochs. Everything it allocates is traced: the splits,

@@ -27,7 +27,9 @@ angle term) and 830 - 2 * 6 = 818 for the ablation (two losses on the
 16-row batch in each of variants A, B and C). Variant D (172) has no
 relation term. With no side degenerate and none narrowed, the only
 `gather` left is each measured side's potentials gather, one per
-`pairwise_l2` call.
+`pairwise_l2` call. `trainer.sgd_step` is pinned at one call per net per
+batch, whatever the update order: a step that batched both nets, or split
+one net's step, would change what its traced span measures.
 """
 
 from __future__ import annotations
@@ -65,6 +67,11 @@ def traced_run(tmp_path: Path, command: str, train: dict) -> run.Process:
                        exit_code=0, stderr="", out=tmp_path / "out", result=result, errors=[])
 
 
+def sgd_steps(variants: int, batch_size: int) -> int:
+    """One step per net per batch, in each stage (1+1 epochs) of each variant."""
+    return variants * 2 * math.ceil(18 / batch_size) * (1 + 1)
+
+
 def test_traced_demo_like_run_keeps_the_layer_contract(tmp_path):
     traced = traced_run(tmp_path, "run", {"batch_size": 17})
     trace = traced.result["trace"]
@@ -76,6 +83,7 @@ def test_traced_demo_like_run_keeps_the_layer_contract(tmp_path):
     assert calls["losses.relation"] == 2 * 2, calls
     assert calls["autodiff.op.pairwise_l2"] == 3 * 1, calls
     assert calls["autodiff.op.gather"] == calls["autodiff.op.pairwise_l2"], calls
+    assert calls["trainer.sgd_step"] == sgd_steps(variants=1, batch_size=17), calls
     assert trace["counters"]["autodiff.tape_nodes"] == 214
 
 
@@ -88,6 +96,7 @@ def test_traced_full_triple_ablation_keeps_the_layer_contract(tmp_path):
     assert calls["losses.relation"] > 0
     assert calls["autodiff.op.pairwise_l2"] == calls["losses.relation"], calls
     assert calls["autodiff.op.gather"] == calls["autodiff.op.pairwise_l2"], calls
+    assert calls["trainer.sgd_step"] == sgd_steps(variants=4, batch_size=16), calls
     assert trace["counters"]["autodiff.tape_nodes"] == 818
 
 
@@ -119,4 +128,5 @@ def test_traced_variant_d_run_keeps_the_relation_layers_idle(tmp_path):
     # teacher side of a KL term is computed off the tape.
     losses1, losses2 = 2 * batches * epochs1, 2 * batches * epochs2
     assert calls["autodiff.op.log_softmax_with_temperature"] == losses1 + 3 * losses2, calls
+    assert calls["trainer.sgd_step"] == sgd_steps(variants=1, batch_size=17), calls
     assert trace["counters"]["autodiff.tape_nodes"] == 172

@@ -1,6 +1,7 @@
 """Optimizer, schedule, metrics, and the two-stage training loop."""
 
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -197,7 +198,6 @@ class TestSgdStep:
         lr, momentum, wd = 0.1, 0.9, 5e-4
         params = {n: Tensor(rng.standard_normal(s), requires_grad=True) for n, s in shapes.items()}
         velocities = {n: np.zeros(s) for n, s in shapes.items()}
-        arrays = {n: p.data for n, p in params.items()}
         ref_w = {n: p.data.copy() for n, p in params.items()}
         ref_v = {n: np.zeros(s) for n, s in shapes.items()}
         for step in range(3):
@@ -205,6 +205,8 @@ class TestSgdStep:
                 p.grad = None if (n, step) == ("b0", 1) else rng.standard_normal(shapes[n])
             grads = {n: p.grad for n, p in params.items()}
             sgd_step(params, velocities, lr, momentum, wd)
+            if step == 0:  # The first step re-homes the weights; later ones update in place.
+                arrays = {n: p.data for n, p in params.items()}
             for n, p in params.items():
                 g = np.zeros(shapes[n]) if grads[n] is None else grads[n]
                 g = g + wd * ref_w[n]
@@ -243,7 +245,6 @@ class TestSgdStep:
         params = {n: Tensor(d.copy() if n != "w2" else d, requires_grad=True)
                   for n, d in data.items()}
         velocities = {n: np.zeros_like(p.data) for n, p in params.items()}
-        arrays = {n: p.data for n, p in params.items()}
         ref_w = {n: d.copy() for n, d in data.items()}
         ref_v = {n: np.zeros(d.shape) for n, d in data.items()}
         for step in range(4):
@@ -251,6 +252,8 @@ class TestSgdStep:
                 p.grad = None if (n, step) in {("w0", 1), ("w1", 2)} else rng.standard_normal(p.data.shape)
             grads = {n: p.grad for n, p in params.items()}
             sgd_step(params, velocities, lr, momentum, wd)
+            if step == 0:  # The first step re-homes the weights; later ones update in place.
+                arrays = {n: p.data for n, p in params.items()}
             for n, p in params.items():
                 g = np.zeros(p.data.shape) if grads[n] is None else grads[n]
                 g = g + wd * ref_w[n]
@@ -259,6 +262,69 @@ class TestSgdStep:
                 assert p.data is arrays[n] and p.grad is None
                 assert np.array_equal(p.data, ref_w[n]), (n, step)
                 assert np.array_equal(velocities[n], ref_v[n]), (n, step)
+
+    def test_flat_step_has_the_per_parameter_bits(self):
+        """Small parameters step as one flat array and the rest on their own,
+        with the bits of a per-parameter out-of-place update: a parameter over
+        one block, small ones, non-contiguous ones (one small, one large),
+        one that never has a gradient, and a small one that no longer fits
+        the flat buffer."""
+        rng = np.random.default_rng(14)
+        lr, momentum, wd = 0.05, 0.9, 5e-4
+        data = {
+            "w0": rng.standard_normal((784, 256)),
+            "b0": rng.standard_normal(256),
+            "w1": rng.standard_normal((64, 40)).T,
+            "b1": rng.standard_normal(40),
+            "w2": rng.standard_normal(7000),
+            "b2": rng.standard_normal(3),
+            "w3": rng.standard_normal((300, 200)).T,
+        }
+        params = {n: Tensor(d.copy() if n not in ("w1", "w3") else d, requires_grad=True)
+                  for n, d in data.items()}
+        velocities = {n: np.zeros_like(p.data) for n, p in params.items()}
+        ref_w = {n: d.copy() for n, d in data.items()}
+        ref_v = {n: np.zeros(d.shape) for n, d in data.items()}
+        for step in range(1, 4):
+            for n, p in params.items():
+                p.grad = None if n == "b1" else rng.standard_normal(p.data.shape)
+            grads = {n: p.grad for n, p in params.items()}
+            sgd_step(params, velocities, lr, momentum, wd)
+            for n, p in params.items():
+                g = np.zeros(p.data.shape) if grads[n] is None else grads[n]
+                ref_v[n] = momentum * ref_v[n] + (g + wd * ref_w[n])
+                ref_w[n] = ref_w[n] - lr * ref_v[n]
+                assert p.data.flags.c_contiguous and p.grad is None
+                assert np.array_equal(p.data, ref_w[n]), (n, step)
+                assert np.array_equal(velocities[n], ref_v[n]), (n, step)
+        flat_w, flat_v = params["b0"].data.base, velocities["b0"].base
+        assert flat_w.size == flat_v.size == 256 + 40 * 64 + 40 + 3
+        for n, p in params.items():
+            inside = n in ("b0", "w1", "b1", "b2")
+            assert (p.data.base is flat_w) == inside and (velocities[n].base is flat_v) == inside
+
+    def test_non_finite_gradient_in_the_last_parameter_leaves_the_whole_net(self):
+        # Every gradient is checked before any write, and the error names the
+        # first bad parameter in the net's order.
+        rng = np.random.default_rng(15)
+        shapes = {"w0": (trainer._SGD_BLOCK + 7,), "b0": (5,), "w1": (5, 3), "b1": (3,)}
+        for bad in (["b1"], ["w1", "b1"], ["w0", "b1"]):
+            params = {n: Tensor(rng.standard_normal(s), requires_grad=True)
+                      for n, s in shapes.items()}
+            velocities = {n: rng.standard_normal(s) for n, s in shapes.items()}
+            for n, p in params.items():
+                p.grad = rng.standard_normal(shapes[n])
+            sgd_step(params, velocities, lr=0.1, momentum=0.9, weight_decay=0.1)
+            before = {n: (p.data.copy(), velocities[n].copy()) for n, p in params.items()}
+            for n, p in params.items():
+                p.grad = rng.standard_normal(shapes[n])
+                if n in bad:
+                    p.grad.reshape(-1)[-1] = float("nan")
+            with pytest.raises(TrainingDivergence, match=f"'{bad[0]}'"):
+                sgd_step(params, velocities, lr=0.1, momentum=0.9, weight_decay=0.1)
+            for n, p in params.items():
+                assert np.array_equal(p.data, before[n][0]), (bad, n)
+                assert np.array_equal(velocities[n], before[n][1]), (bad, n)
 
     def test_non_finite_gradient_in_the_last_block_leaves_its_parameter(self):
         rng = np.random.default_rng(12)
@@ -552,6 +618,48 @@ class TestStage2:
                 with pytest.raises(ValueError, match="teacher_logits table per peer"):
                     train_stage2(fresh_pair(), None, train, test, config)
 
+    @pytest.mark.parametrize("batch_size, sampled", [(16, 0), (17, 1)])
+    def test_only_a_sampled_triple_set_builds_an_rng(self, batch_size, sampled, monkeypatch):
+        # 24 rows: batches of 16 and 8, both full sets, or of 17 (sampled) and
+        # 7. Beside `batch_iterator`'s per-epoch generator, seeded [seed,
+        # epoch], only a sampled set makes one, seeded [seed, epoch, batch].
+        train, test = tiny_datasets()
+        nets = fresh_pair()
+        tables = [evaluate_top1(net, train)[1] for net in nets]
+        config = small_config(batch_size=batch_size, stage2_epochs=2)
+        seeds, default_rng = [], np.random.default_rng
+
+        def counted_rng(seed=None):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counted_rng)
+        train_stage2(nets, tables, train, test, config)
+        per_batch = [seed for seed in seeds if len(seed) == 3]
+        assert len(seeds) - len(per_batch) == config.stage2_epochs
+        assert per_batch == [[0, epoch, 0] for epoch in (1, 2)][:sampled * 2]
+
+    def test_stage2_keeps_no_train_split_logits(self, monkeypatch):
+        # Stage 1's last train-split evaluation is the self-teacher table, so
+        # stage 1 keeps it; stage 2 drops each one at once, so no evaluation
+        # runs beside a train-split table of either net.
+        train, test = tiny_datasets()
+        nets = fresh_pair()
+        config = small_config(stage2_epochs=2)
+        _, tables, _ = pretrain_stage1(nets, train, test, config)
+        evaluate, refs, alive = trainer.evaluate_top1, [], []
+
+        def watched(net, dataset):
+            alive.append(sum(ref() is not None for ref in refs))
+            top1, logits = evaluate(net, dataset)
+            if dataset is train:
+                refs.append(weakref.ref(logits))
+            return top1, logits
+
+        monkeypatch.setattr(trainer, "evaluate_top1", watched)
+        train_stage2(nets, tables, train, test, config)
+        assert alive == [0] * (2 * 2 * config.stage2_epochs)
+
     def test_variant_c_zeroes_mutual_kl_only(self):
         train, test = tiny_datasets()
         nets = fresh_pair()
@@ -710,6 +818,24 @@ class TestSelfTeacher:
                     with pytest.raises(ValueError, match="teacher_logits table per peer"):
                         train_stage2(nets, tables, train, test, config)
         assert np.array_equal(evaluate_top1(nets[0], train)[1], table)
+
+    def test_non_finite_tables_raise_before_any_step(self, monkeypatch):
+        # Checked once beside the shapes, not per batch; variant B ignores them.
+        train, test = tiny_datasets()
+        nets = fresh_pair()
+        table = evaluate_top1(nets[0], train)[1]
+        steps = []
+        monkeypatch.setattr(trainer, "sgd_step", lambda *args: steps.append(args))
+        for value in (np.nan, np.inf, -np.inf):
+            bad = table.copy()
+            bad[-1, 0] = value
+            for tables in ([table, bad], [bad, table]):
+                with pytest.raises(ValueError, match="teacher_logits table holds non-finite"):
+                    train_stage2(nets, tables, train, test, small_config())
+                assert steps == []
+                train_stage2(nets, tables, train, test, small_config(variant="B", stage2_epochs=1))
+                assert steps
+                steps.clear()
 
 
 class TestTrainPair:
