@@ -7,12 +7,13 @@ evaluation order, so repeated runs are bit-identical on the same platform and
 finite-difference gradient checks stay tight.
 
 Shape discipline is strict. Binary operations require two tensors of equal
-shape; `mul` and `div` also take a python number as the right operand, and
-`div` a single-element tensor. There is no general broadcasting. Row-vector
-bias addition gets its own operation. `legs` takes the (n, m, d) legs from
-n rows to their m other endpoints in one record. `triple_cosines` takes its
-cosines from one batched Gram matrix of those legs, at the cells an (n, m, m)
-boolean mask selects, and scatters its gradient back by the same mask.
+shape; `mul` also takes a python number as the right operand, and `div`
+divides only by a python number or a single-element tensor. There is no
+general broadcasting. Row-vector bias addition gets its own operation.
+`legs` takes the (n, m, d) legs from n rows to their m other endpoints in
+one record. `triple_cosines` takes its cosines from one batched Gram matrix
+of those legs, at the cells an (n, m, m) boolean mask selects, and scatters
+its gradient back by the same mask.
 
 Every tensor holds finite values: `Tensor` checks what it wraps, and each op
 checks its result unless finite inputs cannot give a non-finite one. `relu`,
@@ -249,22 +250,16 @@ def div(a: Tensor, b) -> Tensor:
         return _record(ad / bv, "div", (a,), lambda g: (g / bv,))
     _require_tensor("div", b)
     bd = b.data
-    if bd.size and np.abs(bd).min() < DIV_GUARD:
+    if bd.size != 1:
+        raise ValueError(f"div: shape mismatch {ad.shape} vs {bd.shape}")
+    bv = float(bd.reshape(()))
+    if abs(bv) < DIV_GUARD:
         raise AutodiffError(f"div: divisor magnitude below {DIV_GUARD:g}")
-    if bd.shape == ad.shape:
-        rule = lambda g: (
-            g / bd if a.requires_grad else None,
-            -g * ad / (bd * bd) if b.requires_grad else None,
-        )
-        return _record(ad / bd, "div", (a, b), rule)
-    if bd.size == 1:
-        bv = float(bd.reshape(()))
-        rule = lambda g: (
-            g / bv if a.requires_grad else None,
-            np.asarray(-(g * ad).sum() / (bv * bv)).reshape(bd.shape) if b.requires_grad else None,
-        )
-        return _record(ad / bv, "div", (a, b), rule)
-    raise ValueError(f"div: shape mismatch {ad.shape} vs {bd.shape}")
+    rule = lambda g: (
+        g / bv if a.requires_grad else None,
+        np.asarray(-(g * ad).sum() / (bv * bv)).reshape(bd.shape) if b.requires_grad else None,
+    )
+    return _record(ad / bv, "div", (a, b), rule)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

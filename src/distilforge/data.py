@@ -229,14 +229,17 @@ def mean_std_normalize(train: Dataset, others: Sequence[Dataset] = ()) -> list[D
     arrays = [ds.features.data for ds in splits]
     if any(np.may_share_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i]):
         raise ValueError("the splits to normalize share feature memory")
-    # Over blocks of 64 columns, so `std`'s temporary is a block, not the
-    # split. No block is one column of a wider array: numpy sums that in
-    # another order than the same column of the whole array.
+    # Over contiguous copies of 64-column blocks, so `std`'s temporary is a
+    # block, not the split, and numpy reduces no strided slice. No block is
+    # one column of a wider array: numpy sums that in another order than the
+    # same column of the whole array.
     d = arrays[0].shape[1]
     starts = range(0, max(d - 1, 1), 64)
-    blocks = [arrays[0][:, start:stop] for start, stop in zip(starts, [*starts[1:], d])]
-    mean = np.concatenate([block.mean(axis=0) for block in blocks])
-    std = np.maximum(np.concatenate([block.std(axis=0) for block in blocks]), STD_FLOOR)
+    mean, std = np.empty(d), np.empty(d)
+    for start, stop in zip(starts, [*starts[1:], d]):
+        block = np.ascontiguousarray(arrays[0][:, start:stop])
+        mean[start:stop], std[start:stop] = block.mean(axis=0), block.std(axis=0)
+    std = np.maximum(std, STD_FLOOR)
     # An infinite standard deviation alone would pass the feature check
     # below: it maps every value of its feature to 0.
     if not (np.isfinite(mean).all() and np.isfinite(std).all()):

@@ -84,13 +84,48 @@ class ForwardOutput:
     relation: object = None
 
 
-class PeerNetwork:
-    """One peer and its named parameter tensors; a frozen snapshot's parameters
-    do not require grad."""
+def _layout(config: NetworkConfig) -> list[tuple[str, tuple, slice]]:
+    """Each parameter's name, shape and slice of the flat array, in layer order."""
+    layout, start = [], 0
+    dims = config.layer_dims
+    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        for name, shape in ((f"w{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,))):
+            layout.append((name, shape, slice(start, start + math.prod(shape))))
+            start += math.prod(shape)
+    return layout
 
-    def __init__(self, config: NetworkConfig, parameters: dict):
+
+class PeerNetwork:
+    """One peer: its named parameter tensors, all views of one flat array.
+
+    `flat` is a 1-D C-contiguous float64 array of the config's parameter
+    count. The parameters w0, b0, w1, b1, ... view consecutive slices of it
+    in that order, so the SGD step updates them in place through `flat`, and
+    an array taken from a parameter keeps tracking the network. Rebinding a
+    parameter's `data`, or an entry of `parameters`, detaches it from
+    `flat`; `check_views` reports that. A frozen network's parameters do not
+    require grad.
+    """
+
+    def __init__(self, config: NetworkConfig, flat: np.ndarray, requires_grad: bool = True):
+        layout = _layout(config)
+        size = layout[-1][2].stop
+        if not (isinstance(flat, np.ndarray) and flat.ndim == 1 and flat.dtype == np.float64
+                and flat.flags.c_contiguous and flat.size == size):
+            raise ValueError(f"flat must be a 1-D C-contiguous float64 array of {size} values")
         self.config = config
-        self.parameters = parameters
+        self.flat = flat
+        self.parameters = {
+            name: Tensor(flat[part].reshape(shape), requires_grad=requires_grad)
+            for name, shape, part in layout
+        }
+        self._views = [p.data for p in self.parameters.values()]
+
+    def check_views(self) -> None:
+        """Raise ValueError unless every parameter still views its slice of `flat`."""
+        arrays = [p.data for p in self.parameters.values()]
+        if len(arrays) != len(self._views) or any(a is not v for a, v in zip(arrays, self._views)):
+            raise ValueError("a parameter was rebound and no longer views the network's flat array")
 
     def forward(self, features: Tensor) -> ForwardOutput:
         """Run the network; the input batch is never mutated."""
@@ -107,12 +142,8 @@ class PeerNetwork:
         return ForwardOutput(embedding=h, logits=add_bias(matmul(h, w), b))
 
     def snapshot(self) -> "PeerNetwork":
-        """Frozen deep copy; later training of the source leaves it untouched."""
-        params = {
-            name: Tensor(p.data.copy(), requires_grad=False)
-            for name, p in self.parameters.items()
-        }
-        return PeerNetwork(self.config, params)
+        """Frozen copy of `flat`; later training of the source leaves it untouched."""
+        return PeerNetwork(self.config, self.flat.copy(), requires_grad=False)
 
     def zero_grads(self) -> None:
         for p in self.parameters.values():
@@ -123,19 +154,17 @@ def init_network(config: NetworkConfig) -> PeerNetwork:
     """Fresh trainable network.
 
     Weights are uniform in +/- sqrt(6 / (fan_in + fan_out)) drawn from the
-    config seed; biases start at zero. The same config always produces
-    bit-identical parameters.
+    config seed in layer order; biases start at zero. The same config always
+    produces bit-identical parameters.
     """
     rng = np.random.default_rng(config.init_seed)
-    params: dict[str, Tensor] = {}
-    dims = config.layer_dims
-    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        params[f"w{i}"] = Tensor(
-            rng.uniform(-limit, limit, size=(fan_in, fan_out)), requires_grad=True
-        )
-        params[f"b{i}"] = Tensor(np.zeros(fan_out), requires_grad=True)
-    return PeerNetwork(config, params)
+    layout = _layout(config)
+    flat = np.zeros(layout[-1][2].stop)
+    for name, shape, part in layout:
+        if name[0] == "w":
+            limit = math.sqrt(6.0 / (shape[0] + shape[1]))
+            flat[part] = rng.uniform(-limit, limit, size=shape).reshape(-1)
+    return PeerNetwork(config, flat)
 
 
 def save_checkpoint(net: PeerNetwork, path) -> None:
@@ -183,16 +212,15 @@ def load_checkpoint(path) -> PeerNetwork:
         config = NetworkConfig(**doc["config"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint config: {exc}") from None
-    dims = config.layer_dims
-    expected = {}
-    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        expected.update({f"w{i}": [fan_in, fan_out], f"b{i}": [fan_out]})
+    layout = _layout(config)
     stored = doc["parameters"]
+    names = [name for name, _, _ in layout]
     for name in stored:
-        if name not in expected:
+        if name not in names:
             raise ValueError(f"checkpoint parameter '{name}': not a parameter of the config")
-    params = {}
-    for name, shape in expected.items():
+    flat = np.empty(layout[-1][2].stop)
+    for name, shape, part in layout:
+        shape = list(shape)
         if name not in stored:
             raise ValueError(f"checkpoint parameter '{name}': missing, config needs shape {shape}")
         entry = stored[name]
@@ -213,8 +241,7 @@ def load_checkpoint(path) -> PeerNetwork:
                 f"checkpoint parameter '{name}': {len(raw)} data bytes, "
                 f"shape {shape} needs {needed}"
             )
-        arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-        if not np.isfinite(arr).all():
+        flat[part] = np.frombuffer(raw, dtype="<f8")
+        if not np.isfinite(flat[part]).all():
             raise ValueError(f"checkpoint parameter '{name}': non-finite values")
-        params[name] = Tensor(arr, requires_grad=True)
-    return PeerNetwork(config, params)
+    return PeerNetwork(config, flat)

@@ -10,7 +10,8 @@ network minimizes a weighted sum of cross-entropy, a mutual term against
 the other peer (response KL plus distance/angle relation penalties, peer
 side held constant) and a softened KL against its own table's rows.
 Updates are plain SGD with momentum and weight decay under a step-drop
-learning-rate schedule, applied to large parameters in cache-sized blocks.
+learning-rate schedule, applied to each net's one flat parameter array, a
+large net's parameters in cache-sized blocks.
 
 Everything is deterministic: identical configs, datasets and seeds replay
 bit-identical parameter and metric trajectories on the same platform.
@@ -24,7 +25,7 @@ from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
-from .autodiff import AutodiffError, Tensor, _all_finite, _constant, backward
+from .autodiff import AutodiffError, _all_finite, _constant, backward
 from .data import Dataset, batch_iterator
 from .losses import LossWeights, TotalLoss, TupleSets, _legs_per_middle, total_loss
 from .models import PeerNetwork, _integer, _number
@@ -136,8 +137,8 @@ def variant_weights(weights: LossWeights, variant: str) -> tuple[LossWeights, bo
 # on 2,000 MNIST-shaped rows by about 4 MB.
 _SGD_BLOCK = 15872
 
-# Float64 elements of the flat buffer that a net's small parameters step
-# as: its gathered gradients and its step fit one block of scratch together.
+# Float64 elements of the largest net that steps as one array: its gathered
+# gradients and its step fit one block of scratch together.
 _FLAT_SIZE = _SGD_BLOCK // 2
 
 # Rows per block of an evaluation forward: a (512, 256) activation is 1 MiB,
@@ -145,92 +146,55 @@ _FLAT_SIZE = _SGD_BLOCK // 2
 _EVAL_ROWS = 512
 
 
-def _flat_layout(parameters: dict, velocities: dict) -> tuple[list, list, np.ndarray, np.ndarray]:
-    """The flat buffer's (name, slice) members, the other names, and its weights and velocities.
-
-    Taken in order, each parameter joins the flat buffer while it stays
-    within `_FLAT_SIZE` elements. When the members' weights and velocities
-    are not yet views of one such pair of buffers, in that order, they are
-    re-homed: their values are copied there, and each `p.data` and
-    `velocities[name]` is rebound to its view, so an array taken before goes
-    stale. Any other parameter or velocity that is not C-contiguous gets a
-    C-contiguous copy, so every array steps through flat views of itself.
-    """
-    inside, outside, size = [], [], 0
-    for name, p in parameters.items():
-        if size + p.data.size <= _FLAT_SIZE:
-            inside.append((name, slice(size, size + p.data.size)))
-            size += p.data.size
-        else:
-            outside.append(name)
-    flat_w = parameters[inside[0][0]].data.base if inside else np.empty(0)
-    flat_v = velocities[inside[0][0]].base if inside else np.empty(0)
-    if (
-        flat_w is not None and flat_v is not None and flat_w.size == flat_v.size == size
-        and all(parameters[n].data.base is flat_w and velocities[n].base is flat_v
-                for n, _ in inside)
-        and all(parameters[n].data.flags.c_contiguous and velocities[n].flags.c_contiguous
-                for n in outside)
-    ):
-        return inside, outside, flat_w, flat_v
-    flat_w, flat_v = np.empty(size), np.empty(size)
-    for name, part in inside:
-        p = parameters[name]
-        w, v = flat_w[part].reshape(p.data.shape), flat_v[part].reshape(p.data.shape)
-        w[...], v[...] = p.data, velocities[name]
-        p.data, velocities[name] = w, v
-    for name in outside:
-        parameters[name].data = np.ascontiguousarray(parameters[name].data)
-        velocities[name] = np.ascontiguousarray(velocities[name])
-    return inside, outside, flat_w, flat_v
-
-
 def sgd_step(
-    parameters: dict,
-    velocities: dict,
+    net: PeerNetwork,
+    velocity: np.ndarray,
     lr: float,
     momentum: float,
     weight_decay: float,
 ) -> None:
-    """One SGD update: g' = g + wd*w; v <- momentum*v + g'; w <- w - lr*v.
+    """One SGD update of `net.flat`: g' = g + wd*w; v <- momentum*v + g'; w <- w - lr*v.
 
-    `velocities` maps each parameter name to its momentum buffer. Buffers and
-    each `p.data` are updated in place, with the formula's float operations
-    in its order, so the bits match an out-of-place update. The small
-    parameters step as one flat array (see `_flat_layout`, which re-homes
-    them on a net's first step with fresh velocities and rebinds their
-    `p.data`): their gradients are gathered into the scratch, a missing one
-    as -0.0, which adds nothing. Every other parameter runs the same
-    operations block by block through one scratch of one block, so each
-    block is read from memory once instead of once per operation; a missing
-    gradient steps by weight decay alone. Every gradient is checked before
-    any parameter or velocity changes, and a non-finite one raises naming
-    the first such parameter. A tape recorded before the step reads the new
+    `velocity` is the net's momentum buffer, an array of `net.flat`'s shape.
+    Both are updated in place, with the formula's float operations in its
+    order, so the bits match an out-of-place update. A net of at most
+    `_FLAT_SIZE` elements steps as one array, against its gradients
+    gathered into the scratch, a missing one as -0.0, which adds nothing. A
+    larger net steps each parameter's slice on its own, block by block
+    through one scratch of one block, so each block is read from memory once
+    instead of once per operation; a missing gradient steps by weight decay
+    alone. A parameter that no longer views `net.flat` raises ValueError
+    (see `PeerNetwork.check_views`). Every gradient is checked before any
+    parameter or velocity changes, and a non-finite one raises naming the
+    first such parameter. A tape recorded before the step reads the new
     weights, so it must not be backpropagated afterwards: the trainer reuses
     a peer's forward output only until that peer steps. Each gradient is
     released (`grad = None`) once the step has applied it, so a net's
     gradients never outlive the step into the evaluations that follow.
     """
-    inside, outside, flat_w, flat_v = _flat_layout(parameters, velocities)
-    size = flat_w.size
-    scratch = np.empty(_SGD_BLOCK if outside else 2 * size)
-    # The flat array steps first: the other parameters' blocks reuse its scratch.
-    gathered = scratch[size:2 * size]
-    for name, part in inside:
-        g = parameters[name].grad
-        gathered[part] = -0.0 if g is None else g.reshape(-1)
-    steps = [(flat_w, flat_v, gathered, [(slice(None), scratch[:size])])]
-    for name in outside:
-        p = parameters[name]
-        w = p.data.reshape(-1)
-        steps.append((
-            w, velocities[name].reshape(-1), None if p.grad is None else p.grad.reshape(-1),
-            [(slice(start, start + _SGD_BLOCK), scratch[:min(_SGD_BLOCK, w.size - start)])
-             for start in range(0, w.size, _SGD_BLOCK)],
-        ))
+    net.check_views()
+    params, size = net.parameters, net.flat.size
+    parts, start = [], 0
+    for p in params.values():
+        parts.append((slice(start, start + p.data.size), p.grad))
+        start += p.data.size
+    if size <= _FLAT_SIZE:
+        scratch = np.empty(2 * size)
+        gathered = scratch[size:]
+        for part, g in parts:
+            gathered[part] = -0.0 if g is None else g.reshape(-1)
+        steps = [(net.flat, velocity, gathered, [(slice(None), scratch[:size])])]
+    else:
+        scratch = np.empty(_SGD_BLOCK)
+        steps = [
+            (net.flat[part], velocity[part], None if g is None else g.reshape(-1),
+             [(slice(b, b + _SGD_BLOCK), scratch[:min(_SGD_BLOCK, part.stop - part.start - b)])
+              for b in range(0, part.stop - part.start, _SGD_BLOCK)])
+            for part, g in parts
+        ]
     for _, _, g, blocks in steps:
         if g is not None and not all(_all_finite(g[block]) for block, _ in blocks):
-            bad = next(name for name, p in parameters.items()
+            bad = next(name for name, p in params.items()
                        if p.grad is not None and not _all_finite(p.grad))
             raise TrainingDivergence(f"non-finite gradient for parameter '{bad}'")
     for w, v, g, blocks in steps:
@@ -243,7 +207,7 @@ def sgd_step(
             vb += step
             np.multiply(vb, lr, out=step)
             wb -= step
-    for p in parameters.values():
+    for p in params.values():
         p.grad = None
 
 
@@ -256,8 +220,10 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
 def evaluate_top1(net: PeerNetwork, dataset: Dataset) -> tuple[float, np.ndarray]:
     """Top-1 accuracy and the split's logits; argmax ties resolve to the lowest class.
 
-    The split is forwarded in blocks of `_EVAL_ROWS` rows through constant
-    views of `net`'s weights, not copies, so no record keeps its inputs: at
+    The split is forwarded in blocks of `_EVAL_ROWS` rows through a frozen
+    network over `net.flat` itself, whose parameters are constant views, not
+    copies, so no record keeps its inputs (a parameter that no longer views
+    `net.flat` raises ValueError, see `PeerNetwork.check_views`): at
     most two activations of one block are alive at once, beside the
     (rows, classes) logits. Each block is an unchecked constant view of the
     split, whose `Dataset` checked its values. A split of at most
@@ -266,7 +232,8 @@ def evaluate_top1(net: PeerNetwork, dataset: Dataset) -> tuple[float, np.ndarray
     `net.forward` on each block, which BLAS may round differently in the
     last bits.
     """
-    frozen = PeerNetwork(net.config, {name: Tensor(p.data) for name, p in net.parameters.items()})
+    net.check_views()
+    frozen = PeerNetwork(net.config, net.flat, requires_grad=False)
     x = dataset.features.data
     logits = np.empty((len(x), net.config.num_classes))
     for start in range(0, len(x), _EVAL_ROWS):
@@ -371,10 +338,8 @@ def _train_epochs(
     first peer's updated outputs; in simultaneous order both step after both
     backward passes, so both losses see pre-step outputs. A peer's forward
     output, with the relation geometry `total_loss` keeps on it, is reused
-    until that peer steps. Each stage starts its velocities at zero, in new
-    arrays, so a net's first step of the stage re-homes its small parameters
-    into one flat buffer (see `_flat_layout`): a `p.data` array taken
-    before then goes stale. `teacher_logits`, when given, holds one
+    until that peer steps. Each stage starts each net's velocity at zero, in
+    one new array of `net.flat`'s shape. `teacher_logits`, when given, holds one
     (rows, classes) table per peer over the training split; each batch's
     self-teacher is that table's rows at the batch's indices. Stage 2's
     shuffling continues stage 1's epoch numbers, so the batch stream never
@@ -391,8 +356,7 @@ def _train_epochs(
     epoch_offset = config.stage1_epochs if stage == 2 else 0
     need_tuples = weights.beta > 0 and include_relation
     sequential = config.update_order == "sequential"
-    velocities = [{name: np.zeros_like(p.data) for name, p in net.parameters.items()}
-                  for net in nets]
+    velocities = [np.zeros_like(net.flat) for net in nets]
     records: list[MetricsRecord] = []
     epoch_logits = None
     for epoch in range(epochs):
@@ -436,7 +400,7 @@ def _train_epochs(
                     stats[k].add(b, result)
                     if sequential or k == 1:
                         for j in (k,) if sequential else (0, 1):
-                            sgd_step(nets[j].parameters, velocities[j], lr, config.momentum,
+                            sgd_step(nets[j], velocities[j], lr, config.momentum,
                                      config.weight_decay)
                             outputs[j] = None
             # Drop the previous epoch's logits first, so no evaluation runs beside

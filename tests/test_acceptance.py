@@ -122,8 +122,7 @@ def _reference_stage2(nets, tables, train_ds, config, weights, use_self_term):
     table that `pretrain_stage1` returns, as in stage 2: a per-batch forward
     of the snapshot is another BLAS shape and may differ in the last bits.
     """
-    velocities = [{name: np.zeros_like(p.data) for name, p in net.parameters.items()}
-                  for net in nets]
+    velocities = [np.zeros_like(net.flat) for net in nets]
     for epoch in range(config.stage2_epochs):
         lr = lr_at(epoch, config)
         shuffle_epoch = config.stage1_epochs + epoch
@@ -137,9 +136,7 @@ def _reference_stage2(nets, tables, train_ds, config, weights, use_self_term):
                     loss = add(loss, mul(self_term, weights.gamma))
                 nets[k].zero_grads()
                 backward(loss)
-                sgd_step(
-                    nets[k].parameters, velocities[k], lr, config.momentum, config.weight_decay
-                )
+                sgd_step(nets[k], velocities[k], lr, config.momentum, config.weight_decay)
 
 
 def _fresh_reduction_pair(hidden):

@@ -63,9 +63,10 @@ def test_evaluation_leaves_the_net_untouched():
 
 def test_standardization_builds_each_split_once():
     # MNIST-wide rows, standardized in place: the statistics' temporaries
-    # follow a block of columns, not the split, and the finiteness check's
-    # mask takes a byte per feature: 0.10x. Standardized copies of both
-    # splits read 1.03x; a whole-split `std` temporary alone is 0.8x.
+    # (a contiguous copy of a block of columns and `std`'s temporary of it)
+    # follow a block, not the split, and the finiteness check's mask takes a
+    # byte per feature: 0.14x. Standardized copies of both splits read
+    # 1.03x; a whole-split `std` temporary alone is 0.8x.
     rng = np.random.default_rng(4)
     train, test = (
         Dataset(Tensor(rng.standard_normal((rows, 784))), rng.integers(0, 10, rows), 10)
@@ -78,13 +79,16 @@ def test_standardization_builds_each_split_once():
 
 
 def test_sgd_step_holds_at_most_about_a_block_of_scratch():
+    # A net with a (784, 256) layer: its gradients are made before the trace.
     rng = np.random.default_rng(8)
-    p = Tensor(rng.standard_normal((784, 256)), requires_grad=True)
-    velocity = np.zeros_like(p.data)
-    p.grad = rng.standard_normal(p.data.shape)
+    net = init_network(NetworkConfig(784, (256,), 2, init_seed=1))
+    velocity = np.zeros_like(net.flat)
+    for p in net.parameters.values():
+        p.grad = rng.standard_normal(p.data.shape)
     block = trainer._SGD_BLOCK * 8
-    peak = _traced_peak(lambda: sgd_step({"w": p}, {"w": velocity}, 0.1, 0.9, 5e-4))
-    print(f"sgd_step peak: {peak / block:.2f} blocks, {peak / p.data.nbytes:.3f} of the parameter")
+    peak = _traced_peak(lambda: sgd_step(net, velocity, 0.1, 0.9, 5e-4))
+    w0 = net.parameters["w0"].data
+    print(f"sgd_step peak: {peak / block:.2f} blocks, {peak / w0.nbytes:.3f} of the (784, 256) layer")
     # The finiteness check runs block by block before the one-block scratch
     # is made; a whole-parameter boolean mask was 1.58 blocks here.
     assert peak <= 1.25 * block
@@ -92,23 +96,24 @@ def test_sgd_step_holds_at_most_about_a_block_of_scratch():
 
 @pytest.mark.parametrize("count", [5, 12])
 def test_sgd_step_scratch_stays_within_a_block(count):
-    # Parameters of 1,500 elements: the flat buffer takes five (7,500
-    # elements, its gradients and its step one block together), and with
-    # twelve the other seven step on their own through the same block. The
-    # first step re-homes the weights; the traced one is the second. Beside
-    # the block, the finiteness check's mask takes a byte per flat element:
-    # 1.02 and 1.11 blocks. One flat buffer of all twelve would take 2.27.
+    # Nets of about `count` x 1,500 elements, on both sides of `_FLAT_SIZE`:
+    # 7,498 elements step as one array (its gathered gradients and its step
+    # one block together), and 17,994 each parameter on its own through one
+    # block. Beside the block, the finiteness check's mask takes a byte per
+    # element of the flat array or of a block.
+    input_dim = (count * 1500 - 26) // 8  # (d + 1) * 8 + 9 * 2 elements
+    net = init_network(NetworkConfig(input_dim, (8,), 2, init_seed=1))
+    assert (net.flat.size <= trainer._FLAT_SIZE) == (count == 5)
+    velocity = np.zeros_like(net.flat)
     rng = np.random.default_rng(10)
-    params = {f"b{i}": Tensor(rng.standard_normal(1500), requires_grad=True) for i in range(count)}
-    velocities = {name: np.zeros(1500) for name in params}
 
     def step():
-        for p in params.values():
-            p.grad = rng.standard_normal(1500)
-        sgd_step(params, velocities, 0.1, 0.9, 5e-4)
+        for p in net.parameters.values():
+            p.grad = rng.standard_normal(p.data.shape)
+        sgd_step(net, velocity, 0.1, 0.9, 5e-4)
 
     step()
-    grads = count * 1500 * 8
+    grads = net.flat.nbytes
     block = trainer._SGD_BLOCK * 8
     peak = _traced_peak(step) - grads
     print(f"sgd_step peak: {peak / block:.2f} blocks beside the gradients")

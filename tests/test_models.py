@@ -26,13 +26,25 @@ def hand_network():
     hidden = relu(x @ I + [0.5, -0.5]); logits = hidden @ [[1,2],[3,4]] + [1,-1].
     """
     config = NetworkConfig(2, (2,), 2, init_seed=0)
-    params = {
-        "w0": Tensor(np.eye(2), requires_grad=True),
-        "b0": Tensor(np.array([0.5, -0.5]), requires_grad=True),
-        "w1": Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True),
-        "b1": Tensor(np.array([1.0, -1.0]), requires_grad=True),
-    }
-    return PeerNetwork(config, params)
+    # w0, b0, w1, b1 in layer order, each row-major.
+    return PeerNetwork(config, np.array([1, 0, 0, 1, 0.5, -0.5, 1, 2, 3, 4, 1, -1], dtype=float))
+
+
+def assert_views_one_flat(net):
+    """Every parameter views its slice of one C-contiguous `flat`, in layer order."""
+    flat = net.flat
+    assert flat.ndim == 1 and flat.dtype == np.float64 and flat.flags.c_contiguous
+    n_layers = len(net.config.layer_dims) - 1
+    assert list(net.parameters) == [f"{k}{i}" for i in range(n_layers) for k in "wb"]
+    saved = flat.copy()
+    flat[:] = np.arange(flat.size)
+    start = 0
+    for name, p in net.parameters.items():
+        assert p.data.flags.c_contiguous and np.shares_memory(p.data, flat), name
+        assert np.array_equal(p.data.reshape(-1), np.arange(start, start + p.data.size)), name
+        start += p.data.size
+    assert start == flat.size
+    flat[:] = saved
 
 
 class TestNetworkConfig:
@@ -140,6 +152,36 @@ class TestInit:
         assert all(p.requires_grad for p in net.parameters.values())
 
 
+class TestFlat:
+    def test_init_network_views_one_flat(self):
+        assert_views_one_flat(init_network(NetworkConfig(3, (6, 4), 2, init_seed=9)))
+
+    def test_load_checkpoint_views_one_flat(self, tmp_path):
+        net = init_network(NetworkConfig(3, (6, 4), 2, init_seed=9))
+        save_checkpoint(net, tmp_path / "net.json")
+        loaded = load_checkpoint(tmp_path / "net.json")
+        assert_views_one_flat(loaded)
+        assert np.array_equal(loaded.flat, net.flat)
+
+    def test_snapshot_views_a_distinct_copy(self):
+        net = init_network(NetworkConfig(3, (6, 4), 2, init_seed=9))
+        snap = net.snapshot()
+        assert_views_one_flat(snap)
+        assert snap.flat is not net.flat and not np.shares_memory(snap.flat, net.flat)
+        assert np.array_equal(snap.flat, net.flat)
+
+    @pytest.mark.parametrize(
+        "flat",
+        [np.zeros((2, 31)), np.zeros(124)[::2], np.zeros(62, dtype=np.float32), np.zeros(61),
+         list(np.zeros(62))],
+        ids=["2d", "strided", "float32", "short", "list"],
+    )
+    def test_constructor_rejects_a_bad_flat(self, flat):
+        # 3 -> [6, 4] -> 2 has 18 + 6 + 24 + 4 + 8 + 2 = 62 parameters.
+        with pytest.raises(ValueError, match="1-D C-contiguous float64 array of 62 values"):
+            PeerNetwork(NetworkConfig(3, (6, 4), 2, init_seed=0), flat)
+
+
 class TestSnapshot:
     def test_frozen_and_independent(self):
         net = init_network(NetworkConfig(2, (4,), 2, init_seed=5))
@@ -191,10 +233,9 @@ class TestCheckpoint:
         extremes = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
         values = np.concatenate([extremes, np.random.default_rng(3).normal(size=18)])
         net = init_network(NetworkConfig(3, (8,), 2, init_seed=0))
-        net.parameters["w0"] = Tensor(values.reshape(3, 8), requires_grad=True)
-        net.parameters["b0"] = Tensor(values[::-1][:8].copy(), requires_grad=True)
-        # A transposed (non-contiguous) parameter is stored row-major as well.
-        net.parameters["w1"] = Tensor(np.arange(16.0).reshape(2, 8).T, requires_grad=True)
+        net.parameters["w0"].data[...] = values.reshape(3, 8)
+        net.parameters["b0"].data[...] = values[::-1][:8]
+        net.parameters["w1"].data[...] = np.arange(16.0).reshape(2, 8).T
         path = tmp_path / "net.json"
         save_checkpoint(net, path)
         loaded = load_checkpoint(path)
@@ -208,11 +249,14 @@ class TestCheckpoint:
         path = tmp_path / "net.json"
         save_checkpoint(hand_network(), path)
         loaded = load_checkpoint(path)
+        # The flat array owns its values: no view of the read-only decoded bytes.
+        assert loaded.flat.flags.writeable and loaded.flat.flags.owndata
         for p in loaded.parameters.values():
-            assert p.data.flags.writeable and p.data.flags.owndata
+            assert p.data.flags.writeable
             p.data += 1.0
         w0 = loaded.parameters["w0"].data
         np.testing.assert_array_equal(w0, np.eye(2) + 1.0)
+        np.testing.assert_array_equal(loaded.flat, hand_network().flat + 1.0)
 
     @pytest.mark.parametrize(
         "name, edit, reason",

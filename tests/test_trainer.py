@@ -1,5 +1,6 @@
 """Optimizer, schedule, metrics, and the two-stage training loop."""
 
+import itertools
 import logging
 import weakref
 
@@ -69,13 +70,8 @@ def small_config(**overrides):
 def identity_net():
     """2 -> 2 -> 2 network computing logits = relu(x)."""
     config = NetworkConfig(2, (2,), 2, init_seed=0)
-    params = {
-        "w0": Tensor(np.eye(2), requires_grad=True),
-        "b0": Tensor(np.zeros(2), requires_grad=True),
-        "w1": Tensor(np.eye(2), requires_grad=True),
-        "b1": Tensor(np.zeros(2), requires_grad=True),
-    }
-    return PeerNetwork(config, params)
+    # w0 = I, b0 = 0, w1 = I, b1 = 0 in layer order.
+    return PeerNetwork(config, np.array([1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0], dtype=float))
 
 
 class TestTrainConfig:
@@ -159,185 +155,182 @@ class TestVariantWeights:
             variant_weights(LossWeights(), "Z")
 
 
+def random_net(input_dim, hidden, classes, seed=0):
+    """A trainable net of these widths whose parameters are standard normal."""
+    net = init_network(NetworkConfig(input_dim, hidden, classes, init_seed=0))
+    net.flat[:] = np.random.default_rng(seed).standard_normal(net.flat.size)
+    return net
+
+
+def velocity_views(net, velocity):
+    """The velocity's slice for each parameter, shaped like it."""
+    views, start = {}, 0
+    for name, p in net.parameters.items():
+        views[name] = velocity[start:start + p.data.size].reshape(p.data.shape)
+        start += p.data.size
+    return views
+
+
+# Nets on both sides of the size rule: one of exactly `_FLAT_SIZE` elements
+# steps as one array; one element more, and each parameter steps on its own.
+FLAT_NET = ((trainer._FLAT_SIZE - 8) // 2, (2,), 2)  # (d + 1) * 2 + 3 * 2 elements
+OVER_FLAT_NET = ((trainer._FLAT_SIZE - 10) // 3, (3,), 2)  # (d + 1) * 3 + 4 * 2 elements
+# w0 (100, 200) spans more than one block, with a ragged tail.
+BLOCKED_NET = (100, (200,), 3)
+
+
 class TestSgdStep:
-    def _param(self, value):
-        p = Tensor(np.array([value]), requires_grad=True)
-        return {"w": p}, {"w": np.zeros(1)}
+    def _net(self, value, grad):
+        """A 1 -> [2] -> 2 net of ten parameters, each `value`, each gradient `grad`."""
+        net = init_network(NetworkConfig(1, (2,), 2, init_seed=0))
+        net.flat[:] = value
+        for p in net.parameters.values():
+            p.grad = None if grad is None else np.full(p.data.shape, grad)
+        return net, np.zeros_like(net.flat)
 
     def test_momentum_accumulates(self):
-        params, velocities = self._param(1.0)
-        params["w"].grad = np.array([1.0])
-        sgd_step(params, velocities, lr=0.1, momentum=0.9, weight_decay=0.0)
-        np.testing.assert_allclose(params["w"].data, [0.9])
-        params["w"].grad = np.array([1.0])
-        sgd_step(params, velocities, lr=0.1, momentum=0.9, weight_decay=0.0)
+        net, velocity = self._net(1.0, 1.0)
+        sgd_step(net, velocity, lr=0.1, momentum=0.9, weight_decay=0.0)
+        np.testing.assert_allclose(net.flat, 0.9)
+        for p in net.parameters.values():
+            p.grad = np.ones(p.data.shape)
+        sgd_step(net, velocity, lr=0.1, momentum=0.9, weight_decay=0.0)
         # velocity 0.9 * 1 + 1 = 1.9, so the step is 0.19.
-        np.testing.assert_allclose(params["w"].data, [0.71])
+        np.testing.assert_allclose(net.flat, 0.71)
 
     def test_weight_decay_pulls_toward_zero(self):
-        params, velocities = self._param(1.0)
-        params["w"].grad = np.array([0.0])
-        sgd_step(params, velocities, lr=0.5, momentum=0.0, weight_decay=1.0)
-        np.testing.assert_allclose(params["w"].data, [0.5])
+        net, velocity = self._net(1.0, 0.0)
+        sgd_step(net, velocity, lr=0.5, momentum=0.0, weight_decay=1.0)
+        np.testing.assert_allclose(net.flat, 0.5)
 
     def test_missing_gradient_means_zero(self):
-        params, velocities = self._param(2.0)
-        params["w"].grad = None
-        sgd_step(params, velocities, lr=0.1, momentum=0.0, weight_decay=0.0)
-        np.testing.assert_array_equal(params["w"].data, [2.0])
+        net, velocity = self._net(2.0, None)
+        sgd_step(net, velocity, lr=0.1, momentum=0.0, weight_decay=0.0)
+        np.testing.assert_array_equal(net.flat, 2.0)
 
     def test_non_finite_gradient_raises(self):
-        params, velocities = self._param(1.0)
-        params["w"].grad = np.array([float("inf")])
-        with pytest.raises(TrainingDivergence, match="'w'"):
-            sgd_step(params, velocities, lr=0.1, momentum=0.0, weight_decay=0.0)
+        net, velocity = self._net(1.0, 1.0)
+        net.parameters["b0"].grad[1] = float("inf")
+        with pytest.raises(TrainingDivergence, match="'b0'"):
+            sgd_step(net, velocity, lr=0.1, momentum=0.0, weight_decay=0.0)
 
     def test_updates_in_place_with_the_out_of_place_bits(self):
-        rng = np.random.default_rng(5)
-        shapes = {"w0": (6, 4), "b0": (4,)}
-        lr, momentum, wd = 0.1, 0.9, 5e-4
-        params = {n: Tensor(rng.standard_normal(s), requires_grad=True) for n, s in shapes.items()}
-        velocities = {n: np.zeros(s) for n, s in shapes.items()}
-        ref_w = {n: p.data.copy() for n, p in params.items()}
-        ref_v = {n: np.zeros(s) for n, s in shapes.items()}
-        for step in range(3):
-            for n, p in params.items():
-                p.grad = None if (n, step) == ("b0", 1) else rng.standard_normal(shapes[n])
-            grads = {n: p.grad for n, p in params.items()}
-            sgd_step(params, velocities, lr, momentum, wd)
-            if step == 0:  # The first step re-homes the weights; later ones update in place.
-                arrays = {n: p.data for n, p in params.items()}
-            for n, p in params.items():
-                g = np.zeros(shapes[n]) if grads[n] is None else grads[n]
-                g = g + wd * ref_w[n]
-                ref_v[n] = momentum * ref_v[n] + g
-                ref_w[n] = ref_w[n] - lr * ref_v[n]
-                assert p.data is arrays[n]
-                assert np.array_equal(p.data, ref_w[n]), (n, step)
-                assert np.array_equal(velocities[n], ref_v[n]), (n, step)
-
-    def test_non_finite_gradient_leaves_its_parameter_and_velocity(self):
-        params = {
-            "w0": Tensor(np.array([1.0, -2.0]), requires_grad=True),
-            "b0": Tensor(np.array([3.0]), requires_grad=True),
-        }
-        velocities = {"w0": np.array([0.5, 0.5]), "b0": np.array([0.25])}
-        params["w0"].grad = np.array([1.0, 1.0])
-        params["b0"].grad = np.array([float("inf")])
-        with pytest.raises(TrainingDivergence, match="'b0'"):
-            sgd_step(params, velocities, lr=0.1, momentum=0.9, weight_decay=0.1)
-        assert params["b0"].data.tolist() == [3.0]
-        assert velocities["b0"].tolist() == [0.25]
+        """The wide_idx widths: each parameter steps on its own, the two
+        large ones block by block."""
+        net = random_net(784, (256, 64), 10, seed=5)
+        self._check_three_steps(net, {("b1", 1), ("w0", 2), ("b1", 3)},
+                                rng=np.random.default_rng(6))
 
     def test_blocked_update_has_the_out_of_place_bits(self):
-        """Parameters of several blocks with a ragged tail, and a transposed
-        one, step with the out-of-place formula's bits, gradient-free steps
-        included."""
-        block = trainer._SGD_BLOCK
-        rng = np.random.default_rng(11)
+        """A parameter of several blocks with a ragged tail and small ones,
+        gradient-free steps included."""
+        net = random_net(*BLOCKED_NET, seed=11)
+        assert net.parameters["w0"].data.size > trainer._SGD_BLOCK
+        self._check_three_steps(net, {("w0", 2), ("b1", 1)}, rng=np.random.default_rng(12))
+
+    def test_flat_step_has_the_per_parameter_bits(self):
+        """A net of `_FLAT_SIZE` elements steps as one array, and one of one
+        element more per parameter, both with the per-parameter bits."""
+        for widths, size in ((FLAT_NET, trainer._FLAT_SIZE), (OVER_FLAT_NET, trainer._FLAT_SIZE + 1)):
+            net = random_net(*widths, seed=14)
+            assert net.flat.size == size
+            self._check_three_steps(net, {("b0", 2), ("w1", 1), ("w1", 3)},
+                                    rng=np.random.default_rng(15))
+
+    @staticmethod
+    def _check_three_steps(net, missing, rng):
+        """Steps 1-3 against an out-of-place per-parameter update, bit for bit;
+        the (name, step) pairs in `missing` have no gradient."""
         lr, momentum, wd = 0.05, 0.9, 5e-4
-        data = {
-            "w0": rng.standard_normal((784, 256)),
-            "w1": rng.standard_normal(block + 1),
-            "w2": rng.standard_normal((300, 200)).T,
-            "b0": rng.standard_normal(256),
-        }
-        params = {n: Tensor(d.copy() if n != "w2" else d, requires_grad=True)
-                  for n, d in data.items()}
-        velocities = {n: np.zeros_like(p.data) for n, p in params.items()}
-        ref_w = {n: d.copy() for n, d in data.items()}
-        ref_v = {n: np.zeros(d.shape) for n, d in data.items()}
-        for step in range(4):
-            for n, p in params.items():
-                p.grad = None if (n, step) in {("w0", 1), ("w1", 2)} else rng.standard_normal(p.data.shape)
-            grads = {n: p.grad for n, p in params.items()}
-            sgd_step(params, velocities, lr, momentum, wd)
-            if step == 0:  # The first step re-homes the weights; later ones update in place.
-                arrays = {n: p.data for n, p in params.items()}
-            for n, p in params.items():
+        velocity = np.zeros_like(net.flat)
+        arrays = {n: p.data for n, p in net.parameters.items()}
+        ref_w = {n: p.data.copy() for n, p in net.parameters.items()}
+        ref_v = {n: np.zeros(p.data.shape) for n, p in net.parameters.items()}
+        for step in range(1, 4):
+            for n, p in net.parameters.items():
+                p.grad = None if (n, step) in missing else rng.standard_normal(p.data.shape)
+            grads = {n: p.grad for n, p in net.parameters.items()}
+            sgd_step(net, velocity, lr, momentum, wd)
+            for n, v in velocity_views(net, velocity).items():
+                p = net.parameters[n]
                 g = np.zeros(p.data.shape) if grads[n] is None else grads[n]
                 g = g + wd * ref_w[n]
                 ref_v[n] = momentum * ref_v[n] + g
                 ref_w[n] = ref_w[n] - lr * ref_v[n]
                 assert p.data is arrays[n] and p.grad is None
                 assert np.array_equal(p.data, ref_w[n]), (n, step)
-                assert np.array_equal(velocities[n], ref_v[n]), (n, step)
+                assert np.array_equal(v, ref_v[n]), (n, step)
 
-    def test_flat_step_has_the_per_parameter_bits(self):
-        """Small parameters step as one flat array and the rest on their own,
-        with the bits of a per-parameter out-of-place update: a parameter over
-        one block, small ones, non-contiguous ones (one small, one large),
-        one that never has a gradient, and a small one that no longer fits
-        the flat buffer."""
-        rng = np.random.default_rng(14)
-        lr, momentum, wd = 0.05, 0.9, 5e-4
-        data = {
-            "w0": rng.standard_normal((784, 256)),
-            "b0": rng.standard_normal(256),
-            "w1": rng.standard_normal((64, 40)).T,
-            "b1": rng.standard_normal(40),
-            "w2": rng.standard_normal(7000),
-            "b2": rng.standard_normal(3),
-            "w3": rng.standard_normal((300, 200)).T,
-        }
-        params = {n: Tensor(d.copy() if n not in ("w1", "w3") else d, requires_grad=True)
-                  for n, d in data.items()}
-        velocities = {n: np.zeros_like(p.data) for n, p in params.items()}
-        ref_w = {n: d.copy() for n, d in data.items()}
-        ref_v = {n: np.zeros(d.shape) for n, d in data.items()}
-        for step in range(1, 4):
-            for n, p in params.items():
-                p.grad = None if n == "b1" else rng.standard_normal(p.data.shape)
-            grads = {n: p.grad for n, p in params.items()}
-            sgd_step(params, velocities, lr, momentum, wd)
-            for n, p in params.items():
-                g = np.zeros(p.data.shape) if grads[n] is None else grads[n]
-                ref_v[n] = momentum * ref_v[n] + (g + wd * ref_w[n])
-                ref_w[n] = ref_w[n] - lr * ref_v[n]
-                assert p.data.flags.c_contiguous and p.grad is None
-                assert np.array_equal(p.data, ref_w[n]), (n, step)
-                assert np.array_equal(velocities[n], ref_v[n]), (n, step)
-        flat_w, flat_v = params["b0"].data.base, velocities["b0"].base
-        assert flat_w.size == flat_v.size == 256 + 40 * 64 + 40 + 3
-        for n, p in params.items():
-            inside = n in ("b0", "w1", "b1", "b2")
-            assert (p.data.base is flat_w) == inside and (velocities[n].base is flat_v) == inside
+    def test_non_finite_gradient_leaves_its_parameter_and_velocity(self):
+        net, velocity = self._net(1.0, 1.0)
+        velocity[:] = 0.25
+        net.parameters["b1"].grad[0] = float("inf")
+        with pytest.raises(TrainingDivergence, match="'b1'"):
+            sgd_step(net, velocity, lr=0.1, momentum=0.9, weight_decay=0.1)
+        assert np.array_equal(net.flat, np.ones(10))
+        assert np.array_equal(velocity, np.full(10, 0.25))
 
     def test_non_finite_gradient_in_the_last_parameter_leaves_the_whole_net(self):
-        # Every gradient is checked before any write, and the error names the
-        # first bad parameter in the net's order.
+        # Every gradient is checked before any write, on both sides of the
+        # size rule, and the error names the first bad parameter in the net's order.
         rng = np.random.default_rng(15)
-        shapes = {"w0": (trainer._SGD_BLOCK + 7,), "b0": (5,), "w1": (5, 3), "b1": (3,)}
-        for bad in (["b1"], ["w1", "b1"], ["w0", "b1"]):
-            params = {n: Tensor(rng.standard_normal(s), requires_grad=True)
-                      for n, s in shapes.items()}
-            velocities = {n: rng.standard_normal(s) for n, s in shapes.items()}
-            for n, p in params.items():
-                p.grad = rng.standard_normal(shapes[n])
-            sgd_step(params, velocities, lr=0.1, momentum=0.9, weight_decay=0.1)
-            before = {n: (p.data.copy(), velocities[n].copy()) for n, p in params.items()}
-            for n, p in params.items():
-                p.grad = rng.standard_normal(shapes[n])
+        for widths, bad in itertools.product(
+            (FLAT_NET, BLOCKED_NET), (["b1"], ["w1", "b1"], ["w0", "b1"])
+        ):
+            net = random_net(*widths, seed=16)
+            velocity = rng.standard_normal(net.flat.size)
+            for p in net.parameters.values():
+                p.grad = rng.standard_normal(p.data.shape)
+            sgd_step(net, velocity, lr=0.1, momentum=0.9, weight_decay=0.1)
+            before = net.flat.copy(), velocity.copy()
+            for n, p in net.parameters.items():
+                p.grad = rng.standard_normal(p.data.shape)
                 if n in bad:
                     p.grad.reshape(-1)[-1] = float("nan")
             with pytest.raises(TrainingDivergence, match=f"'{bad[0]}'"):
-                sgd_step(params, velocities, lr=0.1, momentum=0.9, weight_decay=0.1)
-            for n, p in params.items():
-                assert np.array_equal(p.data, before[n][0]), (bad, n)
-                assert np.array_equal(velocities[n], before[n][1]), (bad, n)
+                sgd_step(net, velocity, lr=0.1, momentum=0.9, weight_decay=0.1)
+            assert np.array_equal(net.flat, before[0]), bad
+            assert np.array_equal(velocity, before[1]), bad
 
     def test_non_finite_gradient_in_the_last_block_leaves_its_parameter(self):
         rng = np.random.default_rng(12)
-        shape = (trainer._SGD_BLOCK * 3 + 5,)
-        p = Tensor(rng.standard_normal(shape), requires_grad=True)
-        velocity = rng.standard_normal(shape)
-        before_w, before_v = p.data.copy(), velocity.copy()
-        p.grad = rng.standard_normal(shape)
-        p.grad[-1] = float("nan")
+        net = random_net(1, (trainer._SGD_BLOCK * 3 + 5,), 2, seed=13)
+        velocity = rng.standard_normal(net.flat.size)
+        before_w, before_v = net.flat.copy(), velocity.copy()
+        for p in net.parameters.values():
+            p.grad = rng.standard_normal(p.data.shape)
+        net.parameters["w0"].grad[0, -1] = float("nan")
         with pytest.raises(TrainingDivergence, match="'w0'"):
-            sgd_step({"w0": p}, {"w0": velocity}, lr=0.1, momentum=0.9, weight_decay=0.1)
-        assert np.array_equal(p.data, before_w)
+            sgd_step(net, velocity, lr=0.1, momentum=0.9, weight_decay=0.1)
+        assert np.array_equal(net.flat, before_w)
         assert np.array_equal(velocity, before_v)
+
+    @pytest.mark.parametrize("widths", [FLAT_NET, BLOCKED_NET], ids=["flat", "per_parameter"])
+    @pytest.mark.parametrize("rebind", ["data", "tensor"])
+    def test_a_rebound_parameter_raises(self, widths, rebind):
+        # A parameter that no longer views `net.flat` would not train.
+        net = random_net(*widths, seed=17)
+        b0 = net.parameters["b0"]
+        if rebind == "data":
+            b0.data = b0.data.copy()
+        else:
+            net.parameters["b0"] = Tensor(b0.data.copy(), requires_grad=True)
+        for p in net.parameters.values():
+            p.grad = np.ones(p.data.shape)
+        before = net.flat.copy()
+        with pytest.raises(ValueError, match="no longer views the network's flat array"):
+            sgd_step(net, np.zeros_like(net.flat), lr=0.1, momentum=0.9, weight_decay=0.1)
+        assert np.array_equal(net.flat, before)
+
+    def test_an_array_taken_before_training_holds_the_trained_values(self):
+        train, test = tiny_datasets()
+        nets = fresh_pair()
+        b0 = nets[0].parameters["b0"].data
+        before = b0.copy()
+        train_both_stages(nets, train, test, small_config())
+        assert b0 is nets[0].parameters["b0"].data
+        assert not np.array_equal(b0, before)
+        assert np.array_equal(b0, nets[0].snapshot().parameters["b0"].data)
 
 
 class TestLrSchedule:
@@ -384,6 +377,30 @@ class TestEvaluateTop1:
         rng = np.random.default_rng(seed)
         ds = Dataset(Tensor(rng.standard_normal((rows, 784))), rng.integers(0, 10, rows), 10)
         return net, ds
+
+    def test_frozen_net_views_the_nets_flat(self, monkeypatch):
+        net, ds = self._wide(600, seed=20)
+        seen, forward = [], PeerNetwork.forward
+
+        def recorded(self, features):
+            seen.append(self)
+            return forward(self, features)
+
+        monkeypatch.setattr(PeerNetwork, "forward", recorded)
+        evaluate_top1(net, ds)
+        [frozen] = set(seen)
+        assert frozen is not net and frozen.flat is net.flat
+        for name, p in frozen.parameters.items():
+            view = net.parameters[name].data
+            assert not p.requires_grad and p.data.shape == view.shape
+            assert p.data.base is net.flat
+            assert p.data.__array_interface__["data"] == view.__array_interface__["data"]
+
+    def test_a_rebound_parameter_raises(self):
+        net, ds = self._wide(10, seed=20)
+        net.parameters["w2"].data = net.parameters["w2"].data.copy()
+        with pytest.raises(ValueError, match="no longer views the network's flat array"):
+            evaluate_top1(net, ds)
 
     @pytest.mark.parametrize("rows", [1, 300, trainer._EVAL_ROWS])
     def test_one_block_is_the_whole_split_forward(self, rows):
