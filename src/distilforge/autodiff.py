@@ -12,15 +12,16 @@ divides only by a python number or a single-element tensor. There is no
 general broadcasting. Row-vector bias addition gets its own operation.
 `legs` takes the (n, m, d) legs from n rows to their m other endpoints in
 one record. `triple_cosines` takes its cosines from one batched Gram matrix
-of those legs, at the cells an (n, m, m) boolean mask selects, and scatters
-its gradient back by the same mask.
+of those legs, at every off-diagonal cell of the (n, m, m) grid, and
+scatters its gradient back to the same cells.
 
 Every tensor holds finite values: `Tensor` checks what it wraps, and each op
 checks its result unless finite inputs cannot give a non-finite one. `relu`,
 `sqrt`, `gather`, `reshape` and `huber_penalty` skip the check (each op
 states why); every other op can overflow, `legs` and `triple_cosines` too,
 the latter since its `lengths` is an input of its own and may be far
-shorter than the legs. A record whose inputs all are constants keeps
+shorter than the legs. A zero length is not an error: that leg divides by
+1 and its cosines read 0. A record whose inputs all are constants keeps
 neither its inputs nor its gradient rule, so evaluation forwards, which run
 over constant views of the weights, hold no references to their inputs.
 The two-tensor rules of `sub`, `mul`, `div` and `matmul` give a constant
@@ -30,6 +31,7 @@ operand (the input batch, a frozen weight, the peer side of a relation gap)
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -65,7 +67,7 @@ __all__ = [
 DIV_GUARD = 1e-12
 
 # Rows closer than this are coincident: `pairwise_l2` gives them distance 0,
-# with zero gradient, and the relation term skips triples touching them.
+# with zero gradient, and the relation term skips triples with such a leg.
 COINCIDENCE_EPS = 1e-8
 
 
@@ -401,28 +403,23 @@ def legs(x: Tensor, other) -> Tensor:
     return _record(out, "legs", (x, x), rule)
 
 
-def triple_cosines(legs: Tensor, lengths: Tensor, cells) -> Tensor:
-    """Cosine between two legs that meet at one row for every selected cell.
+def triple_cosines(legs: Tensor, lengths: Tensor) -> Tensor:
+    """Cosine between every two distinct legs that meet at one row.
 
     `legs` is (n, m, d): the m legs that meet at each of n rows. `lengths`
-    (n, m) holds their norms; both are tape inputs. `cells` is an (n, m, m)
-    boolean mask: cell (v, a, b) selects legs[v, a] and legs[v, b], whose
+    (n, m) holds their norms; both are tape inputs. The off-diagonal cell
+    (v, a, b) of the (n, m, m) grid reads legs[v, a] and legs[v, b], whose
     cosine is their dot product over both lengths. All cosines come from
-    one batched (n, m, m) Gram matrix of unit legs, returned at the
-    selected cells in row-major order, within a few ulp of the per-triple
-    gather, mul, reduce_sum and div chain.
+    one batched Gram matrix of unit legs, returned at every off-diagonal
+    cell in row-major order, within a few ulp of the per-triple gather,
+    mul, reduce_sum and div chain. A leg of length 0 is divided by 1, so
+    its cosines are 0.
     """
     ld, lens = legs.data, lengths.data
     if ld.ndim != 3 or lens.shape != ld.shape[:2]:
         raise ValueError(f"triple_cosines: legs {ld.shape} and lengths {lens.shape} do not match")
-    cells = np.asarray(cells)
     n, m = lens.shape
-    if cells.dtype != bool or cells.shape != (n, m, m):
-        raise ValueError(f"triple_cosines: cells {cells.shape} must be a boolean {(n, m, m)} mask")
-    short = lens < DIV_GUARD
-    if short.any() and (short & (cells.any(axis=2) | cells.any(axis=1))).any():
-        raise AutodiffError(f"triple_cosines: leg length below {DIV_GUARD:g}")
-    # Legs no selected cell reads may be 0 long; any divisor serves them.
+    cells = _off_diagonal(n, m)
     safe = np.where(lens > 0.0, lens, 1.0)
     unit = ld / safe[..., None]
     gram = unit @ unit.transpose(0, 2, 1)
@@ -431,11 +428,21 @@ def triple_cosines(legs: Tensor, lengths: Tensor, cells) -> Tensor:
         g_gram = np.zeros_like(gram)
         g_gram[cells] = g
         g_unit = (g_gram + g_gram.transpose(0, 2, 1)) @ unit
-        # Through unit = legs / lengths; the g_unit row of a leg no cosine
-        # reads is zero.
         return g_unit / safe[..., None], -(g_unit * unit).sum(axis=2) / safe
 
     return _record(gram[cells], "triple_cosines", (legs, lengths), rule)
+
+
+@functools.lru_cache(maxsize=8)
+def _off_diagonal(n: int, m: int) -> np.ndarray:
+    """Read-only (n, m, m) mask of the cells off each (m, m) diagonal.
+
+    A whole (n, m, m) mask, not one (m, m) broadcast over n: numpy selects
+    and assigns through a mask of the array's own shape faster.
+    """
+    mask = np.broadcast_to(~np.eye(m, dtype=bool), (n, m, m)).copy()
+    mask.flags.writeable = False
+    return mask
 
 
 def huber_penalty(x: Tensor) -> Tensor:

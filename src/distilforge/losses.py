@@ -27,6 +27,7 @@ from .autodiff import (
     COINCIDENCE_EPS,
     Tensor,
     _constant,
+    _off_diagonal,
     add,
     div,
     gather,
@@ -148,8 +149,12 @@ class TupleSets:
         return self.n * self.legs_per_middle * (self.legs_per_middle - 1)
 
     @classmethod
-    def build(cls, n: int, rng: Optional[np.random.Generator] = None) -> "TupleSets":
-        """Tuple sets for a batch of n; `rng` draws the legs of a capped set."""
+    def build(cls, n: int, rng=None) -> "TupleSets":
+        """Tuple sets for a batch of n; `rng` draws the legs of a capped set.
+
+        `rng` is a Generator or a seed for one; a full set draws nothing and
+        makes no Generator.
+        """
         n = int(n)
         if n < 0:
             raise ValueError("batch size must be non-negative")
@@ -158,6 +163,7 @@ class TupleSets:
             return cls(_pairs(n)[1])
         if rng is None:
             raise ValueError(f"a batch of {n} samples its legs and needs an rng")
+        rng = np.random.default_rng(rng)
         # A uniform m-subset of 0..n-2 per middle index, shifted past the middle.
         other = np.sort(rng.random((n, n - 1)).argsort(axis=1)[:, :m], axis=1)
         other += other >= np.arange(n)[:, None]
@@ -167,18 +173,10 @@ class TupleSets:
 @functools.lru_cache(maxsize=8)
 def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only u*n + v of the ordered distinct pairs (u, v) of n, and v as a full set's legs."""
-    u, v = np.nonzero(_off_diagonal(n))
+    u, v = np.nonzero(~np.eye(n, dtype=bool))
     index, other = u * n + v, v.reshape(n, max(n - 1, 0))
     index.flags.writeable = other.flags.writeable = False
     return index, other
-
-
-@functools.lru_cache(maxsize=8)
-def _off_diagonal(m: int) -> np.ndarray:
-    """Read-only (m, m) mask of the cells off the diagonal."""
-    mask = ~np.eye(m, dtype=bool)
-    mask.flags.writeable = False
-    return mask
 
 
 def _legs_per_middle(n: int) -> int:
@@ -233,15 +231,15 @@ class RelationSide:
 
     `measure` reads one pairwise_l2 matrix into the distance `potentials`,
     one per ordered pair and normalized by their mean, the `degenerate` flag
-    and the side's cells: the triples of the (n, m, m) grid whose two legs,
-    read at the `other` grid, are both at least COINCIDENCE_EPS long on this
-    side, kept as one mask and its count. `valid` reads the mask as one flag
-    per triple. `cosines` adds the valid triples' cosines on first read. A
-    mean pair distance below MEAN_DISTANCE_EPS makes the side degenerate,
-    with constant zero potentials. All of it stays on the embedding's tape,
-    so one side serves as the student, whose loss backpropagates through it,
-    and as the peer, whose values are read as constants. Measuring for
-    another tuple set rebuilds it.
+    and `valid`, one flag per triple: whether both its legs, read at the
+    `other` grid, have a nonzero distance on this side (`pairwise_l2` gives
+    rows under COINCIDENCE_EPS apart distance 0). `cosines` adds every
+    triple's cosine on first read. A mean pair distance below
+    MEAN_DISTANCE_EPS makes the side degenerate, with constant zero
+    potentials. All of it stays on the embedding's tape, so one side serves
+    as the student, whose loss backpropagates through it, and as the peer,
+    whose values are read as constants. Measuring for another tuple set
+    rebuilds it.
     """
 
     def __init__(self, embeddings: Tensor):
@@ -256,11 +254,10 @@ class RelationSide:
         if tuples.n != n:
             raise ValueError(f"tuple sets built for batch {tuples.n}, embeddings have {n} rows")
         dist = pairwise_l2(e)
-        m = tuples.legs_per_middle
-        long_leg = np.take_along_axis(dist.data, tuples.other, 1) >= COINCIDENCE_EPS
-        # The (n, m, m) grid of leg pairs; its off-diagonal cells are the triples.
-        self._cells = long_leg[:, :, None] & long_leg[:, None, :] & _off_diagonal(m)
-        self._num_cells = np.count_nonzero(self._cells)
+        long_leg = np.take_along_axis(dist.data, tuples.other, 1) > 0.0
+        # The triples are the off-diagonal cells of the (n, m, m) grid of leg pairs.
+        cells = long_leg[:, :, None] & long_leg[:, None, :]
+        self.valid = cells[_off_diagonal(n, tuples.legs_per_middle)]
         mean_dist = div(reduce_sum(dist), float(tuples.num_pairs))
         self.degenerate = mean_dist.item() < MEAN_DISTANCE_EPS
         if self.degenerate:
@@ -272,23 +269,18 @@ class RelationSide:
         self.tuples = tuples
         return self
 
-    @property
-    def valid(self) -> np.ndarray:
-        """One flag per triple of the measured set: whether both its legs are long."""
-        return self._cells[:, _off_diagonal(self.tuples.legs_per_middle)].reshape(-1)
-
     def cosines(self) -> Tensor:
-        """Cosine at the middle index of every valid triple, in triple order.
+        """Cosine at the middle index of every triple, in triple order.
 
         The (n, m, d) legs e[other] - e[middle] of the tuple set come from one
         `legs` record, and their lengths are computed once. Each middle
-        index's cosines come from one Gram matrix of its m unit legs; the
-        valid cells of the grid select them.
+        index's cosines come from one Gram matrix of its m unit legs; a leg
+        of length 0 gives cosines of 0.
         """
         if self._cosines is None:
             rows = legs(self.embeddings, self.tuples.other)
             lengths = sqrt(reduce_sum(mul(rows, rows), axis=2))
-            self._cosines = triple_cosines(rows, lengths, self._cells)
+            self._cosines = triple_cosines(rows, lengths)
         return self._cosines
 
 
@@ -315,7 +307,9 @@ def relation_distill_loss(
     Tensor, measured for this call alone. Gradients reach only the student:
     the peer's potentials and cosines enter as constants. The value is
     symmetric in the two sides. The sides may differ in width but not in
-    row count. Batches below 3 samples and beta1 = 0 skip the angle term, which
+    row count. The angle gap is the mean over the triples valid on both
+    sides; when any is skipped, both sides' cosines narrow to the same kept
+    triples. Batches below 3 samples and beta1 = 0 skip the angle term, which
     then reads 0; batches below 2 samples contribute nothing at all.
     """
     student, peer = (
@@ -332,20 +326,16 @@ def relation_distill_loss(
     collapses = int(student.degenerate) + int(peer.degenerate)
 
     ad = Tensor(0.0)
-    # The pair's cells are a subset of each side's own; `cosines` holds one
-    # value per own cell, so a side with more cells is narrowed to the
-    # pair's by position. The student's gather backward scatters exact
-    # copies of the gradient and adds exact zeros elsewhere.
-    cells = student._cells & peer._cells
-    used = int(np.count_nonzero(cells))
+    # The student's gather backward scatters exact copies of the gradient
+    # and exact zeros elsewhere.
+    both = student.valid & peer.valid
+    used = int(np.count_nonzero(both))
     skipped = tuples.num_triples - used
     if weights.beta1 > 0 and used:
-        own = student.cosines()
-        if used < student._num_cells:
-            own = gather(own, np.flatnonzero(cells[student._cells]))
-        other = peer.cosines().data
-        if used < peer._num_cells:
-            other = other[cells[peer._cells]]
+        own, other = student.cosines(), peer.cosines().data
+        if skipped:
+            keep = np.flatnonzero(both)
+            own, other = gather(own, keep), other[keep]
         ad = reduce_mean(huber_penalty(sub(own, _constant(other))))
     total = add(dd, mul(ad, weights.beta1))
     return RelationLoss(total, dd, ad, collapses, skipped)

@@ -9,6 +9,7 @@ frozen copies serve as fixed self-teachers.
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -84,7 +85,8 @@ class ForwardOutput:
     relation: object = None
 
 
-def _layout(config: NetworkConfig) -> list[tuple[str, tuple, slice]]:
+@functools.lru_cache(maxsize=8)
+def _layout(config: NetworkConfig) -> tuple[tuple[str, tuple, slice], ...]:
     """Each parameter's name, shape and slice of the flat array, in layer order."""
     layout, start = [], 0
     dims = config.layer_dims
@@ -92,7 +94,7 @@ def _layout(config: NetworkConfig) -> list[tuple[str, tuple, slice]]:
         for name, shape in ((f"w{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,))):
             layout.append((name, shape, slice(start, start + math.prod(shape))))
             start += math.prod(shape)
-    return layout
+    return tuple(layout)
 
 
 class PeerNetwork:
@@ -162,8 +164,12 @@ def init_network(config: NetworkConfig) -> PeerNetwork:
     flat = np.zeros(layout[-1][2].stop)
     for name, shape, part in layout:
         if name[0] == "w":
+            # In place, with the bits of rng.uniform(-limit, limit, shape).
             limit = math.sqrt(6.0 / (shape[0] + shape[1]))
-            flat[part] = rng.uniform(-limit, limit, size=shape).reshape(-1)
+            view = flat[part]
+            rng.random(out=view)
+            view *= 2.0 * limit
+            view -= limit
     return PeerNetwork(config, flat)
 
 

@@ -27,8 +27,8 @@ import numpy as np
 
 from .autodiff import AutodiffError, _all_finite, _constant, backward
 from .data import Dataset, batch_iterator
-from .losses import LossWeights, TotalLoss, TupleSets, _legs_per_middle, total_loss
-from .models import PeerNetwork, _integer, _number
+from .losses import LossWeights, TotalLoss, TupleSets, total_loss
+from .models import PeerNetwork, _integer, _layout, _number
 
 logger = logging.getLogger(__name__)
 
@@ -174,10 +174,7 @@ def sgd_step(
     """
     net.check_views()
     params, size = net.parameters, net.flat.size
-    parts, start = [], 0
-    for p in params.values():
-        parts.append((slice(start, start + p.data.size), p.grad))
-        start += p.data.size
+    parts = [(part, params[name].grad) for name, _, part in _layout(net.config)]
     if size <= _FLAT_SIZE:
         scratch = np.empty(2 * size)
         gathered = scratch[size:]
@@ -369,10 +366,7 @@ def _train_epochs(
                 b = len(batch)
                 tuples = None
                 if need_tuples:
-                    # A full set (up to batch 16) draws nothing, so it gets no rng.
-                    rng = None if _legs_per_middle(b) == b - 1 else np.random.default_rng(
-                        [config.seed, shuffle_epoch, batch_index])
-                    tuples = TupleSets.build(b, rng=rng)
+                    tuples = TupleSets.build(b, rng=[config.seed, shuffle_epoch, batch_index])
                     if tuples.num_triples == 0:
                         logger.debug(
                             "stage %d epoch %d batch %d: %d samples, angle term skipped",

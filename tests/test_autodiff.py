@@ -1,6 +1,7 @@
 """Tensor engine tests: values, gradients, and failure modes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -299,24 +300,27 @@ class TestStructuralOps:
 
     def test_triple_cosines_validation(self):
         legs, lengths = Tensor(np.eye(4).reshape(2, 2, 4)), Tensor(np.ones((2, 2)))
-        # Two rows with two legs each, every off-diagonal cell selected.
-        cells = np.broadcast_to(~np.eye(2, dtype=bool), (2, 2, 2))
         for bad_legs, bad_lengths in ((legs, Tensor(np.ones(4))), (Tensor(np.eye(4)), lengths)):
             with pytest.raises(ValueError, match="do not match"):
-                triple_cosines(bad_legs, bad_lengths, cells)
-        bad_masks = [cells.reshape(2, 4), cells.astype(float), np.ones((1, 4, 1), dtype=bool)]
-        bad_masks += [np.ones(shape, dtype=bool) for shape in ((1, 3, 3), (4, 0, 0), (2, 1, 1))]
-        # A mask of the wrong shape and one that is not boolean.
-        bad_masks += [np.ones((2, 2, 3), dtype=bool), cells.astype(np.int8)]
-        for bad in bad_masks:
-            with pytest.raises(ValueError, match=r"must be a boolean \(2, 2, 2\) mask$"):
-                triple_cosines(legs, lengths, bad)
-        short = Tensor([[1.0, 0.0], [1.0, 1.0]])
-        with pytest.raises(AutodiffError, match="leg length"):
-            triple_cosines(legs, short, cells)
-        # A short leg that no selected cell reads is fine.
-        second_group = cells & np.array([False, True])[:, None, None]
-        assert triple_cosines(legs, short, second_group).data.tolist() == [0.0, 0.0]
+                triple_cosines(bad_legs, bad_lengths)
+        # Two rows with two legs each: every off-diagonal cell, in row-major order.
+        assert triple_cosines(legs, lengths).data.tolist() == [0.0, 0.0, 0.0, 0.0]
+
+    def test_triple_cosines_zero_length_leg_reads_zero(self):
+        """A leg of length 0 divides by 1: its cells read exactly 0, with no warning.
+
+        The middle leg of the one row is 0; the other two meet at 45 degrees.
+        """
+        legs = Tensor([[[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]]], requires_grad=True)
+        lengths = Tensor([[1.0, 0.0, math.sqrt(2.0)]], requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = triple_cosines(legs, lengths)
+            backward(reduce_sum(out))
+        # Cells (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1).
+        assert out.data[[0, 2, 3, 5]].tolist() == [0.0, 0.0, 0.0, 0.0]
+        np.testing.assert_allclose(out.data[[1, 4]], math.sqrt(0.5), rtol=1e-15)
+        assert np.isfinite(legs.grad).all() and np.isfinite(lengths.grad).all()
 
     @pytest.mark.parametrize("n", [3, 16, 17, 32, 128])
     @pytest.mark.parametrize("d", [2, 3, 16, 64])
@@ -371,14 +375,17 @@ class TestStructuralOps:
 
     @pytest.mark.parametrize("apart", [0.0, 1e-170], ids=["zero", "underflowing"])
     def test_triple_cosines_divides_unread_short_legs_safely(self, apart):
-        """Legs no selected cell reads may be 0 long: results equal the masked division's.
+        """Legs may be 0 long: the cells of two long legs equal the masked division's.
 
         Rows 1 and 3 coincide or lie 1e-170 apart, so the legs between them
         have length 0 (the squares underflow), though the second pair's legs
-        are not zero. Values and leg gradients are equal bit for bit. The
-        length gradient of a 0-long leg is -0.0 where the masked division
+        are not zero. The cells that read such a leg get no upstream
+        gradient, as the relation loss's gather gives them. The values at
+        the other cells and the leg gradients are then equal bit for bit.
+        The length gradient of a 0-long leg is -0.0 where the masked division
         wrote +0.0; `sqrt`'s backward, which reads it in `RelationSide`,
-        discards it. A read leg that short still raises.
+        discards it. The cells of a 0-long leg read 0, or at most its
+        unscaled coordinates.
         """
         rng = np.random.default_rng(11)
         e = rng.standard_normal((5, 3))
@@ -392,16 +399,18 @@ class TestStructuralOps:
         off_diagonal = ~np.eye(4, dtype=bool)
         long_leg = lens > 0.0
         cells = long_leg[:, :, None] & long_leg[:, None, :] & off_diagonal
+        read = cells[:, off_diagonal].reshape(-1)
         weights = rng.standard_normal(np.count_nonzero(cells))
+        upstream = np.zeros(read.size)
+        upstream[read] = weights
         lt, st = Tensor(ld, requires_grad=True), Tensor(lens, requires_grad=True)
-        out = triple_cosines(lt, st, cells)
-        backward(reduce_sum(mul(out, Tensor(weights))))
+        out = triple_cosines(lt, st)
+        backward(reduce_sum(mul(out, Tensor(upstream))))
         reference = masked_division_cosines(ld, lens, cells, weights)
-        for got, want in zip((out.data, lt.grad), reference):
+        for got, want in zip((out.data[read], lt.grad), reference):
             assert got.tobytes() == want.tobytes()
         assert np.array_equal(st.grad, reference[2])
-        with pytest.raises(AutodiffError, match="leg length below"):
-            triple_cosines(lt, st, cells | off_diagonal)
+        assert np.abs(out.data[~read]).max() <= 2 * apart
 
     def test_pairwise_l2_values(self):
         e = Tensor([[0.0, 0.0], [3.0, 4.0]])
@@ -496,10 +505,9 @@ class TestFiniteness:
     def test_triple_cosines_checks_its_result(self, k):
         # `lengths` is an input of its own: legs far longer than it overflow.
         legs, lengths = Tensor(np.full((1, k, 3), 1e200)), Tensor(np.ones((1, k)))
-        cells = ~np.eye(k, dtype=bool)[None]
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(AutodiffError, match="non-finite result from 'triple_cosines'"):
-                triple_cosines(legs, lengths, cells)
+                triple_cosines(legs, lengths)
 
 
 class TestOpGradients:

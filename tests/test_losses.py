@@ -445,10 +445,12 @@ class TestAnglePotentials:
         e = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 3.0]])
         tuples = TupleSets.build(4)
         side = RelationSide(Tensor(e)).measure(tuples)
-        assert side.cosines().data.size == side.valid.sum() < tuples.num_triples
-        for u, v, _, ok in zip(*decode_triples(tuples), side.valid):
+        cosines = side.cosines().data
+        assert cosines.size == tuples.num_triples > side.valid.sum()
+        for u, v, _, ok, cosine in zip(*decode_triples(tuples), side.valid, cosines):
             if {int(u), int(v)} == {0, 1}:
-                assert not ok
+                # The leg between the coinciding rows is 0 long: its cosines read 0.
+                assert not ok and cosine == 0.0
 
     @pytest.mark.parametrize("n", [3, 16, 17, 32, 64, 128])
     @pytest.mark.parametrize("coincident", [False, True], ids=["distinct", "coincident"])
@@ -462,13 +464,14 @@ class TestAnglePotentials:
         side = RelationSide(Tensor(e)).measure(tuples)
         vals, valid = side.cosines(), side.valid
         assert valid.all() != coincident
+        assert vals.data.size == tuples.num_triples
         u, v, w = (x[valid] for x in decode_triples(tuples))
         head, tail = e[u] - e[v], e[w] - e[v]
         norm_head = np.sqrt((head * head).sum(axis=1))
         norm_tail = np.sqrt((tail * tail).sum(axis=1))
         formula = (head * tail).sum(axis=1) / norm_head / norm_tail
         # The cosines are read off a Gram matrix of unit legs.
-        assert np.abs(vals.data - formula).max() <= 4 * np.finfo(float).eps
+        assert np.abs(vals.data[valid] - formula).max() <= 4 * np.finfo(float).eps
 
 
 def divide(a, b):
@@ -481,7 +484,11 @@ class TestTripleCosines:
     @pytest.mark.parametrize("n", [3, 16, 17, 32, 64, 128])
     @pytest.mark.parametrize("coincident", [False, True], ids=["distinct", "coincident"])
     def test_matches_reference_chain(self, n, coincident):
-        """Values and gradients against the gather, mul, reduce_sum and divide chain."""
+        """Values and gradients against the gather, mul, reduce_sum and divide chain.
+
+        The op reads every cell; as in the relation loss, a gather narrows it
+        to the cells of two long legs, the only ones the chain can divide at.
+        """
         rng = np.random.default_rng(40 + n)
         e = rng.standard_normal((n, 5))
         tuples = TupleSets.build(n, rng)
@@ -505,7 +512,8 @@ class TestTripleCosines:
             backward(reduce_sum(mul(out, Tensor(weights))))
             return out.data, lt.grad, st.grad
 
-        got = run(lambda lt, st: triple_cosines(lt, st, cells))
+        keep = np.flatnonzero(cells[:, ~np.eye(k, dtype=bool)])
+        got = run(lambda lt, st: gather(triple_cosines(lt, st), keep))
         def chain(lt, st):
             lt, st = reshape(lt, (n * k, 5)), reshape(st, (n * k,))
             dots = reduce_sum(mul(gather(lt, head), gather(lt, tail)), axis=1)
@@ -705,8 +713,9 @@ class TestRelationLoss:
 def fresh_pair_relation(student, peer, tuples, beta1):
     """(distance, angle, total) with both sides' geometry built for this pair alone.
 
-    The reference composition: the peer is detached, and each side's
-    cosines are computed for the pair's valid triples only, not for its own.
+    The reference composition: the peer is detached, its legs come from the
+    gather and sub chain, and each side's cosines are always narrowed by a
+    gather to the pair's valid triples, whether or not any is skipped.
     """
     peer = Tensor(peer.data.copy())
 
@@ -720,38 +729,41 @@ def fresh_pair_relation(student, peer, tuples, beta1):
         pots = div(gather(reshape(dist, (n * n,)), pairs), mean)
         return pots, dist.data[middle, other] >= COINCIDENCE_EPS
 
-    def cosines(e, cells):
+    def cosines(e, keep):
         flat = sub(gather(e, other.reshape(-1)), gather(e, middle.reshape(-1)))
         legs = reshape(flat, (n, m, e.data.shape[1]))
         lengths = sqrt(reduce_sum(mul(legs, legs), axis=2))
-        return triple_cosines(legs, lengths, cells)
+        return gather(triple_cosines(legs, lengths), keep)
 
     (pots_s, long_s), (pots_p, long_p) = map(potentials_and_long_legs, (student, peer))
     long_leg = long_s & long_p
-    cells = long_leg[:, :, None] & long_leg[:, None, :] & ~np.eye(m, dtype=bool)
+    off_diagonal = ~np.eye(m, dtype=bool)
+    keep = np.flatnonzero((long_leg[:, :, None] & long_leg[:, None, :])[:, off_diagonal])
     dd = reduce_mean(huber_penalty(sub(pots_s, pots_p)))
-    ad = reduce_mean(huber_penalty(sub(cosines(student, cells), cosines(peer, cells))))
+    ad = reduce_mean(huber_penalty(sub(cosines(student, keep), cosines(peer, keep))))
     return dd, ad, add(dd, mul(ad, beta1))
 
 
 class TestRelationSide:
     @pytest.mark.parametrize("n", [16, 17, 32, 64, 128])
-    @pytest.mark.parametrize("coincident", ["none", "peer_only", "both"])
+    @pytest.mark.parametrize("coincident", ["none", "peer_only", "student_only", "both"])
     def test_shared_sides_match_fresh_geometry(self, n, coincident):
         """Each side measured once and read in both roles, as a simultaneous batch does.
 
         Values and student gradients are bit-equal to geometry built fresh
         per call. With rows coinciding in b alone, the pair's valid triples
-        are a strict subset of a's own, so a's cosines are narrowed as the
-        student and b's read whole. With other rows coinciding in each side,
-        both sides are narrowed in both roles.
+        are a strict subset of a's own; with rows coinciding in a alone, of
+        b's own; with other rows coinciding in each side, of both. Whenever
+        a triple is skipped, both sides are narrowed in both roles.
         """
         rng = np.random.default_rng(60 + n)
         ea, eb = rng.standard_normal((2, n, 5))
         tuples = TupleSets.build(n, rng)
-        if coincident != "none":
+        short_a = coincident in ("student_only", "both")
+        short_b = coincident in ("peer_only", "both")
+        if short_b:
             coincide_first_leg(eb, tuples)
-        if coincident == "both":
+        if short_a:
             coincide_last_leg(ea, tuples)
         assert tuples.capped == (n > 16)
         w = LossWeights()
@@ -762,9 +774,9 @@ class TestRelationSide:
         shared_ba = relation_distill_loss(side_b, side_a, w, tuples)
         backward(shared_ba.total)
         pair = side_a.valid & side_b.valid
-        assert (pair != side_a.valid).any() == (coincident != "none")
-        assert (pair != side_b.valid).any() == (coincident == "both")
-        assert side_b.valid.all() == (coincident == "none")
+        assert side_a.valid.all() != short_a and side_b.valid.all() != short_b
+        assert (pair != side_a.valid).any() == short_b
+        assert (pair != side_b.valid).any() == short_a
 
         roles = ((ea, eb, shared_ab, a.grad), (eb, ea, shared_ba, b.grad))
         for student, peer, shared, grad in roles:
@@ -778,7 +790,7 @@ class TestRelationSide:
 
     @pytest.mark.parametrize("n", [4, 17, 32])
     def test_valid_matches_per_triple_flags(self, n):
-        """`valid`, read off the cell mask, is one flag per triple in triple order.
+        """`valid` is one flag per triple in triple order.
 
         A triple's flag says both its legs are long; the skipped count is
         the triples whose pair of flags is not both set.
